@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -456,11 +455,7 @@ def _run_sweep(cfg: RunConfig, include_terms: bool) -> int:
     em_cfg = thermo.EMConfig(order=cfg.em_order)
     grid = cfg.sweep.grid()
     tasks = [(q, float(mbar)) for q in cfg.q_list for mbar in grid]
-    workers = min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(
-            lambda t: _sweep_worker(t, cfg.method, em_cfg, cfg.tol), tasks
-        ))
+    results = [_sweep_worker(t, cfg.method, em_cfg, cfg.tol) for t in tasks]
 
     header = SWEEP_HEADER + (("terms_direct",) if include_terms else ())
     rows = [row.record() for row, _ in results]

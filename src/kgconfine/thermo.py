@@ -8,8 +8,14 @@ sigma2).  The partition function is referenced to the ground state,
 
 so the direct sum starts at 1 and the internal energy U is the mean
 excitation energy <E - E_0>.  Two evaluation routes are kept deliberately
-separate: brute-force summation with a rigorous integral tail bound, and the
-Euler-MacLaurin truncation
+separate.  The direct route sums an exact head of levels and stops either when
+a rigorous integral bound on the rest falls below tol*Z, or, once the summand
+is smooth on unit spacing, by adding the Euler-MacLaurin tail from the first
+unsummed level through the B6 correction; the summand is completely monotone,
+so the remainder of that tail lies between 0 and the first omitted (B8) term,
+and the tail is accepted only when that term is below tol*Z.  Its cost
+therefore does not grow with mbar.  The closed-form route is the
+Euler-MacLaurin truncation from n = 0
 
     Z(mbar) = 1/2 + (2 mbar^2/sigma1) (1 + sqrt(sigma2)/mbar)
               + sigma1/(24 mbar sqrt(sigma2))
@@ -32,10 +38,15 @@ import numpy as np
 from .errors import ConfigError, DomainError, TruncationFailure
 
 # Bernoulli numbers B_{2i} entering the correction terms.
-BERNOULLI = {1: 1.0 / 6.0, 2: -1.0 / 30.0}
+BERNOULLI = {1: 1.0 / 6.0, 2: -1.0 / 30.0, 3: 1.0 / 42.0, 4: -1.0 / 30.0}
 
-# Term budget for the direct sum.
+# Cap on the levels the direct sum adds exactly (its head).
 DIRECT_N_MAX = 10_000_000
+# The direct sum may switch to the Euler-MacLaurin tail at level N only when
+# N >= DIRECT_EM_MIN_N and the summand changes by a small factor per level,
+# b*sigma1/(2*E_N) <= DIRECT_EM_MAX_STEP; both keep the B8 remainder term tiny.
+DIRECT_EM_MIN_N = 32
+DIRECT_EM_MAX_STEP = 0.125
 # Step (in ln mbar) and tolerance for the finite-difference derivatives used
 # by the direct-source thermal functions.
 FD_STEP = 1e-4
@@ -74,7 +85,8 @@ class ThermoPoint:
     F: float | None = None
     U: float | None = None
     C: float | None = None
-    terms: int | None = None
+    terms: int | None = None  # levels summed exactly by the direct route
+    tail_bound: float | None = None  # absolute bound on the direct route's error
 
 
 @dataclass(frozen=True)
@@ -116,20 +128,68 @@ def closed_integral(beta1: float, beta2: float, beta3: float) -> float:
     return (2.0 / (beta1**2 * beta2)) * math.exp(-beta1 * root) * (1.0 + beta1 * root)
 
 
-def _tail_bound(b: float, s1: float, s2: float, n_done: int) -> float:
-    # Upper bound on sum_{n >= n_done} exp(-b*(sqrt(s1*n+s2)-sqrt(s2))): the
-    # summand decreases in n, so the sum is below the integral from n_done-1.
-    start = s1 * (n_done - 1) + s2
-    u0 = math.sqrt(start)
-    return (2.0 / (b * b * s1)) * math.exp(-b * (u0 - math.sqrt(s2))) * (1.0 + b * u0)
+def _tail_integral(b: float, s1: float, s2: float, n: float) -> float:
+    # integral_n^inf exp(-b*(sqrt(s1*x+s2)-sqrt(s2))) dx, the closed_integral
+    # algebra written relative to the ground state so it cannot overflow.
+    u = math.sqrt(s1 * n + s2)
+    return (2.0 / (b * b * s1)) * math.exp(-b * (u - math.sqrt(s2))) * (1.0 + b * u)
+
+
+def _summand_derivative(m: int, b: float, s1: float, x: float, fx: float) -> float:
+    """m-th derivative in n of f(n) = c*exp(-b*sqrt(s1*n + s2)) where
+    s1*n + s2 = x and f(n) = fx:
+
+        f^(m) = (-1)^m s1^m f * sum_{k<m} (m-1+k)!/(k!(m-1-k)!)
+                * b^(m-k) / (2^(m+k) x^((m+k)/2)).
+
+    With r = b*s1/(2 sqrt(x)) and t = s1/(4x) the k-th term of s1^m * sum
+    is weight_k * r^(m-k) * t^k.  Every term is positive, so the sum loses
+    no digits to cancellation.
+    """
+    r = b * s1 / (2.0 * math.sqrt(x))
+    t = s1 / (4.0 * x)
+    acc = 0.0
+    weight = 1
+    for k in range(m):
+        acc += weight * r ** (m - k) * t**k
+        weight = weight * (m + k) * (m - 1 - k) // (k + 1)
+    return (-1) ** m * fx * acc
+
+
+def _em_tail(b: float, s1: float, s2: float, n: int) -> tuple[float, float]:
+    # Euler-MacLaurin value of sum_{k >= n} of the ground-state-referenced
+    # summand through the B6 correction, and the first omitted (B8) term,
+    # which bounds the remainder because the summand is completely monotone.
+    x = s1 * n + s2
+    fx = math.exp(-b * (math.sqrt(x) - math.sqrt(s2)))
+    tail = _tail_integral(b, s1, s2, n) + 0.5 * fx
+    correction = [
+        BERNOULLI[i] / math.factorial(2 * i) * _summand_derivative(2 * i - 1, b, s1, x, fx)
+        for i in (1, 2, 3, 4)
+    ]
+    return tail - sum(correction[:3]), abs(correction[3])
 
 
 def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
-    """Ground-state-referenced partition function by adaptive summation.
+    """Ground-state-referenced partition function: exact head + bounded tail.
 
-    Terms are accumulated in chunks until the integral bound on the remaining
-    tail drops below ``tol`` times the partial sum.  The returned point
-    records the number of terms used.
+    Levels are summed exactly in growing chunks (the first holds 32 levels).
+    After each chunk, with N levels summed, the sum stops at the first test
+    that passes:
+
+    * the integral bound on the unsummed levels is below ``tol`` times the
+      partial sum: Z is the exact partial sum;
+    * the summand is smooth on unit spacing (N >= 32 and
+      b*sigma1/(2*E_N) <= 1/8, b = 1/mbar) and the first omitted
+      Euler-MacLaurin term |B8/8! f^(7)(N)| is below ``tol`` times Z: Z is
+      the partial sum plus the Euler-MacLaurin tail from level N through the
+      B6 correction.  The summand is completely monotone in n, so the tail's
+      remainder lies between 0 and that omitted term.
+
+    The cost therefore stops growing with mbar.  The returned point records
+    ``terms``, the levels summed exactly, and ``tail_bound``, the absolute
+    bound that stopped the sum.  A head that would exceed DIRECT_N_MAX levels
+    raises TruncationFailure.
     """
     _check_point(mbar, q, tol)
     s1, s2 = sigma_constants(q)
@@ -137,16 +197,27 @@ def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
     e0 = math.sqrt(s2)
     total = 0.0
     n_done = 0
-    chunk = 4096
+    chunk = DIRECT_EM_MIN_N  # so every Euler-MacLaurin check has N >= DIRECT_EM_MIN_N
     while n_done <= DIRECT_N_MAX:
         hi = min(n_done + chunk, DIRECT_N_MAX + 1)
         n = np.arange(n_done, hi, dtype=float)
         total += float(np.sum(np.exp(-b * (np.sqrt(s1 * n + s2) - e0))))
         n_done = hi
-        if _tail_bound(b, s1, s2, n_done) < tol * total:
+        # The summand decreases in n, so the unsummed levels add up to less
+        # than the integral from n_done - 1.
+        bound = _tail_integral(b, s1, s2, n_done - 1)
+        if bound < tol * total:
             return ThermoPoint(
-                mbar=mbar, Z=total, method=Source.DIRECT.value, terms=n_done
+                mbar=mbar, Z=total, method=Source.DIRECT.value,
+                terms=n_done, tail_bound=bound,
             )
+        if b * s1 <= 2.0 * DIRECT_EM_MAX_STEP * math.sqrt(s1 * n_done + s2):
+            tail, bound = _em_tail(b, s1, s2, n_done)
+            if bound < tol * (total + tail):
+                return ThermoPoint(
+                    mbar=mbar, Z=total + tail, method=Source.DIRECT.value,
+                    terms=n_done, tail_bound=bound,
+                )
         chunk = min(chunk * 2, 1 << 20)
     raise TruncationFailure(
         f"direct sum did not converge within {DIRECT_N_MAX} terms "
@@ -174,10 +245,8 @@ def partition_summand(
         return math.exp(-b * math.sqrt(s1 * n + s2))
 
     f0 = f(0.0)
-    root = math.sqrt(s2)
-    d1 = -(s1 * b / (2.0 * root)) * f0
-    d3 = -(s1**3 * b / (8.0 * s2**2.5)) * (3.0 + 3.0 * b * root + b * b * s2) * f0
-    return f, {1: d1, 3: d3}, closed_integral(b, s1, s2)
+    derivs = {m: _summand_derivative(m, b, s1, s2, f0) for m in (1, 3)}
+    return f, derivs, closed_integral(b, s1, s2)
 
 
 def euler_maclaurin_sum(
@@ -289,7 +358,7 @@ def thermal_functions(
     return ThermoPoint(
         mbar=mbar, Z=point.Z, method=Source.DIRECT.value,
         F=-mbar * math.log(point.Z), U=mbar * lp, C=lp + lpp,
-        terms=point.terms,
+        terms=point.terms, tail_bound=point.tail_bound,
     )
 
 

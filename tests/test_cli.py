@@ -297,13 +297,14 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
 
 
 def test_sweep_point_failure_exits_1(tmp_path, capsys):
-    # mbar far beyond the direct-sum term budget: every point fails, the
-    # sweep still writes a (empty-valued) table and reports failure.
+    # A tolerance no Euler-MacLaurin tail can meet sends the direct sum's
+    # head past its level cap: every point fails, the sweep still writes a
+    # (empty-valued) table and reports failure.
     out = tmp_path / "thermo.csv"
     rc = cli.main([
         "thermo", "--method", "direct", "--q", "1.0",
         "--mbar-min", "9e4", "--mbar-max", "1e5", "--steps", "2",
-        "--out", str(out),
+        "--tol", "1e-300", "--out", str(out),
     ])
     assert rc == 1
     assert out.exists()

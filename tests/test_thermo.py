@@ -101,16 +101,64 @@ def test_partition_direct_at_least_one(mbar, q):
 
 
 def test_partition_direct_tolerance_is_honest():
-    loose = thermo.partition_direct(5.0, 1.0, 1e-6).Z
-    tight = thermo.partition_direct(5.0, 1.0, 1e-14).Z
-    assert abs(loose - tight) / tight < 1e-5
+    for mbar in (5.0, 50.0):
+        loose = thermo.partition_direct(mbar, 1.0, 1e-6)
+        tight = thermo.partition_direct(mbar, 1.0, 1e-14)
+        assert abs(loose.Z - tight.Z) / tight.Z < 1e-5
+        assert 0.0 < loose.tail_bound < 1e-6 * loose.Z
+        assert abs(loose.Z - tight.Z) <= loose.tail_bound
+    # At mbar = 50 both sums stop on the Euler-MacLaurin tail after a short head.
+    assert loose.terms < 100 and tight.terms < 100
 
 
 def test_partition_direct_term_budget():
+    # No Euler-MacLaurin tail can meet tol = 1e-300, so the head runs into
+    # the DIRECT_N_MAX cap.
     with pytest.raises(TruncationFailure) as err:
-        thermo.partition_direct(1e5, 1.0, 1e-12)
+        thermo.partition_direct(1e5, 1.0, 1e-300)
     assert err.value.n_terms == thermo.DIRECT_N_MAX
     assert err.value.partial_sum > 0.0
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("mbar", [0.5, 5.0, 50.0])
+def test_partition_direct_matches_plain_sum(mbar, q):
+    # Enough levels for the omitted tail to fall below 1e-17 of the sum.
+    s1, s2 = thermo.sigma_constants(q)
+    n_max = int(((45.0 * mbar + math.sqrt(s2)) ** 2 - s2) / s1)
+    n = np.arange(0, n_max, dtype=float)
+    reference = float(np.sum(np.exp(-(np.sqrt(s1 * n + s2) - math.sqrt(s2)) / mbar)))
+    assert math.isclose(thermo.partition_direct(mbar, q, 1e-14).Z, reference, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("mbar", [1e3, 1e5])
+def test_partition_direct_converges_at_high_mbar(mbar):
+    # The order-2 closed form's dropped B6 term is below 1e-15 relative here.
+    for q in (0.5, 1.0, 1.5):
+        point = thermo.partition_direct(mbar, q, 1e-12)
+        assert point.terms < 1000
+        assert math.isclose(point.Z, thermo.partition_em(mbar, q).Z, rel_tol=1e-12)
+
+
+def _first_em_mbar(q):
+    # Lowest mbar at which the summand is smooth enough for the direct sum to
+    # take the Euler-MacLaurin tail right after its first chunk.
+    s1, s2 = thermo.sigma_constants(q)
+    e_first = math.sqrt(s1 * thermo.DIRECT_EM_MIN_N + s2)
+    return s1 / (2.0 * thermo.DIRECT_EM_MAX_STEP * e_first)
+
+
+@pytest.mark.parametrize("mbar", [_first_em_mbar(1.0), 20.0, 100.0])
+def test_thermal_functions_direct_heat_capacity_matches_moments(mbar):
+    # The finite-difference C sits on sums that end in the Euler-MacLaurin
+    # tail (at the first mbar its stencil straddles heads of 96 and 32
+    # levels); it must still match the fluctuation identity from the
+    # brute-force moment sums.
+    q = 1.0
+    _, m1, m2 = thermo.excitation_moments(mbar, q, 1e-12)
+    c_fluct = (m2 - m1 * m1) / (mbar * mbar)
+    c_fd = thermo.thermal_functions(thermo.Source.DIRECT, mbar, q).C
+    assert math.isclose(c_fd, c_fluct, rel_tol=1e-5)
 
 
 def test_partition_direct_domain():
