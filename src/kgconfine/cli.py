@@ -423,48 +423,37 @@ def run_wavefunction(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_worker(task, method: str, em_cfg: thermo.EMConfig, tol: float):
-    q, mbar = task
-    try:
-        z_direct = z_em = rel = None
-        f = u = c = None
-        terms = None
-        if method in ("direct", "both"):
-            if method == "direct":
-                point = thermo.thermal_functions(thermo.Source.DIRECT, mbar, q, em_cfg, tol)
-                f, u, c = point.F, point.U, point.C
-            else:
-                point = thermo.partition_direct(mbar, q, tol)
-            z_direct = point.Z
-            terms = point.terms
-        if method in ("em", "both"):
-            point = thermo.thermal_functions(thermo.Source.EM, mbar, q, em_cfg, tol)
-            z_em = point.Z
-            f, u, c = point.F, point.U, point.C
-        if z_direct is not None and z_em is not None:
-            rel = abs(z_direct - z_em) / z_direct
-        return SweepRow(
-            mbar=mbar, q=q, Z_direct=z_direct, Z_em=z_em,
-            F=f, U=u, C=c, rel_diff=rel, terms_direct=terms,
-        ), None
-    except KGConfineError as exc:
-        return SweepRow(mbar=mbar, q=q), f"mbar={mbar!r} q={q!r}: {exc}"
+def _column(values: np.ndarray | None, size: int) -> list:
+    return [None] * size if values is None else values.tolist()
 
 
 def _run_sweep(cfg: RunConfig, include_terms: bool) -> int:
     em_cfg = thermo.EMConfig(order=cfg.em_order)
     grid = cfg.sweep.grid()
-    tasks = [(q, float(mbar)) for q in cfg.q_list for mbar in grid]
-    results = [_sweep_worker(t, cfg.method, em_cfg, cfg.tol) for t in tasks]
+    mbars = grid.tolist()
+    rows: list[SweepRow] = []
+    errors: list[str] = []
+    for q in cfg.q_list:
+        cols = thermo.sweep(cfg.method, grid, q, em_cfg, cfg.tol)
+        rel = None
+        if cols.Z_direct is not None and cols.Z_em is not None:
+            rel = np.abs(cols.Z_direct - cols.Z_em) / cols.Z_direct
+        values = [_column(c, grid.size)
+                  for c in (cols.Z_direct, cols.Z_em, cols.F, cols.U, cols.C, rel, cols.terms)]
+        for mbar, err, *point in zip(mbars, cols.errors, *values):
+            if err is None:
+                rows.append(SweepRow(mbar, q, *point))
+            else:
+                rows.append(SweepRow(mbar=mbar, q=q))
+                errors.append(f"mbar={mbar!r} q={q!r}: {err}")
 
     header = SWEEP_HEADER + (("terms_direct",) if include_terms else ())
-    rows = [row.record() for row, _ in results]
-    write_table(cfg.output_path, header, rows, cfg.output_format)
+    write_table(cfg.output_path, header, [row.record() for row in rows], cfg.output_format)
     print(f"wrote {cfg.output_path} ({len(rows)} rows)")
 
     if include_terms:
         best = max(
-            (row for row, err in results if err is None and row.rel_diff is not None),
+            (row for row in rows if row.rel_diff is not None),
             key=lambda row: row.rel_diff,
             default=None,
         )
@@ -474,11 +463,10 @@ def _run_sweep(cfg: RunConfig, include_terms: bool) -> int:
                 f"at mbar={_fmt12(best.mbar)} q={_fmt12(best.q)}"
             )
 
-    errors = [err for _, err in results if err is not None]
     for message in errors:
         _warn(message)
     if errors:
-        _warn(f"{len(errors)} of {len(tasks)} sweep points failed")
+        _warn(f"{len(errors)} of {len(rows)} sweep points failed")
         return 1
     return 0
 

@@ -14,8 +14,13 @@ is smooth on unit spacing, by adding the Euler-MacLaurin tail from the first
 unsummed level through the B6 correction; the summand is completely monotone,
 so the remainder of that tail lies between 0 and the first omitted (B8) term,
 and the tail is accepted only when that term is below tol*Z.  Its cost
-therefore does not grow with mbar.  The closed-form route is the
-Euler-MacLaurin truncation from n = 0
+therefore does not grow with mbar.  One kernel evaluates it for a whole
+vector of temperatures at once: the rows share each chunk of levels and
+leave the batch as their own tests pass.  ``sweep`` runs a grid of one q
+through it (the finite-difference stencil of every point included), and
+``partition_direct`` and ``thermal_functions`` are one-point calls into the
+same code.  The closed-form route is the Euler-MacLaurin truncation from
+n = 0
 
     Z(mbar) = 1/2 + (2 mbar^2/sigma1) (1 + sqrt(sigma2)/mbar)
               + sigma1/(24 mbar sqrt(sigma2))
@@ -35,13 +40,17 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, TruncationFailure
+from .errors import ConfigError, DomainError, KGConfineError, TruncationFailure
 
 # Bernoulli numbers B_{2i} entering the correction terms.
 BERNOULLI = {1: 1.0 / 6.0, 2: -1.0 / 30.0, 3: 1.0 / 42.0, 4: -1.0 / 30.0}
 
 # Cap on the levels the direct sum adds exactly (its head).
 DIRECT_N_MAX = 10_000_000
+# Elements of one exp(-b*v) block of the direct-sum kernel (rows = inverse
+# temperatures, columns = levels); bounds its scratch memory whatever the
+# grid size.  A chunk of more levels than this runs one row at a time.
+_BLOCK = 1 << 16
 # The direct sum may switch to the Euler-MacLaurin tail at level N only when
 # N >= DIRECT_EM_MIN_N and the summand changes by a small factor per level,
 # b*sigma1/(2*E_N) <= DIRECT_EM_MAX_STEP; both keep the B8 remainder term tiny.
@@ -51,6 +60,8 @@ DIRECT_EM_MAX_STEP = 0.125
 # by the direct-source thermal functions.
 FD_STEP = 1e-4
 FD_TOL = 1e-14
+# Offsets, in units of FD_STEP, of the five-point ln-mbar stencil.
+_STENCIL = (-2, -1, 0, 1, 2)
 
 
 class Source(enum.Enum):
@@ -87,6 +98,25 @@ class ThermoPoint:
     C: float | None = None
     terms: int | None = None  # levels summed exactly by the direct route
     tail_bound: float | None = None  # absolute bound on the direct route's error
+
+
+@dataclass(frozen=True)
+class SweepColumns:
+    """Thermal functions of one q over an mbar grid, one entry per point.
+
+    Columns a sweep does not compute are None.  A point that failed holds
+    NaN in the columns it could not compute, and its error in ``errors``
+    (None for a point computed in full).
+    """
+
+    Z_direct: np.ndarray | None = None
+    Z_em: np.ndarray | None = None
+    F: np.ndarray | None = None
+    U: np.ndarray | None = None
+    C: np.ndarray | None = None
+    terms: np.ndarray | None = None
+    tail_bound: np.ndarray | None = None
+    errors: tuple[KGConfineError | None, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -128,46 +158,109 @@ def closed_integral(beta1: float, beta2: float, beta3: float) -> float:
     return (2.0 / (beta1**2 * beta2)) * math.exp(-beta1 * root) * (1.0 + beta1 * root)
 
 
-def _tail_integral(b: float, s1: float, s2: float, n: float) -> float:
+def _tail_integral(b, s1: float, s2: float, n: float):
     # integral_n^inf exp(-b*(sqrt(s1*x+s2)-sqrt(s2))) dx, the closed_integral
-    # algebra written relative to the ground state so it cannot overflow.
+    # algebra written relative to the ground state so it cannot overflow; b
+    # may be an array.
     u = math.sqrt(s1 * n + s2)
-    return (2.0 / (b * b * s1)) * math.exp(-b * (u - math.sqrt(s2))) * (1.0 + b * u)
+    return (2.0 / (b * b * s1)) * np.exp(-b * (u - math.sqrt(s2))) * (1.0 + b * u)
 
 
-def _summand_derivative(m: int, b: float, s1: float, x: float, fx: float) -> float:
-    """m-th derivative in n of f(n) = c*exp(-b*sqrt(s1*n + s2)) where
-    s1*n + s2 = x and f(n) = fx:
+def _summand_derivative(m: int, r, t: float, fx):
+    """m-th derivative in n of f(n) = c*exp(-b*sqrt(s1*n + s2)) at the level
+    where s1*n + s2 = x and f(n) = fx, given r = b*s1/(2 sqrt(x)) and
+    t = s1/(4x):
 
         f^(m) = (-1)^m s1^m f * sum_{k<m} (m-1+k)!/(k!(m-1-k)!)
-                * b^(m-k) / (2^(m+k) x^((m+k)/2)).
+                * b^(m-k) / (2^(m+k) x^((m+k)/2)),
 
-    With r = b*s1/(2 sqrt(x)) and t = s1/(4x) the k-th term of s1^m * sum
-    is weight_k * r^(m-k) * t^k.  Every term is positive, so the sum loses
-    no digits to cancellation.
+    and the k-th term of s1^m * sum is weight_k * t^k * r^(m-k), a
+    polynomial in r evaluated by Horner's rule.  Every coefficient and r are
+    positive, so the sum loses no digits to cancellation.  r and fx may be
+    arrays (one entry per inverse temperature b).
     """
-    r = b * s1 / (2.0 * math.sqrt(x))
-    t = s1 / (4.0 * x)
     acc = 0.0
     weight = 1
     for k in range(m):
-        acc += weight * r ** (m - k) * t**k
+        acc = acc * r + weight * t**k
         weight = weight * (m + k) * (m - 1 - k) // (k + 1)
-    return (-1) ** m * fx * acc
+    return (-1) ** m * fx * (acc * r)
 
 
-def _em_tail(b: float, s1: float, s2: float, n: int) -> tuple[float, float]:
+def _em_tail(b: np.ndarray, s1: float, s2: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     # Euler-MacLaurin value of sum_{k >= n} of the ground-state-referenced
     # summand through the B6 correction, and the first omitted (B8) term,
     # which bounds the remainder because the summand is completely monotone.
     x = s1 * n + s2
-    fx = math.exp(-b * (math.sqrt(x) - math.sqrt(s2)))
+    fx = np.exp(-b * (math.sqrt(x) - math.sqrt(s2)))
+    r = b * s1 / (2.0 * math.sqrt(x))
+    t = s1 / (4.0 * x)
     tail = _tail_integral(b, s1, s2, n) + 0.5 * fx
     correction = [
-        BERNOULLI[i] / math.factorial(2 * i) * _summand_derivative(2 * i - 1, b, s1, x, fx)
+        BERNOULLI[i] / math.factorial(2 * i) * _summand_derivative(2 * i - 1, r, t, fx)
         for i in (1, 2, 3, 4)
     ]
-    return tail - sum(correction[:3]), abs(correction[3])
+    return tail - sum(correction[:3]), np.abs(correction[3])
+
+
+def _direct_sums(
+    b: np.ndarray, tol: float, s1: float, s2: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The direct-sum kernel: sum_n exp(-b*(E_n - E_0)/eps) for every b.
+
+    Every row follows the chunk schedule of 32, 64, 128, ... levels, so each
+    round computes the levels' excitation energies once and sums
+    exp(-b*v) over the rows still active, in blocks of at most _BLOCK
+    elements.  After the round a row stops at the first of the two tests in
+    ``partition_direct`` that it passes.  Returns (Z, terms, tail_bound,
+    converged); a row that ran past DIRECT_N_MAX levels holds its partial
+    sum in Z and has converged False.
+    """
+    e0 = math.sqrt(s2)
+    z = np.zeros(b.size)
+    terms = np.zeros(b.size, dtype=np.int64)
+    bound = np.zeros(b.size)
+    live = np.arange(b.size)
+    n_done = 0
+    chunk = DIRECT_EM_MIN_N  # so every Euler-MacLaurin check has N >= DIRECT_EM_MIN_N
+    while live.size and n_done <= DIRECT_N_MAX:
+        hi = min(n_done + chunk, DIRECT_N_MAX + 1)
+        v = np.sqrt(s1 * np.arange(n_done, hi, dtype=float) + s2) - e0
+        step = max(1, _BLOCK // v.size)
+        for i in range(0, live.size, step):
+            rows = live[i:i + step]
+            z[rows] += np.sum(np.exp(-b[rows, None] * v), axis=1)
+        n_done = hi
+        bl, total = b[live], z[live]
+        # The summand decreases in n, so the unsummed levels add up to less
+        # than the integral from n_done - 1.
+        row_bound = _tail_integral(bl, s1, s2, n_done - 1)
+        stop = row_bound < tol * total
+        smooth = ~stop & (bl * s1 <= 2.0 * DIRECT_EM_MAX_STEP * math.sqrt(s1 * n_done + s2))
+        if smooth.any():
+            em = np.flatnonzero(smooth)
+            tail, em_bound = _em_tail(bl[em], s1, s2, n_done)
+            accept = em_bound < tol * (total[em] + tail)
+            em = em[accept]
+            total[em] += tail[accept]
+            row_bound[em] = em_bound[accept]
+            stop[em] = True
+        done = live[stop]
+        z[done] = total[stop]
+        terms[done] = n_done
+        bound[done] = row_bound[stop]
+        live = live[~stop]
+        chunk = min(chunk * 2, 1 << 20)
+    return z, terms, bound, terms > 0
+
+
+def _truncation_failure(mbar: float, q: float, partial_sum: float) -> TruncationFailure:
+    return TruncationFailure(
+        f"direct sum did not converge within {DIRECT_N_MAX} terms "
+        f"(mbar={mbar!r}, q={q!r})",
+        partial_sum,
+        DIRECT_N_MAX,
+    )
 
 
 def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
@@ -189,41 +282,17 @@ def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
     The cost therefore stops growing with mbar.  The returned point records
     ``terms``, the levels summed exactly, and ``tail_bound``, the absolute
     bound that stopped the sum.  A head that would exceed DIRECT_N_MAX levels
-    raises TruncationFailure.
+    raises TruncationFailure.  This is a one-point call into the batched
+    kernel that ``sweep`` runs over a whole grid.
     """
     _check_point(mbar, q, tol)
     s1, s2 = sigma_constants(q)
-    b = 1.0 / mbar
-    e0 = math.sqrt(s2)
-    total = 0.0
-    n_done = 0
-    chunk = DIRECT_EM_MIN_N  # so every Euler-MacLaurin check has N >= DIRECT_EM_MIN_N
-    while n_done <= DIRECT_N_MAX:
-        hi = min(n_done + chunk, DIRECT_N_MAX + 1)
-        n = np.arange(n_done, hi, dtype=float)
-        total += float(np.sum(np.exp(-b * (np.sqrt(s1 * n + s2) - e0))))
-        n_done = hi
-        # The summand decreases in n, so the unsummed levels add up to less
-        # than the integral from n_done - 1.
-        bound = _tail_integral(b, s1, s2, n_done - 1)
-        if bound < tol * total:
-            return ThermoPoint(
-                mbar=mbar, Z=total, method=Source.DIRECT.value,
-                terms=n_done, tail_bound=bound,
-            )
-        if b * s1 <= 2.0 * DIRECT_EM_MAX_STEP * math.sqrt(s1 * n_done + s2):
-            tail, bound = _em_tail(b, s1, s2, n_done)
-            if bound < tol * (total + tail):
-                return ThermoPoint(
-                    mbar=mbar, Z=total + tail, method=Source.DIRECT.value,
-                    terms=n_done, tail_bound=bound,
-                )
-        chunk = min(chunk * 2, 1 << 20)
-    raise TruncationFailure(
-        f"direct sum did not converge within {DIRECT_N_MAX} terms "
-        f"(mbar={mbar!r}, q={q!r})",
-        total,
-        DIRECT_N_MAX,
+    z, terms, bound, converged = _direct_sums(np.array([1.0 / mbar]), tol, s1, s2)
+    if not converged[0]:
+        raise _truncation_failure(mbar, q, float(z[0]))
+    return ThermoPoint(
+        mbar=mbar, Z=float(z[0]), method=Source.DIRECT.value,
+        terms=int(terms[0]), tail_bound=float(bound[0]),
     )
 
 
@@ -245,7 +314,8 @@ def partition_summand(
         return math.exp(-b * math.sqrt(s1 * n + s2))
 
     f0 = f(0.0)
-    derivs = {m: _summand_derivative(m, b, s1, s2, f0) for m in (1, 3)}
+    r = b * s1 / (2.0 * math.sqrt(s2))
+    derivs = {m: _summand_derivative(m, r, s1 / (4.0 * s2), f0) for m in (1, 3)}
     return f, derivs, closed_integral(b, s1, s2)
 
 
@@ -313,8 +383,61 @@ def partition_em(mbar: float, q: float, cfg: EMConfig = EMConfig()) -> ThermoPoi
     return ThermoPoint(mbar=mbar, Z=z, method=Source.EM.value)
 
 
-def _log_z_direct(mbar: float, q: float, tol: float) -> float:
-    return math.log(partition_direct(mbar, q, tol).Z)
+def _em_columns(mbar: np.ndarray, q: float, order: int) -> SweepColumns:
+    # The closed form and its exact derivatives at every mbar; a point where
+    # the truncation is non-positive has left its validity range.
+    z, zp, zpp = _em_z_and_derivatives(mbar, q, order)
+    valid = z > 0.0
+    errors = [None] * mbar.size
+    for i in np.flatnonzero(~valid):
+        errors[i] = DomainError(
+            f"EM truncation is non-positive at mbar={float(mbar[i])!r}, q={q!r}; "
+            "outside its validity range"
+        )
+    z = np.where(valid, z, np.nan)
+    return SweepColumns(
+        Z_em=z, F=-mbar * np.log(z), U=mbar**2 * zp / z,
+        C=2.0 * mbar * zp / z + mbar**2 * (zpp * z - zp * zp) / (z * z),
+        errors=tuple(errors),
+    )
+
+
+def _direct_columns(mbar: np.ndarray, q: float, tol: float, derivatives: bool) -> SweepColumns:
+    # Direct-sum Z at every mbar and, with ``derivatives``, F, U and C from
+    # the five-point ln-mbar stencil, summed at min(tol, FD_TOL).  The
+    # stencil is batched only for points whose centre converged, so a
+    # failing point costs one sum, not six.
+    s1, s2 = sigma_constants(q)
+    z, terms, bound, converged = _direct_sums(1.0 / mbar, tol, s1, s2)
+    errors = [None] * mbar.size
+    for i in np.flatnonzero(~converged):
+        errors[i] = _truncation_failure(float(mbar[i]), q, float(z[i]))
+    z = np.where(converged, z, np.nan)
+    if not derivatives:
+        return SweepColumns(Z_direct=z, terms=terms, tail_bound=bound, errors=tuple(errors))
+
+    centre = np.flatnonzero(converged)
+    h = FD_STEP
+    # The stencil's temperatures come from math.exp/math.log, as in the scalar
+    # reference loop of tests/test_thermo.py: numpy's vectorised exp can
+    # differ in the last bit, and C amplifies an ulp of ln Z about 1e8-fold.
+    stencil = np.array(
+        [[math.exp(math.log(m) + j * h) for j in _STENCIL] for m in mbar[centre].tolist()]
+    ).reshape(-1, len(_STENCIL))
+    zs, _, _, ok = _direct_sums(1.0 / stencil.ravel(), min(tol, FD_TOL), s1, s2)
+    zs, ok = zs.reshape(stencil.shape), ok.reshape(stencil.shape)
+    for k in np.flatnonzero(~ok.all(axis=1)):
+        j = int(np.argmin(ok[k]))  # the first stencil sum that failed
+        errors[centre[k]] = _truncation_failure(float(stencil[k, j]), q, float(zs[k, j]))
+    L = np.log(np.where(ok, zs, np.nan)).T
+    lp = np.full(mbar.size, np.nan)
+    lpp = np.full(mbar.size, np.nan)
+    lp[centre] = (8.0 * (L[3] - L[1]) - (L[4] - L[0])) / (12.0 * h)
+    lpp[centre] = (-L[4] + 16.0 * L[3] - 30.0 * L[2] + 16.0 * L[1] - L[0]) / (12.0 * h * h)
+    return SweepColumns(
+        Z_direct=z, F=-mbar * np.log(z), U=mbar * lp, C=lp + lpp,
+        terms=terms, tail_bound=bound, errors=tuple(errors),
+    )
 
 
 def thermal_functions(
@@ -330,35 +453,65 @@ def thermal_functions(
     and C/k_B = dU/dT = L' + L''  (equivalently k_B beta^2 (-dU/dbeta), which
     is positive since U falls with beta).  The EM source differentiates the
     closed form exactly; the direct source uses Richardson-extrapolated
-    central differences in ln mbar with step FD_STEP.
+    central differences in ln mbar with step FD_STEP.  This is a one-point
+    call into the same columns that ``sweep`` computes over a grid.
     """
     source = Source(source)
     _check_point(mbar, q, tol)
+    grid = np.array([float(mbar)])
     if source is Source.EM:
-        z, zp, zpp = _em_z_and_derivatives(mbar, q, cfg.order)
-        if z <= 0.0:
-            raise DomainError(
-                f"EM truncation is non-positive at mbar={mbar!r}, q={q!r}; "
-                "outside its validity range"
-            )
-        u = mbar**2 * zp / z
-        c = 2.0 * mbar * zp / z + mbar**2 * (zpp * z - zp * zp) / (z * z)
-        return ThermoPoint(
-            mbar=mbar, Z=z, method=Source.EM.value,
-            F=-mbar * math.log(z), U=u, C=c,
-        )
-
-    point = partition_direct(mbar, q, tol)
-    t = math.log(mbar)
-    h = FD_STEP
-    fd_tol = min(tol, FD_TOL)
-    L = [_log_z_direct(math.exp(t + j * h), q, fd_tol) for j in (-2, -1, 0, 1, 2)]
-    lp = (8.0 * (L[3] - L[1]) - (L[4] - L[0])) / (12.0 * h)
-    lpp = (-L[4] + 16.0 * L[3] - 30.0 * L[2] + 16.0 * L[1] - L[0]) / (12.0 * h * h)
+        cols = _em_columns(grid, q, cfg.order)
+        z = cols.Z_em
+    else:
+        cols = _direct_columns(grid, q, tol, derivatives=True)
+        z = cols.Z_direct
+    if cols.errors[0] is not None:
+        raise cols.errors[0]
     return ThermoPoint(
-        mbar=mbar, Z=point.Z, method=Source.DIRECT.value,
-        F=-mbar * math.log(point.Z), U=mbar * lp, C=lp + lpp,
-        terms=point.terms, tail_bound=point.tail_bound,
+        mbar=mbar, Z=float(z[0]), method=source.value,
+        F=float(cols.F[0]), U=float(cols.U[0]), C=float(cols.C[0]),
+        terms=None if cols.terms is None else int(cols.terms[0]),
+        tail_bound=None if cols.tail_bound is None else float(cols.tail_bound[0]),
+    )
+
+
+def sweep(
+    method: str,
+    mbar: np.ndarray,
+    q: float,
+    cfg: EMConfig = EMConfig(),
+    tol: float = 1e-12,
+) -> SweepColumns:
+    """Thermal sweep of one q over a whole mbar grid, in one batched pass.
+
+    ``method`` picks the columns:
+
+    * ``"direct"``: direct-sum Z with finite-difference F, U and C, as
+      ``thermal_functions("direct")`` gives them point by point;
+    * ``"em"``: the Euler-MacLaurin closed form's Z, F, U and C;
+    * ``"both"``: the direct-sum Z (no stencil) next to the closed form's
+      Z, F, U and C.
+
+    A point that fails keeps NaN in the columns it could not compute and its
+    error in ``errors``; under ``"both"`` the direct sum's error wins.
+    """
+    mbar = np.asarray(mbar, dtype=float)
+    if mbar.ndim != 1 or mbar.size == 0:
+        raise DomainError(f"mbar must be a non-empty 1-d grid, got shape {mbar.shape}")
+    for extreme in (mbar.min(), mbar.max()):
+        _check_point(float(extreme), q, tol)
+    if method == "direct":
+        return _direct_columns(mbar, q, tol, derivatives=True)
+    if method == "em":
+        return _em_columns(mbar, q, cfg.order)
+    if method != "both":
+        raise ConfigError(f"method must be 'direct', 'em' or 'both', got {method!r}")
+    direct = _direct_columns(mbar, q, tol, derivatives=False)
+    em = _em_columns(mbar, q, cfg.order)
+    return SweepColumns(
+        Z_direct=direct.Z_direct, Z_em=em.Z_em, F=em.F, U=em.U, C=em.C,
+        terms=direct.terms, tail_bound=direct.tail_bound,
+        errors=tuple(d if d is not None else e for d, e in zip(direct.errors, em.errors)),
     )
 
 
@@ -387,7 +540,11 @@ def excitation_moments(
 
     Moments are Boltzmann-weighted sums over the spectrum with rigorous
     integral tail bounds; the heat capacity follows from the fluctuation
-    identity C/k_B = (<v^2> - <v>^2)/mbar^2.
+    identity C/k_B = (<v^2> - <v>^2)/mbar^2.  This brute-force sum does not
+    share the direct-sum kernel on purpose: it is the independent reference
+    that the finite-difference heat capacity of ``thermal_functions`` is
+    checked against (acceptance criterion 7), so its cost still grows as
+    q*mbar^2.
     """
     _check_point(mbar, q, tol)
     s1, s2 = sigma_constants(q)

@@ -293,7 +293,9 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     out = tmp_path / "missing-dir" / "spec.csv"
     rc = cli.main(["spectrum", "--n", "0", "--out", str(out)])
     assert rc == 1
-    assert "error" in capsys.readouterr().err.lower() or True
+    err = capsys.readouterr().err
+    assert "i/o failure on" in err
+    assert str(out) in err
 
 
 def test_sweep_point_failure_exits_1(tmp_path, capsys):
@@ -310,3 +312,42 @@ def test_sweep_point_failure_exits_1(tmp_path, capsys):
     assert out.exists()
     err = capsys.readouterr().err
     assert "did not converge" in err
+
+
+FAILING_SWEEP = ["--q", "1.0", "--mbar-min", "0.01", "--mbar-max", "1e5", "--steps", "3",
+                 "--tol", "1e-300"]
+
+
+def test_sweep_failures_stay_on_their_rows(tmp_path, capsys):
+    # At tol = 1e-300 the sum at mbar = 0.01 still converges (its integral
+    # bound underflows to 0), while mbar = 10^1.5 and 1e5 run into the level
+    # cap: only their rows are blank.
+    out = tmp_path / "thermo.csv"
+    rc = cli.main(["thermo", "--method", "direct"] + FAILING_SWEEP + ["--out", str(out)])
+    assert rc == 1
+    _, rows = read_csv(out)
+    assert float(rows[0]["Z_direct"]) == 1.0
+    assert all(rows[0][c] != "" for c in ("F", "U", "C"))
+    assert all(row[c] == "" for row in rows[1:] for c in cli.SWEEP_HEADER[2:])
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    for line, mbar in zip(err, ("31.622776601683793", "100000.0")):
+        assert line.startswith(f"kgconfine: warning: mbar={mbar} q=1.0: direct sum did not converge")
+    assert err[2] == "kgconfine: warning: 2 of 3 sweep points failed"
+
+
+def test_compare_reports_the_direct_error_first(tmp_path, capsys):
+    # Row 1 passes the direct sum but fails the closed form's validity
+    # check; rows 2-3 fail the direct sum, whose error the warning names even
+    # though the closed form is fine there.
+    out = tmp_path / "cmp.csv"
+    rc = cli.main(["compare"] + FAILING_SWEEP + ["--out", str(out)])
+    assert rc == 1
+    _, rows = read_csv(out)
+    assert all(row[c] == "" for row in rows for c in cli.SWEEP_HEADER[2:])
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4
+    assert err[0].startswith("kgconfine: warning: mbar=0.01 q=1.0: EM truncation is non-positive")
+    for line, mbar in zip(err[1:], ("31.622776601683793", "100000.0")):
+        assert line.startswith(f"kgconfine: warning: mbar={mbar} q=1.0: direct sum did not converge")
+    assert err[3] == "kgconfine: warning: 3 of 3 sweep points failed"

@@ -161,6 +161,145 @@ def test_thermal_functions_direct_heat_capacity_matches_moments(mbar):
     assert math.isclose(c_fd, c_fluct, rel_tol=1e-5)
 
 
+# ----------------------------------------------- scalar reference loop
+# The direct sum as it was written before the batched kernel: one point, a
+# numpy chunk per round, the tail tests in scalar math.  It is kept here as
+# the reference the kernel must reproduce.
+
+
+def _ref_tail_integral(b, s1, s2, n):
+    u = math.sqrt(s1 * n + s2)
+    return (2.0 / (b * b * s1)) * math.exp(-b * (u - math.sqrt(s2))) * (1.0 + b * u)
+
+
+def _ref_summand_derivative(m, b, s1, x, fx):
+    r = b * s1 / (2.0 * math.sqrt(x))
+    t = s1 / (4.0 * x)
+    acc = 0.0
+    weight = 1
+    for k in range(m):
+        acc += weight * r ** (m - k) * t**k
+        weight = weight * (m + k) * (m - 1 - k) // (k + 1)
+    return (-1) ** m * fx * acc
+
+
+def _ref_em_tail(b, s1, s2, n):
+    x = s1 * n + s2
+    fx = math.exp(-b * (math.sqrt(x) - math.sqrt(s2)))
+    tail = _ref_tail_integral(b, s1, s2, n) + 0.5 * fx
+    correction = [
+        thermo.BERNOULLI[i] / math.factorial(2 * i)
+        * _ref_summand_derivative(2 * i - 1, b, s1, x, fx)
+        for i in (1, 2, 3, 4)
+    ]
+    return tail - sum(correction[:3]), abs(correction[3])
+
+
+def _ref_partition_direct(mbar, q, tol):
+    # Returns (Z, terms); raises TruncationFailure past DIRECT_N_MAX.
+    s1, s2 = thermo.sigma_constants(q)
+    b = 1.0 / mbar
+    e0 = math.sqrt(s2)
+    total = 0.0
+    n_done = 0
+    chunk = thermo.DIRECT_EM_MIN_N
+    while n_done <= thermo.DIRECT_N_MAX:
+        hi = min(n_done + chunk, thermo.DIRECT_N_MAX + 1)
+        n = np.arange(n_done, hi, dtype=float)
+        total += float(np.sum(np.exp(-b * (np.sqrt(s1 * n + s2) - e0))))
+        n_done = hi
+        if _ref_tail_integral(b, s1, s2, n_done - 1) < tol * total:
+            return total, n_done
+        if b * s1 <= 2.0 * thermo.DIRECT_EM_MAX_STEP * math.sqrt(s1 * n_done + s2):
+            tail, bound = _ref_em_tail(b, s1, s2, n_done)
+            if bound < tol * (total + tail):
+                return total + tail, n_done
+        chunk = min(chunk * 2, 1 << 20)
+    raise TruncationFailure("reference sum did not converge", total, thermo.DIRECT_N_MAX)
+
+
+def _ref_thermal_direct(mbar, q, tol):
+    # (U, C) from the five-point ln-mbar stencil over the reference loop.
+    t = math.log(mbar)
+    h = thermo.FD_STEP
+    fd_tol = min(tol, thermo.FD_TOL)
+    L = [math.log(_ref_partition_direct(math.exp(t + j * h), q, fd_tol)[0])
+         for j in (-2, -1, 0, 1, 2)]
+    lp = (8.0 * (L[3] - L[1]) - (L[4] - L[0])) / (12.0 * h)
+    lpp = (-L[4] + 16.0 * L[3] - 30.0 * L[2] + 16.0 * L[1] - L[0]) / (12.0 * h * h)
+    return mbar * lp, lp + lpp
+
+
+REFERENCE_MBAR = np.geomspace(0.01, 1e5, 40)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-14])
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+def test_kernel_matches_reference_loop(q, tol):
+    # The kernel evaluates the tail with np.exp and array powers where the
+    # loop used math.exp and float powers, so Z may differ in the last ulps
+    # (1e-14 relative allowed); the finite differences amplify such ulps of
+    # ln Z by 1/h for U and 1/h^2 for C (h = 1e-4), hence 1e-10 and 1e-6.
+    cols = thermo.sweep("direct", REFERENCE_MBAR, q, tol=tol)
+    for i, mbar in enumerate(REFERENCE_MBAR.tolist()):
+        z_ref, terms_ref = _ref_partition_direct(mbar, q, tol)
+        point = thermo.partition_direct(mbar, q, tol)
+        assert point.terms == terms_ref == cols.terms[i]
+        assert math.isclose(point.Z, z_ref, rel_tol=1e-14)
+        assert math.isclose(cols.Z_direct[i], z_ref, rel_tol=1e-14)
+        u_ref, c_ref = _ref_thermal_direct(mbar, q, tol)
+        direct = thermo.thermal_functions("direct", mbar, q, tol=tol)
+        for u, c in ((direct.U, direct.C), (cols.U[i], cols.C[i])):
+            assert math.isclose(u, u_ref, rel_tol=1e-10)
+            assert math.isclose(c, c_ref, rel_tol=1e-6)
+
+
+def test_failing_centre_skips_its_stencil(monkeypatch):
+    # A point whose centre sum runs into the level cap costs that one sum:
+    # the kernel batches the five stencil sums only for converged centres.
+    batches = []
+    kernel = thermo._direct_sums
+
+    def counting(b, tol, s1, s2):
+        batches.append(b.size)
+        return kernel(b, tol, s1, s2)
+
+    monkeypatch.setattr(thermo, "_direct_sums", counting)
+    cols = thermo.sweep("direct", [0.01, 10**1.5, 1e5], 1.0, tol=1e-300)
+    assert batches == [3, 5]
+    assert cols.errors[0] is None and cols.Z_direct[0] == 1.0
+    for i in (1, 2):
+        assert isinstance(cols.errors[i], TruncationFailure)
+        assert cols.errors[i].n_terms == thermo.DIRECT_N_MAX
+        assert math.isnan(cols.Z_direct[i]) and math.isnan(cols.C[i])
+
+
+def test_sweep_columns_match_point_calls():
+    grid = np.geomspace(0.3, 300.0, 12)
+    for q in (0.5, 1.5):
+        both = thermo.sweep("both", grid, q, tol=1e-10)
+        em = thermo.sweep("em", grid, q)
+        assert all(err is None for err in both.errors + em.errors)
+        for i, mbar in enumerate(grid.tolist()):
+            direct = thermo.partition_direct(mbar, q, 1e-10)
+            assert (both.Z_direct[i], both.terms[i]) == (direct.Z, direct.terms)
+            point = thermo.thermal_functions("em", mbar, q)
+            for cols in (both, em):
+                for got, want in zip((cols.Z_em[i], cols.F[i], cols.U[i], cols.C[i]),
+                                     (point.Z, point.F, point.U, point.C)):
+                    assert math.isclose(got, want, rel_tol=1e-15)
+
+
+def test_sweep_rejects_bad_input():
+    for grid in ([], [[1.0, 2.0]], [1.0, 0.0], [1.0, math.inf], [math.nan]):
+        with pytest.raises(DomainError):
+            thermo.sweep("em", grid, 1.0)
+    with pytest.raises(DomainError):
+        thermo.sweep("direct", [1.0], 1.0, tol=0.0)
+    with pytest.raises(ConfigError):
+        thermo.sweep("moments", [1.0], 1.0)
+
+
 def test_partition_direct_domain():
     for bad in ((0.0, 1.0, 1e-9), (1.0, 0.0, 1e-9), (1.0, 1.0, 0.0)):
         with pytest.raises(DomainError):
