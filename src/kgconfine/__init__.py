@@ -1,113 +1,8 @@
 """Bound states and thermodynamics of a 1-d Klein-Gordon particle in the
 scalar potential a1 + a2*|x| + a3/|x|, via biconfluent-Heun series solutions
-and Euler-MacLaurin summation."""
+and Euler-MacLaurin summation.
 
-from .errors import (
-    ConfigError,
-    DegenerateReduction,
-    DomainError,
-    InternalError,
-    KGConfineError,
-    SingularParameter,
-    TruncationFailure,
-)
-from .heun import (
-    Evaluation,
-    HeunParams,
-    SeriesSolution,
-    adaptive_series,
-    evaluate,
-    evaluate_on_grid,
-    ode_residual,
-    polynomial_degree,
-    series_coefficients,
-)
-from .params import (
-    DimensionlessParams,
-    PhysicalParams,
-    UnitMode,
-    Units,
-    scaled_coordinate,
-    to_dimensionless,
-)
-from .spectrum import (
-    Branch,
-    SpectrumPoint,
-    WavefunctionSample,
-    auto_grid,
-    energy,
-    heun_parameters,
-    level_density_consistent,
-    level_density_paper,
-    quantization_residual,
-    wavefunction,
-)
-from .thermo import (
-    EMConfig,
-    HighTemperatureLimits,
-    Source,
-    SweepColumns,
-    ThermoPoint,
-    closed_integral,
-    euler_maclaurin_sum,
-    excitation_moments,
-    high_temperature_limits,
-    partition_direct,
-    partition_em,
-    partition_summand,
-    sigma_constants,
-    sweep,
-    thermal_functions,
-)
+Import the submodules: ``params``, ``spectrum``, ``heun``, ``thermo``,
+``cli`` and ``errors``."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Branch",
-    "ConfigError",
-    "DegenerateReduction",
-    "DimensionlessParams",
-    "DomainError",
-    "EMConfig",
-    "Evaluation",
-    "HeunParams",
-    "HighTemperatureLimits",
-    "InternalError",
-    "KGConfineError",
-    "PhysicalParams",
-    "SeriesSolution",
-    "SingularParameter",
-    "Source",
-    "SpectrumPoint",
-    "SweepColumns",
-    "ThermoPoint",
-    "TruncationFailure",
-    "UnitMode",
-    "Units",
-    "WavefunctionSample",
-    "adaptive_series",
-    "auto_grid",
-    "closed_integral",
-    "energy",
-    "euler_maclaurin_sum",
-    "evaluate",
-    "evaluate_on_grid",
-    "excitation_moments",
-    "heun_parameters",
-    "high_temperature_limits",
-    "level_density_consistent",
-    "level_density_paper",
-    "ode_residual",
-    "partition_direct",
-    "partition_em",
-    "partition_summand",
-    "polynomial_degree",
-    "quantization_residual",
-    "scaled_coordinate",
-    "series_coefficients",
-    "sigma_constants",
-    "sweep",
-    "thermal_functions",
-    "to_dimensionless",
-    "wavefunction",
-]

@@ -12,6 +12,7 @@ computed, 2 for usage errors, 1 when some points failed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -53,7 +54,13 @@ _CHOICES = {
     "format": ("csv", "json"),
 }
 
-COMMANDS = ("spectrum", "wavefunction", "thermo", "compare", "density")
+COMMANDS = {
+    "spectrum": "tabulate eigenvalues (both branches) and their residuals",
+    "wavefunction": "sample eigenfunction profiles, one output file per n",
+    "thermo": "sweep thermal functions over the reduced temperature",
+    "compare": "direct vs Euler-MacLaurin partition function over a sweep",
+    "density": "level densities evaluated at the eigenvalues",
+}
 
 # Column order of thermal sweep tables.
 SWEEP_HEADER = ("mbar", "q", "Z_direct", "Z_em", "F", "U", "C", "rel_diff")
@@ -86,32 +93,6 @@ class RunConfig:
     output_format: str
     output_path: str
     tol: float
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    mbar: float
-    q: float
-    Z_direct: float | None = None
-    Z_em: float | None = None
-    F: float | None = None
-    U: float | None = None
-    C: float | None = None
-    rel_diff: float | None = None
-    terms_direct: int | None = None
-
-    def record(self) -> dict:
-        return {
-            "mbar": self.mbar,
-            "q": self.q,
-            "Z_direct": self.Z_direct,
-            "Z_em": self.Z_em,
-            "F": self.F,
-            "U": self.U,
-            "C": self.C,
-            "rel_diff": self.rel_diff,
-            "terms_direct": self.terms_direct,
-        }
 
 
 def _warn(message: str) -> None:
@@ -202,15 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "spectrum": "tabulate eigenvalues (both branches) and their residuals",
-        "wavefunction": "sample eigenfunction profiles, one output file per n",
-        "thermo": "sweep thermal functions over the reduced temperature",
-        "compare": "direct vs Euler-MacLaurin partition function over a sweep",
-        "density": "level densities evaluated at the eigenvalues",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
+    for name, description in COMMANDS.items():
+        p = sub.add_parser(name, help=description)
         for flag in ("a1", "a2", "a3", "mass"):
             p.add_argument(f"--{flag}", default=None, metavar="E")
         p.add_argument("--hbar-c", dest="hbar_c", default=None, metavar="E*L")
@@ -268,13 +242,10 @@ def resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         return default
 
     try:
-        physical = PhysicalParams(
-            a1=_convert(parser, "a1", pick("a1", _COMMON_DEFAULTS["a1"]), "float"),
-            a2=_convert(parser, "a2", pick("a2", _COMMON_DEFAULTS["a2"]), "float"),
-            a3=_convert(parser, "a3", pick("a3", _COMMON_DEFAULTS["a3"]), "float"),
-            mass=_convert(parser, "mass", pick("mass", _COMMON_DEFAULTS["mass"]), "float"),
-            hbar_c=_convert(parser, "hbar_c", pick("hbar_c", _COMMON_DEFAULTS["hbar_c"]), "float"),
-        )
+        physical = PhysicalParams(**{
+            key: _convert(parser, key, pick(key, _COMMON_DEFAULTS[key]), "float")
+            for key in ("a1", "a2", "a3", "mass", "hbar_c")
+        })
     except KGConfineError as exc:
         parser.error(str(exc))
 
@@ -338,35 +309,29 @@ def _cell(value) -> str:
     return _fmt12(value)
 
 
-def write_table(path: str, header: tuple[str, ...], rows: list[dict], fmt: str) -> None:
+def _json_value(value):
+    if value is None:
+        return None
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    return float(_fmt12(value))
+
+
+def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str) -> None:
+    """Write ``rows`` as CSV or as a JSON list of records.
+
+    Each row is a tuple of cell values in ``header`` order; None is an empty
+    cell (JSON null), integers stay integers, and every other value is
+    rounded to 12 significant digits.
+    """
     if fmt == "csv":
         lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_cell(row.get(h)) for h in header))
-        payload = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-        return
-    records = []
-    for row in rows:
-        rec = {}
-        for h in header:
-            v = row.get(h)
-            if v is None:
-                rec[h] = None
-            elif isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-                rec[h] = int(v)
-            else:
-                rec[h] = float(_fmt12(v))
-        records.append(rec)
+        lines.extend(",".join(map(_cell, row)) for row in rows)
+    else:
+        records = [dict(zip(header, map(_json_value, row))) for row in rows]
+        lines = [json.dumps(records, indent=2)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
-
-
-def _per_n_path(path: str, n: int) -> str:
-    root, ext = os.path.splitext(path)
-    return f"{root}_n{n}{ext}"
+        fh.write("\n".join(lines) + "\n")
 
 
 def run_spectrum(cfg: RunConfig) -> int:
@@ -375,12 +340,8 @@ def run_spectrum(cfg: RunConfig) -> int:
     for n in cfg.n_list:
         pos = spec_mod.energy(n, cfg.physical, spec_mod.Branch.POSITIVE)
         neg = spec_mod.energy(n, cfg.physical, spec_mod.Branch.NEGATIVE)
-        rows.append({
-            "n": n,
-            "energy_pos": pos.energy,
-            "energy_neg": neg.energy,
-            "residual": spec_mod.quantization_residual(pos.energy, n, cfg.physical),
-        })
+        rows.append((n, pos.energy, neg.energy,
+                     spec_mod.quantization_residual(pos.energy, n, cfg.physical)))
     write_table(cfg.output_path, header, rows, cfg.output_format)
     print(f"wrote {cfg.output_path} ({len(rows)} rows)")
     return 0
@@ -391,12 +352,8 @@ def run_density(cfg: RunConfig) -> int:
     rows = []
     for n in cfg.n_list:
         e = spec_mod.energy(n, cfg.physical).energy
-        rows.append({
-            "n": n,
-            "energy": e,
-            "rho_consistent": spec_mod.level_density_consistent(e, cfg.physical),
-            "rho_paper": spec_mod.level_density_paper(e, cfg.physical),
-        })
+        rows.append((n, e, spec_mod.level_density_consistent(e, cfg.physical),
+                     spec_mod.level_density_paper(e, cfg.physical)))
     write_table(cfg.output_path, header, rows, cfg.output_format)
     print(f"wrote {cfg.output_path} ({len(rows)} rows)")
     return 0
@@ -404,15 +361,16 @@ def run_density(cfg: RunConfig) -> int:
 
 def run_wavefunction(cfg: RunConfig) -> int:
     failures = []
+    root, ext = os.path.splitext(cfg.output_path)
     for n in cfg.n_list:
-        path = _per_n_path(cfg.output_path, n)
+        path = f"{root}_n{n}{ext}"
         try:
             grid = spec_mod.auto_grid(n, cfg.physical, points=_WAVEFUNCTION_POINTS, tol=cfg.tol)
             sample = spec_mod.wavefunction(n, cfg.physical, grid, normalize=True, tol=cfg.tol)
         except KGConfineError as exc:
             failures.append(f"n={n}: {exc}")
             continue
-        rows = [{"y": y, "psi": v} for y, v in zip(sample.grid, sample.values)]
+        rows = list(zip(sample.grid.tolist(), sample.values.tolist()))
         write_table(path, ("y", "psi"), rows, cfg.output_format)
         print(f"wrote {path} ({len(rows)} rows, normalized={sample.normalized})")
     for message in failures:
@@ -423,44 +381,43 @@ def run_wavefunction(cfg: RunConfig) -> int:
     return 0
 
 
-def _column(values: np.ndarray | None, size: int) -> list:
-    return [None] * size if values is None else values.tolist()
-
-
-def _run_sweep(cfg: RunConfig, include_terms: bool) -> int:
+def run_sweep(cfg: RunConfig) -> int:
+    """The thermo and compare commands; compare adds the terms_direct column."""
+    include_terms = cfg.command == "compare"
     em_cfg = thermo.EMConfig(order=cfg.em_order)
     grid = cfg.sweep.grid()
     mbars = grid.tolist()
-    rows: list[SweepRow] = []
+    header = SWEEP_HEADER + (("terms_direct",) if include_terms else ())
+    blank = (None,) * (len(header) - 2)
+    rows: list[tuple] = []
     errors: list[str] = []
     for q in cfg.q_list:
         cols = thermo.sweep(cfg.method, grid, q, em_cfg, cfg.tol)
         rel = None
         if cols.Z_direct is not None and cols.Z_em is not None:
-            rel = np.abs(cols.Z_direct - cols.Z_em) / cols.Z_direct
-        values = [_column(c, grid.size)
-                  for c in (cols.Z_direct, cols.Z_em, cols.F, cols.U, cols.C, rel, cols.terms)]
+            with np.errstate(invalid="ignore"):  # inf - inf on a failed point
+                rel = np.abs(cols.Z_direct - cols.Z_em) / cols.Z_direct
+        columns = (cols.Z_direct, cols.Z_em, cols.F, cols.U, cols.C, rel)
+        columns += (cols.terms,) if include_terms else ()
+        values = [itertools.repeat(None) if c is None else c.tolist() for c in columns]
         for mbar, err, *point in zip(mbars, cols.errors, *values):
             if err is None:
-                rows.append(SweepRow(mbar, q, *point))
+                rows.append((mbar, q, *point))
             else:
-                rows.append(SweepRow(mbar=mbar, q=q))
+                rows.append((mbar, q) + blank)
                 errors.append(f"mbar={mbar!r} q={q!r}: {err}")
 
-    header = SWEEP_HEADER + (("terms_direct",) if include_terms else ())
-    write_table(cfg.output_path, header, [row.record() for row in rows], cfg.output_format)
+    write_table(cfg.output_path, header, rows, cfg.output_format)
     print(f"wrote {cfg.output_path} ({len(rows)} rows)")
 
     if include_terms:
-        best = max(
-            (row for row in rows if row.rel_diff is not None),
-            key=lambda row: row.rel_diff,
-            default=None,
-        )
+        rel_at = header.index("rel_diff")
+        best = max((row for row in rows if row[rel_at] is not None),
+                   key=lambda row: row[rel_at], default=None)
         if best is not None:
             print(
-                f"max rel_diff {_fmt12(best.rel_diff)} "
-                f"at mbar={_fmt12(best.mbar)} q={_fmt12(best.q)}"
+                f"max rel_diff {_fmt12(best[rel_at])} "
+                f"at mbar={_fmt12(best[0])} q={_fmt12(best[1])}"
             )
 
     for message in errors:
@@ -471,19 +428,11 @@ def _run_sweep(cfg: RunConfig, include_terms: bool) -> int:
     return 0
 
 
-def run_thermo(cfg: RunConfig) -> int:
-    return _run_sweep(cfg, include_terms=False)
-
-
-def run_compare(cfg: RunConfig) -> int:
-    return _run_sweep(cfg, include_terms=True)
-
-
 _RUNNERS = {
     "spectrum": run_spectrum,
     "wavefunction": run_wavefunction,
-    "thermo": run_thermo,
-    "compare": run_compare,
+    "thermo": run_sweep,
+    "compare": run_sweep,
     "density": run_density,
 }
 

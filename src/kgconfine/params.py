@@ -6,39 +6,18 @@ The model is a one-dimensional Klein-Gordon particle with a scalar potential
 
 added to the mass term and no vector coupling.  All module math works with
 the inverse length Q = 1/(hbar*c) and the scaled coordinate y = sqrt(Q*a2)*|x|.
+The reduction's formulas live here only: ``spectrum`` takes its wave-equation
+coefficients from ``_reduction`` and ``thermo`` its level constants from
+``sigma_constants``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateReduction, DomainError
-
-
-class UnitMode(enum.Enum):
-    NATURAL = "natural"
-    EXPLICIT = "explicit"
-
-
-@dataclass(frozen=True)
-class Units:
-    """Reporting convention for dimensional quantities.
-
-    In natural mode hbar*c = 1 is required; energies are reported in units of
-    eps = sqrt(a2*a3) and specific heat in units of k_B.  Explicit mode keeps
-    energies in the same units as the input parameters (heat capacity is still
-    per k_B, since no Boltzmann constant value is taken as input).
-    """
-
-    mode: UnitMode = UnitMode.NATURAL
-
-    def validate(self, params: "PhysicalParams") -> None:
-        if self.mode is UnitMode.NATURAL and params.hbar_c != 1.0:
-            raise DomainError(
-                f"natural units require hbar_c = 1, got {params.hbar_c!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -110,6 +89,51 @@ class DimensionlessParams:
         return self.q * (energy / self.eps) ** 2 - 0.25 * self.A3**2 - 2.0 * self.q
 
 
+class _Reduction(NamedTuple):
+    Q_a2: float  # Q/a2
+    shift: float  # m c^2 + a1, the effective mass offset entering A1 and A3
+    A1: float
+    A2: float
+    A3: float
+    root: float  # sqrt(1 + 4 q^2)
+    p: float
+    eps1: float | None  # eps1(E) at the energy asked for, else None
+
+
+def _reduction(params: PhysicalParams, energy: float | None = None) -> _Reduction:
+    """The scaled wave equation's coefficients, valid for every a3 >= 0.
+
+    A1..A3 and p are those of DimensionlessParams; with an ``energy`` E also
+    eps1(E) = (Q/a2)*(E^2 - (m c^2 + a1)^2 - 2 a2 a3).
+    """
+    Q = params.Q
+    Q_a2 = Q / params.a2
+    shift = params.mass + params.a1
+    sq = math.sqrt(Q_a2)
+    root = math.sqrt(1.0 + 4.0 * (Q * params.a3) ** 2)
+    eps1 = None
+    if energy is not None:
+        eps1 = Q_a2 * (energy**2 - shift**2 - 2.0 * params.a2 * params.a3)
+    return _Reduction(
+        Q_a2=Q_a2,
+        shift=shift,
+        A1=-2.0 * Q * params.a3 * shift * sq,
+        A2=-((Q * params.a3) ** 2),
+        A3=-2.0 * sq * shift,
+        root=root,
+        p=0.5 + 0.5 * root,
+        eps1=eps1,
+    )
+
+
+def sigma_constants(q: float) -> tuple[float, float]:
+    """(sigma1, sigma2) with sigma1 = 2/q, sigma2 = 2 + (1 + sqrt(1+4q^2))/q."""
+    if not (q > 0.0) or not math.isfinite(q):
+        raise DomainError(f"q must be positive and finite, got {q!r}")
+    root = math.sqrt(1.0 + 4.0 * q * q)
+    return 2.0 / q, 2.0 + (1.0 + root) / q
+
+
 def to_dimensionless(params: PhysicalParams) -> DimensionlessParams:
     """Reduce physical parameters to the dimensionless set.
 
@@ -120,20 +144,12 @@ def to_dimensionless(params: PhysicalParams) -> DimensionlessParams:
         raise DegenerateReduction(
             "a3 = 0 has no dimensionless reduction (q = 0 makes sigma1 = 2/q blow up)"
         )
-    Q = params.Q
-    q = Q * params.a3
-    eps = math.sqrt(params.a2 * params.a3)
-    root = math.sqrt(1.0 + 4.0 * q * q)
-    sigma1 = 2.0 / q
-    sigma2 = 2.0 + (1.0 + root) / q
-    shift = params.mass + params.a1  # m c^2 + a1
-    sq = math.sqrt(Q / params.a2)
-    A3 = -2.0 * sq * shift
-    A1 = -2.0 * Q * params.a3 * shift * sq  # equals q * A3
-    A2 = -(q * q)
-    p = 0.5 + 0.5 * math.sqrt(1.0 - 4.0 * A2)
+    q = params.Q * params.a3
+    sigma1, sigma2 = sigma_constants(q)
+    r = _reduction(params)
     return DimensionlessParams(
-        q=q, eps=eps, sigma1=sigma1, sigma2=sigma2, A1=A1, A2=A2, A3=A3, p=p
+        q=q, eps=math.sqrt(params.a2 * params.a3), sigma1=sigma1, sigma2=sigma2,
+        A1=r.A1, A2=r.A2, A3=r.A3, p=r.p,
     )
 
 

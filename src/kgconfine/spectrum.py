@@ -34,7 +34,7 @@ import numpy as np
 
 from . import heun
 from .errors import DomainError, InternalError, TruncationFailure
-from .params import PhysicalParams
+from .params import PhysicalParams, _reduction
 
 # psi must drop below this fraction of its peak for a grid to count as
 # covering the full decay (and for normalized samples to claim it).
@@ -74,17 +74,11 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
-def _shift(params: PhysicalParams) -> float:
-    # m c^2 + a1, the effective mass offset entering A1 and A3.
-    return params.mass + params.a1
-
-
 def energy(n: int, params: PhysicalParams, branch: Branch = Branch.POSITIVE) -> SpectrumPoint:
     """Closed-form eigenvalue for level ``n`` on the chosen branch."""
     n = _check_n(n)
-    Q = params.Q
-    root = math.sqrt(1.0 + 4.0 * (Q * params.a3) ** 2)
-    e_sq = 2.0 * params.a2 * params.a3 + (params.a2 / Q) * (2.0 * n + 1.0 + root)
+    root = _reduction(params).root
+    e_sq = 2.0 * params.a2 * params.a3 + (params.a2 / params.Q) * (2.0 * n + 1.0 + root)
     if e_sq < 0.0:
         # a2 > 0, a3 >= 0 make every term non-negative.
         raise InternalError(f"negative squared energy {e_sq!r} for n={n}")
@@ -105,14 +99,8 @@ def quantization_residual(energy_value: float, n: int, params: PhysicalParams) -
     n = _check_n(n)
     if not math.isfinite(energy_value):
         raise DomainError(f"energy must be finite, got {energy_value!r}")
-    Q = params.Q
-    shift = _shift(params)
-    eps1 = (Q / params.a2) * (
-        energy_value**2 - shift**2 - 2.0 * params.a2 * params.a3
-    )
-    a3_quarter_sq = (Q / params.a2) * shift**2  # A3^2/4
-    p = 0.5 + 0.5 * math.sqrt(1.0 + 4.0 * (Q * params.a3) ** 2)
-    return eps1 + a3_quarter_sq - 2.0 * p - 2.0 * n
+    r = _reduction(params, energy_value)
+    return r.eps1 + r.Q_a2 * r.shift**2 - 2.0 * r.p - 2.0 * n  # Q_a2*shift^2 = A3^2/4
 
 
 def level_density_paper(energy_value: float, params: PhysicalParams) -> float:
@@ -123,7 +111,7 @@ def level_density_paper(energy_value: float, params: PhysicalParams) -> float:
     """
     if not (energy_value > 0.0):
         raise DomainError(f"energy must be positive, got {energy_value!r}")
-    return (params.Q / params.a2) * math.sqrt(energy_value)
+    return _reduction(params).Q_a2 * math.sqrt(energy_value)
 
 
 def level_density_consistent(energy_value: float, params: PhysicalParams) -> float:
@@ -132,26 +120,17 @@ def level_density_consistent(energy_value: float, params: PhysicalParams) -> flo
     Valid above the band bottom; no domain checks are applied since the
     expression itself is everywhere finite.
     """
-    return (params.Q / params.a2) * energy_value
+    return _reduction(params).Q_a2 * energy_value
 
 
 def heun_parameters(n: int, params: PhysicalParams) -> heun.HeunParams:
     """Heun parameters of the level-n eigenfunction via coefficient matching."""
-    n = _check_n(n)
-    e_n = energy(n, params).energy
-    Q = params.Q
-    shift = _shift(params)
-    sq = math.sqrt(Q / params.a2)
-    A3 = -2.0 * sq * shift
-    A1 = -2.0 * Q * params.a3 * shift * sq
-    A2 = -((Q * params.a3) ** 2)
-    p = 0.5 + 0.5 * math.sqrt(1.0 - 4.0 * A2)
-    eps1 = (Q / params.a2) * (e_n**2 - shift**2 - 2.0 * params.a2 * params.a3)
+    r = _reduction(params, energy(n, params).energy)
     return heun.HeunParams(
-        c1=2.0 * p - 1.0,
-        c2=-A3,
-        c3=eps1 + 0.25 * A3**2 + 1.0,
-        c4=-2.0 * A1,
+        c1=2.0 * r.p - 1.0,
+        c2=-r.A3,
+        c3=r.eps1 + 0.25 * r.A3**2 + 1.0,
+        c4=-2.0 * r.A1,
     )
 
 
@@ -178,10 +157,7 @@ def wavefunction(
         raise DomainError("grid must be non-negative and strictly increasing")
 
     hp = heun_parameters(n, params)
-    Q = params.Q
-    shift = _shift(params)
-    A3 = -2.0 * math.sqrt(Q / params.a2) * shift
-    p = 0.5 + 0.5 * math.sqrt(1.0 + 4.0 * (Q * params.a3) ** 2)
+    r = _reduction(params)
 
     if heun.polynomial_degree(hp) == n:
         u = heun.evaluate_series(heun.truncated_polynomial(hp, n), grid)
@@ -191,7 +167,7 @@ def wavefunction(
         # y^p with p >= 1 vanishes at y = 0; compute via exp(p*log y) off zero.
         prefactor = np.where(
             grid > 0.0,
-            np.exp(p * np.log(np.where(grid > 0.0, grid, 1.0)) + 0.5 * (A3 * grid - grid**2)),
+            np.exp(r.p * np.log(np.where(grid > 0.0, grid, 1.0)) + 0.5 * (r.A3 * grid - grid**2)),
             0.0,
         )
     values = prefactor * u
@@ -228,13 +204,9 @@ def auto_grid(
         raise DomainError(f"points must be >= 2, got {points!r}")
 
     # Outer classical turning point of y^2 - A3*y = eps1 as a starting guess.
-    Q = params.Q
-    shift = _shift(params)
-    A3 = -2.0 * math.sqrt(Q / params.a2) * shift
-    e_n = energy(n, params).energy
-    eps1 = (Q / params.a2) * (e_n**2 - shift**2 - 2.0 * params.a2 * params.a3)
-    disc = A3 * A3 + 4.0 * eps1
-    y_turn = 0.5 * (A3 + math.sqrt(disc)) if disc > 0.0 else 0.0
+    r = _reduction(params, energy(n, params).energy)
+    disc = r.A3 * r.A3 + 4.0 * r.eps1
+    y_turn = 0.5 * (r.A3 + math.sqrt(disc)) if disc > 0.0 else 0.0
     end = max(2.0, 1.5 * y_turn + 2.0)
 
     y_max = None

@@ -8,19 +8,12 @@ sigma2).  The partition function is referenced to the ground state,
 
 so the direct sum starts at 1 and the internal energy U is the mean
 excitation energy <E - E_0>.  Two evaluation routes are kept deliberately
-separate.  The direct route sums an exact head of levels and stops either when
-a rigorous integral bound on the rest falls below tol*Z, or, once the summand
-is smooth on unit spacing, by adding the Euler-MacLaurin tail from the first
-unsummed level through the B6 correction; the summand is completely monotone,
-so the remainder of that tail lies between 0 and the first omitted (B8) term,
-and the tail is accepted only when that term is below tol*Z.  Its cost
-therefore does not grow with mbar.  One kernel evaluates it for a whole
-vector of temperatures at once: the rows share each chunk of levels and
-leave the batch as their own tests pass.  ``sweep`` runs a grid of one q
-through it (the finite-difference stencil of every point included), and
-``partition_direct`` and ``thermal_functions`` are one-point calls into the
-same code.  The closed-form route is the Euler-MacLaurin truncation from
-n = 0
+separate.  The direct route sums an exact head of levels plus a tail with a
+rigorous bound (see ``partition_direct``), so its cost does not grow with
+mbar.  One kernel evaluates it for a whole vector of temperatures at once;
+``sweep`` runs a grid of one q through it, and ``partition_direct`` and
+``thermal_functions`` are one-point calls into the same code.  The
+closed-form route is the Euler-MacLaurin truncation from n = 0
 
     Z(mbar) = 1/2 + (2 mbar^2/sigma1) (1 + sqrt(sigma2)/mbar)
               + sigma1/(24 mbar sqrt(sigma2))
@@ -28,7 +21,8 @@ n = 0
                 * (3 + 3 sqrt(sigma2)/mbar + sigma2/mbar^2),
 
 whose last term is dropped at order 1.  Reported units: energies per eps,
-heat capacity per k_B.
+heat capacity per k_B.  A value that overflows (Z ~ q*mbar^2 does past mbar
+~ 1e154) is a DomainError, not an inf or NaN.
 """
 
 from __future__ import annotations
@@ -41,6 +35,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigError, DomainError, KGConfineError, TruncationFailure
+from .params import sigma_constants
 
 # Bernoulli numbers B_{2i} entering the correction terms.
 BERNOULLI = {1: 1.0 / 6.0, 2: -1.0 / 30.0, 3: 1.0 / 42.0, 4: -1.0 / 30.0}
@@ -105,8 +100,8 @@ class SweepColumns:
     """Thermal functions of one q over an mbar grid, one entry per point.
 
     Columns a sweep does not compute are None.  A point that failed holds
-    NaN in the columns it could not compute, and its error in ``errors``
-    (None for a point computed in full).
+    NaN or the overflowed value in the columns it could not compute, and its
+    error in ``errors`` (None for a point computed in full).
     """
 
     Z_direct: np.ndarray | None = None
@@ -124,14 +119,6 @@ class HighTemperatureLimits:
     Z_coefficient: float  # Z ~ Z_coefficient * mbar^2
     U_slope: float        # U/eps ~ U_slope * mbar
     C_limit: float        # C/k_B -> C_limit
-
-
-def sigma_constants(q: float) -> tuple[float, float]:
-    """(sigma1, sigma2) with sigma1 = 2/q, sigma2 = 2 + (1 + sqrt(1+4q^2))/q."""
-    if not (q > 0.0) or not math.isfinite(q):
-        raise DomainError(f"q must be positive and finite, got {q!r}")
-    root = math.sqrt(1.0 + 4.0 * q * q)
-    return 2.0 / q, 2.0 + (1.0 + root) / q
 
 
 def _check_point(mbar: float, q: float, tol: float) -> None:
@@ -203,6 +190,7 @@ def _em_tail(b: np.ndarray, s1: float, s2: float, n: int) -> tuple[np.ndarray, n
     return tail - sum(correction[:3]), np.abs(correction[3])
 
 
+@np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite Z
 def _direct_sums(
     b: np.ndarray, tol: float, s1: float, s2: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -263,6 +251,21 @@ def _truncation_failure(mbar: float, q: float, partial_sum: float) -> Truncation
     )
 
 
+def _not_finite(mbar: float, q: float) -> DomainError:
+    return DomainError(
+        f"thermal functions are not finite at mbar={mbar!r}, q={q!r} "
+        "(floating-point overflow)"
+    )
+
+
+def _flag_not_finite(errors: list, mbar: np.ndarray, q: float, *columns: np.ndarray) -> None:
+    # A point that has not failed otherwise but holds an infinite or NaN value.
+    finite = np.logical_and.reduce([np.isfinite(c) for c in columns])
+    for i in np.flatnonzero(~finite):
+        if errors[i] is None:
+            errors[i] = _not_finite(float(mbar[i]), q)
+
+
 def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
     """Ground-state-referenced partition function: exact head + bounded tail.
 
@@ -282,17 +285,16 @@ def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
     The cost therefore stops growing with mbar.  The returned point records
     ``terms``, the levels summed exactly, and ``tail_bound``, the absolute
     bound that stopped the sum.  A head that would exceed DIRECT_N_MAX levels
-    raises TruncationFailure.  This is a one-point call into the batched
-    kernel that ``sweep`` runs over a whole grid.
+    raises TruncationFailure, and a Z that overflows raises DomainError.  This
+    is a one-point call into the columns that ``sweep`` computes over a grid.
     """
     _check_point(mbar, q, tol)
-    s1, s2 = sigma_constants(q)
-    z, terms, bound, converged = _direct_sums(np.array([1.0 / mbar]), tol, s1, s2)
-    if not converged[0]:
-        raise _truncation_failure(mbar, q, float(z[0]))
+    cols = _direct_columns(np.array([float(mbar)]), q, tol, derivatives=False)
+    if cols.errors[0] is not None:
+        raise cols.errors[0]
     return ThermoPoint(
-        mbar=mbar, Z=float(z[0]), method=Source.DIRECT.value,
-        terms=int(terms[0]), tail_bound=float(bound[0]),
+        mbar=mbar, Z=float(cols.Z_direct[0]), method=Source.DIRECT.value,
+        terms=int(cols.terms[0]), tail_bound=float(cols.tail_bound[0]),
     )
 
 
@@ -379,10 +381,16 @@ def _em_z_and_derivatives(mbar: float, q: float, order: int) -> tuple[float, flo
 def partition_em(mbar: float, q: float, cfg: EMConfig = EMConfig()) -> ThermoPoint:
     """Euler-MacLaurin partition function at the configured order."""
     _check_point(mbar, q, 1.0)
-    z, _, _ = _em_z_and_derivatives(mbar, q, cfg.order)
+    try:
+        z, _, _ = _em_z_and_derivatives(mbar, q, cfg.order)
+    except OverflowError:  # a power of mbar past the float range
+        z = math.inf
+    if not math.isfinite(z):
+        raise _not_finite(mbar, q)
     return ThermoPoint(mbar=mbar, Z=z, method=Source.EM.value)
 
 
+@np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite value
 def _em_columns(mbar: np.ndarray, q: float, order: int) -> SweepColumns:
     # The closed form and its exact derivatives at every mbar; a point where
     # the truncation is non-positive has left its validity range.
@@ -395,13 +403,14 @@ def _em_columns(mbar: np.ndarray, q: float, order: int) -> SweepColumns:
             "outside its validity range"
         )
     z = np.where(valid, z, np.nan)
-    return SweepColumns(
-        Z_em=z, F=-mbar * np.log(z), U=mbar**2 * zp / z,
-        C=2.0 * mbar * zp / z + mbar**2 * (zpp * z - zp * zp) / (z * z),
-        errors=tuple(errors),
-    )
+    F = -mbar * np.log(z)
+    U = mbar**2 * zp / z
+    C = 2.0 * mbar * zp / z + mbar**2 * (zpp * z - zp * zp) / (z * z)
+    _flag_not_finite(errors, mbar, q, z, F, U, C)
+    return SweepColumns(Z_em=z, F=F, U=U, C=C, errors=tuple(errors))
 
 
+@np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite value
 def _direct_columns(mbar: np.ndarray, q: float, tol: float, derivatives: bool) -> SweepColumns:
     # Direct-sum Z at every mbar and, with ``derivatives``, F, U and C from
     # the five-point ln-mbar stencil, summed at min(tol, FD_TOL).  The
@@ -414,6 +423,7 @@ def _direct_columns(mbar: np.ndarray, q: float, tol: float, derivatives: bool) -
         errors[i] = _truncation_failure(float(mbar[i]), q, float(z[i]))
     z = np.where(converged, z, np.nan)
     if not derivatives:
+        _flag_not_finite(errors, mbar, q, z)
         return SweepColumns(Z_direct=z, terms=terms, tail_bound=bound, errors=tuple(errors))
 
     centre = np.flatnonzero(converged)
@@ -434,8 +444,10 @@ def _direct_columns(mbar: np.ndarray, q: float, tol: float, derivatives: bool) -
     lpp = np.full(mbar.size, np.nan)
     lp[centre] = (8.0 * (L[3] - L[1]) - (L[4] - L[0])) / (12.0 * h)
     lpp[centre] = (-L[4] + 16.0 * L[3] - 30.0 * L[2] + 16.0 * L[1] - L[0]) / (12.0 * h * h)
+    F, U, C = -mbar * np.log(z), mbar * lp, lp + lpp
+    _flag_not_finite(errors, mbar, q, z, F, U, C)
     return SweepColumns(
-        Z_direct=z, F=-mbar * np.log(z), U=mbar * lp, C=lp + lpp,
+        Z_direct=z, F=F, U=U, C=C,
         terms=terms, tail_bound=bound, errors=tuple(errors),
     )
 

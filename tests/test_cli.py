@@ -351,3 +351,23 @@ def test_compare_reports_the_direct_error_first(tmp_path, capsys):
     for line, mbar in zip(err[1:], ("31.622776601683793", "100000.0")):
         assert line.startswith(f"kgconfine: warning: mbar={mbar} q=1.0: direct sum did not converge")
     assert err[3] == "kgconfine: warning: 3 of 3 sweep points failed"
+
+
+def test_non_finite_sweep_points_fail(tmp_path, capsys):
+    # Above mbar ~ 1e154 the direct sum's Z overflows: those rows are blank
+    # and named in warnings, while the finite row at mbar = 1e150 is kept.
+    out = tmp_path / "thermo.csv"
+    rc = cli.main(["thermo", "--method", "direct", "--q", "1", "--mbar-min", "1e150",
+                   "--mbar-max", "1e300", "--steps", "4", "--out", str(out)])
+    assert rc == 1
+    _, rows = read_csv(out)
+    assert [rows[0][c] for c in cli.SWEEP_HEADER] == [
+        "1e+150", "1", "1e+300", "", "-6.90775527898e+152", "1.99999999931e+150",
+        "1.99998863062", ""]
+    assert all(row[c] == "" for row in rows[1:] for c in cli.SWEEP_HEADER[2:])
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4
+    for line, mbar in zip(err, ("1e+200", "1e+250", "1e+300")):
+        assert line == (f"kgconfine: warning: mbar={mbar} q=1.0: thermal functions are "
+                        f"not finite at mbar={mbar}, q=1.0 (floating-point overflow)")
+    assert err[3] == "kgconfine: warning: 3 of 4 sweep points failed"

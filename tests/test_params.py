@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 from kgconfine.errors import DegenerateReduction, DomainError
 from kgconfine.params import (
     PhysicalParams,
-    UnitMode,
-    Units,
     scaled_coordinate,
     to_dimensionless,
 )
@@ -47,14 +45,6 @@ def test_a1_may_be_negative():
 
 def test_q_is_inverse_hbar_c():
     assert PhysicalParams(a1=0, a2=1, a3=1, mass=1, hbar_c=4.0).Q == 0.25
-
-
-def test_units_natural_mode_requires_unit_hbar_c():
-    params = PhysicalParams(a1=0, a2=1, a3=1, mass=1, hbar_c=2.0)
-    with pytest.raises(DomainError):
-        Units(UnitMode.NATURAL).validate(params)
-    Units(UnitMode.EXPLICIT).validate(params)  # no error
-    Units().validate(PhysicalParams(a1=0, a2=1, a3=1, mass=1))
 
 
 def test_dimensionless_reduction_q1():

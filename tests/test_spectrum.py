@@ -35,6 +35,23 @@ def test_energy_a3_zero_collapses():
     assert math.isclose(spectrum.energy(3, p).energy, math.sqrt(8.0), rel_tol=1e-15)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_a3_zero_wave_route(n):
+    # Without the 1/|x| core: p = 1 and A1 = 0, so c1 = 1 and c4 = 0, and the
+    # level-n eigenfunction is a degree-n polynomial times the decaying factor.
+    p = PhysicalParams(a1=0.0, a2=1.0, a3=0.0, mass=1.0)
+    hp = spectrum.heun_parameters(n, p)
+    assert hp.c1 == 1.0
+    assert hp.c4 == 0.0
+    assert heun.polynomial_degree(hp) == n
+    grid = spectrum.auto_grid(n, p)
+    sample = spectrum.wavefunction(n, p, grid, normalize=True)
+    assert np.all(np.isfinite(sample.values))
+    mag = np.abs(sample.values)
+    assert mag[-1] < spectrum.DECAY_FRACTION * float(np.max(mag))
+    assert sample.normalized
+
+
 def test_energy_q1_ground_state():
     p = PhysicalParams(a1=0.0, a2=1.0, a3=1.0, mass=0.0)
     e0 = spectrum.energy(0, p).energy

@@ -7,6 +7,7 @@ Frozen first-run regression constants:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +299,41 @@ def test_sweep_rejects_bad_input():
         thermo.sweep("direct", [1.0], 1.0, tol=0.0)
     with pytest.raises(ConfigError):
         thermo.sweep("moments", [1.0], 1.0)
+
+
+def test_overflowing_temperature_is_a_domain_error():
+    # Past mbar ~ 1e154 the partition function ~ q*mbar^2 overflows a float:
+    # every scalar route raises DomainError instead of returning inf/NaN or
+    # letting an untyped error or a numpy warning through.
+    calls = (
+        lambda: thermo.partition_direct(1e300, 1.0, 1e-10),
+        lambda: thermo.thermal_functions("direct", 1e300, 1.0),
+        lambda: thermo.partition_em(1e300, 1.0),
+        lambda: thermo.thermal_functions("em", 1e300, 1.0),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError, match="not finite at mbar=1e\\+300"):
+                call()
+
+
+def test_sweep_reports_non_finite_points_as_errors():
+    grid = np.array([1e150, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        direct = thermo.sweep("direct", grid, 1.0, tol=1e-10)
+        both = thermo.sweep("both", grid, 1.0, tol=1e-10)
+        em = thermo.sweep("em", grid, 1.0)
+    # mbar = 1e150 still fits the direct route; the closed form's mbar^2 * Z'
+    # overflows there, so its U is not finite.
+    assert direct.errors[0] is None
+    assert all(math.isfinite(c[0]) for c in (direct.Z_direct, direct.F, direct.U, direct.C))
+    for cols in (both, em):
+        assert isinstance(cols.errors[0], DomainError)
+    for cols in (direct, both, em):
+        assert isinstance(cols.errors[1], DomainError)
+        assert "not finite" in str(cols.errors[1])
 
 
 def test_partition_direct_domain():
