@@ -1,0 +1,159 @@
+"""Print one digest line per command-line run over a fixed matrix of runs.
+
+Each run is ``python -m kgconfine ARGS`` in a fresh temporary directory.
+Its line gives the exit code and the sha256 (first 16 hex digits) of every
+table it wrote, of its stdout and of its stderr, with the temporary
+directory's path replaced by ``{tmp}``.  Two source trees give the same
+lines exactly when they behave byte for byte the same on the matrix:
+
+    python3 scripts/cli_digest.py > new.txt
+    python3 scripts/cli_digest.py --src /path/to/other/checkout/src > old.txt
+    diff old.txt new.txt
+
+The matrix covers all five commands in csv and json, direct/em/both sweeps
+(including the failing ``--tol 1e-300`` and mbar = 1e150..1e300 sweeps),
+``--config`` files, usage errors and ``--help``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SWEEP = ["--q", "0.5,1.0,1.5", "--mbar-min", "0.1", "--mbar-max", "10", "--steps", "40"]
+FAILING = ["--q", "1.0", "--mbar-min", "0.01", "--mbar-max", "1e5", "--steps", "3",
+           "--tol", "1e-300"]
+HUGE = ["--q", "1", "--mbar-min", "1e150", "--mbar-max", "1e300", "--steps", "4"]
+# Crosses mbar ~ 1e77, where the closed form's C used to overflow.
+LARGE = ["--q", "0.5,1", "--mbar-min", "1e30", "--mbar-max", "1e160", "--steps", "27"]
+
+# (name, argv, config-file text or None); "{tmp}" is the run's directory.
+RUNS: list[tuple[str, list[str], str | None]] = []
+for fmt in ("csv", "json"):
+    out = ["--format", fmt, "--out", f"{{tmp}}/out.{fmt}"]
+    RUNS += [
+        (f"spectrum-{fmt}", ["spectrum", *out], None),
+        (f"wavefunction-{fmt}", ["wavefunction", "--n", "0,3", *out], None),
+        (f"density-{fmt}", ["density", "--n", "0..5", *out], None),
+        (f"thermo-{fmt}", ["thermo", *out], None),
+        (f"compare-{fmt}", ["compare", *out], None),
+        (f"thermo-direct-{fmt}", ["thermo", "--method", "direct", *SWEEP, *out], None),
+        (f"thermo-both-{fmt}", ["thermo", "--method", "both", *SWEEP, *out], None),
+        (f"thermo-failing-{fmt}", ["thermo", "--method", "direct", *FAILING, *out], None),
+        (f"compare-failing-{fmt}", ["compare", *FAILING, *out], None),
+    ]
+    for method in ("direct", "em", "both"):
+        RUNS.append((f"huge-{method}-{fmt}", ["thermo", "--method", method, *HUGE, *out], None))
+        RUNS.append((f"large-{method}-{fmt}", ["thermo", "--method", method, *LARGE, *out], None))
+
+RUNS += [
+    ("spectrum-potential", ["spectrum", "--a1", "0", "--a2", "1", "--a3", "0", "--mass", "0",
+                            "--hbar-c", "2", "--n", "0..3,7", "--out", "{tmp}/s.csv"], None),
+    ("thermo-linear-order1", ["thermo", "--scale", "linear", "--em-order", "1", "--q", "2",
+                              "--mbar-min", "1", "--mbar-max", "20", "--steps", "7",
+                              "--out", "{tmp}/t.csv"], None),
+    ("thermo-tol", ["thermo", "--method", "direct", "--tol", "1e-6", *SWEEP,
+                    "--out", "{tmp}/t.csv"], None),
+    ("default-name", ["density", "--n", "0", "--format", "json"], None),
+    ("io-failure", ["spectrum", "--out", "{tmp}/missing/s.csv"], None),
+    ("wavefunction-tol", ["wavefunction", "--n", "2", "--tol", "1e-8", "--mass", "1",
+                          "--out", "{tmp}/w.json", "--format", "json"], None),
+    ("config-all", ["thermo", "--config", "{tmp}/run.cfg"],
+     "# every key\na1 = 0.2\na2: 0.3\na3 = 0.0\nmass = 1\nHBAR-C = 1.5\nq = 0.7,1.1\n"
+     "n = 0..2\nmbar_min = 0.5\nmbar-max = 5\nsteps = 9\nscale = linear\nmethod = direct\n"
+     "em_order = 1\ntol = 1e-9\nformat = json\nout = {tmp}/cfg.json\n"),
+    ("config-flag-wins", ["spectrum", "--config", "{tmp}/run.cfg", "--a2", "2.0", "--n", "0",
+                          "--format", "csv"],
+     "a2 = 4.0\na3 = 0.0\nformat = json\nout = {tmp}/c.csv\n"),
+    ("config-compare", ["compare", "--config", "{tmp}/run.cfg"],
+     "q = 1\nmbar-min = 1\nmbar-max = 3\nsteps = 3\nout = {tmp}/c.csv\n"),
+]
+
+USAGE_ERRORS = [
+    ["spectrum", "--n", "2..x"],
+    ["spectrum", "--a2", "0"],
+    ["spectrum", "--a2", "nan"],
+    ["spectrum", "--a1", "x"],
+    ["spectrum", "--hbar-c", "inf"],
+    ["thermo", "--steps", "1"],
+    ["thermo", "--steps", "2.5"],
+    ["thermo", "--mbar-min", "0"],
+    ["thermo", "--mbar-min", "5", "--mbar-max", "2"],
+    ["thermo", "--em-order", "3"],
+    ["thermo", "--em-order", "two"],
+    ["thermo", "--tol", "-1e-9"],
+    ["thermo", "--tol", "nan"],
+    ["thermo", "--scale", "cubic"],
+    ["thermo", "--format", "xml"],
+    ["thermo", "--method", "all"],
+    ["compare", "--method", "em"],
+    ["wavefunction", "--q", "0"],
+    ["density", "--bogus", "1"],
+    [],
+    ["thermo", "--config", "{tmp}/absent.cfg"],
+]
+for i, argv in enumerate(USAGE_ERRORS):
+    RUNS.append((f"usage-{i}", argv, None))
+
+BAD_CONFIGS = [
+    ("thermo", "scale = foo\n"),
+    ("thermo", "steps = 1\n"),
+    ("thermo", "tol = nan\n"),
+    ("spectrum", "n = 2..x\n"),
+    ("compare", "method = em\n"),
+    ("thermo", "colour = blue\n"),
+    ("thermo", "justaword\n"),
+    ("thermo", "a2 =\n"),
+    ("thermo", "config = other.cfg\n"),
+]
+for i, (command, text) in enumerate(BAD_CONFIGS):
+    RUNS.append((f"bad-config-{i}", [command, "--config", "{tmp}/run.cfg"], text))
+
+RUNS += [
+    ("help", ["--help"], None),
+    ("help-thermo", ["thermo", "--help"], None),
+    ("help-wavefunction", ["wavefunction", "-h"], None),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def digest(src: Path, name: str, argv: list[str], config: str | None) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            Path(tmp, "run.cfg").write_text(config.replace("{tmp}", tmp), encoding="utf-8")
+        before = set(os.listdir(tmp))
+        env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80", NO_COLOR="1")
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "kgconfine", *(a.replace("{tmp}", tmp) for a in argv)],
+            cwd=tmp, env=env, capture_output=True,
+        )
+        tables = " ".join(
+            f"{f}:{_sha(Path(tmp, f).read_bytes())}"
+            for f in sorted(set(os.listdir(tmp)) - before)
+        )
+        stdout, stderr = (s.replace(tmp.encode(), b"{tmp}") for s in (proc.stdout, proc.stderr))
+    return (f"{name} rc={proc.returncode} tables=[{tables}] "
+            f"stdout={_sha(stdout)} stderr={_sha(stderr)}")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="source tree whose kgconfine package runs (default: this checkout's)")
+    args = ap.parse_args()
+    for name, argv, config in RUNS:
+        print(digest(args.src.resolve(), name, argv, config), flush=True)
+
+
+if __name__ == "__main__":
+    main()

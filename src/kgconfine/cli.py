@@ -12,12 +12,14 @@ computed, 2 for usage errors, 1 when some points failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,32 +29,6 @@ from .errors import ConfigError, KGConfineError
 from .params import PhysicalParams
 
 PROG = "kgconfine"
-
-# Built-in defaults; the potential coefficients are the benchmark set used
-# throughout the produced figures.
-_COMMON_DEFAULTS = {
-    "a1": "0.1",
-    "a2": "0.1",
-    "a3": "0.1",
-    "mass": "0.5",
-    "hbar_c": "1.0",
-    "q": "0.5,1.0,1.5",
-    "mbar_min": "0.1",
-    "mbar_max": "10.0",
-    "steps": "200",
-    "scale": "log",
-    "em_order": "2",
-    "tol": "1e-10",
-    "format": "csv",
-}
-_N_DEFAULTS = {"spectrum": "0..10", "density": "0..10", "wavefunction": "0,5,10"}
-_METHOD_DEFAULTS = {"thermo": "em", "compare": "both"}
-
-_CHOICES = {
-    "scale": ("log", "linear"),
-    "method": ("direct", "em", "both"),
-    "format": ("csv", "json"),
-}
 
 COMMANDS = {
     "spectrum": "tabulate eigenvalues (both branches) and their residuals",
@@ -69,23 +45,10 @@ _WAVEFUNCTION_POINTS = 2001
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    mbar_min: float
-    mbar_max: float
-    steps: int
-    scale: str
-
-    def grid(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.geomspace(self.mbar_min, self.mbar_max, self.steps)
-        return np.linspace(self.mbar_min, self.mbar_max, self.steps)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     command: str
     physical: PhysicalParams
-    sweep: SweepSpec
+    grid: np.ndarray | None  # the mbar sweep; None for commands that do not sweep
     q_list: tuple[float, ...]
     n_list: tuple[int, ...]
     method: str
@@ -145,13 +108,55 @@ def parse_q_list(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+class _Option(NamedTuple):
+    convert: Callable[[str], object] | tuple[str, ...]  # a tuple lists the allowed words
+    default: str | dict[str, str]  # a dict holds one default per command
+    metavar: str | None = None
+    help: str | None = None
+
+
+# Every option under its config-file key; the flag is --key with "-" for
+# "_".  A flag, a config-file value and the built-in default all go through
+# the option's converter.  The default potential is the benchmark set used
+# throughout the produced figures.
+_OPTIONS = {
+    "a1": _Option(_finite, "0.1", "E"),
+    "a2": _Option(_finite, "0.1", "E"),
+    "a3": _Option(_finite, "0.1", "E"),
+    "mass": _Option(_finite, "0.5", "E"),
+    "hbar_c": _Option(_finite, "1.0", "E*L"),
+    "q": _Option(parse_q_list, "0.5,1.0,1.5", "LIST", "comma-separated dimensionless couplings"),
+    "n": _Option(parse_n_list, dict.fromkeys(COMMANDS, "0..10") | {"wavefunction": "0,5,10"},
+                 "LIST", "quantum numbers, e.g. 0..3 or 0,5,10"),
+    "mbar_min": _Option(_finite, "0.1", "X"),
+    "mbar_max": _Option(_finite, "10.0", "X"),
+    "steps": _Option(int, "200", "N"),
+    "scale": _Option(("log", "linear"), "log"),
+    "method": _Option(("direct", "em", "both"), dict.fromkeys(COMMANDS, "em") | {"compare": "both"}),
+    "em_order": _Option(int, "2", "{1,2}"),
+    "tol": _Option(_finite, "1e-10", "X"),
+    "format": _Option(("csv", "json"), "csv"),
+    "out": _Option(str, "", "PATH"),  # empty: <command>.<format>
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    known = set(_COMMON_DEFAULTS) | {"n", "method", "out"}
     values: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -165,7 +170,7 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
         key = key.strip().lower().replace("-", "_")
         value = value.strip()
-        if key not in known:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
@@ -173,6 +178,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -185,43 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, description in COMMANDS.items():
         p = sub.add_parser(name, help=description)
-        for flag in ("a1", "a2", "a3", "mass"):
-            p.add_argument(f"--{flag}", default=None, metavar="E")
-        p.add_argument("--hbar-c", dest="hbar_c", default=None, metavar="E*L")
-        p.add_argument("--q", default=None, metavar="LIST",
-                       help="comma-separated dimensionless couplings")
-        p.add_argument("--n", default=None, metavar="LIST",
-                       help="quantum numbers, e.g. 0..3 or 0,5,10")
-        p.add_argument("--mbar-min", dest="mbar_min", default=None, metavar="X")
-        p.add_argument("--mbar-max", dest="mbar_max", default=None, metavar="X")
-        p.add_argument("--steps", default=None, metavar="N")
-        p.add_argument("--scale", default=None, choices=_CHOICES["scale"])
-        p.add_argument("--method", default=None, choices=_CHOICES["method"])
-        p.add_argument("--em-order", dest="em_order", default=None, metavar="{1,2}")
-        p.add_argument("--tol", default=None, metavar="X")
-        p.add_argument("--format", default=None, choices=_CHOICES["format"])
-        p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--config", default=None, metavar="PATH",
+        for key, opt in _OPTIONS.items():
+            choices = opt.convert if isinstance(opt.convert, tuple) else None
+            p.add_argument(_flag(key), choices=choices, metavar=opt.metavar, help=opt.help)
+        p.add_argument("--config", metavar="PATH",
                        help="flat key = value file mirroring the flag names")
     return parser
-
-
-def _convert(parser, key: str, text: str, kind: str):
-    try:
-        if kind == "float":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ValueError
-            return value
-        if kind == "int":
-            return int(text)
-        if kind in _CHOICES:
-            if text not in _CHOICES[kind]:
-                raise ValueError
-            return text
-        raise KeyError(kind)
-    except ValueError:
-        parser.error(f"invalid value for --{key.replace('_', '-')}: {text!r}")
 
 
 def resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
@@ -233,102 +208,83 @@ def resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         except ConfigError as exc:
             parser.error(str(exc))
 
-    def pick(key: str, default: str | None) -> str | None:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        return default
+    # Flag, else config file, else built-in default.
+    values = {}
+    for key, opt in _OPTIONS.items():
+        text = getattr(args, key)
+        if text is None:
+            default = opt.default if isinstance(opt.default, str) else opt.default[command]
+            text = file_values.get(key, default)
+        try:
+            if isinstance(opt.convert, tuple):
+                if text not in opt.convert:
+                    raise ValueError(text)
+                values[key] = text
+            else:
+                values[key] = opt.convert(text)
+        except ConfigError as exc:
+            parser.error(str(exc))
+        except ValueError:
+            parser.error(f"invalid value for {_flag(key)}: {text!r}")
 
     try:
-        physical = PhysicalParams(**{
-            key: _convert(parser, key, pick(key, _COMMON_DEFAULTS[key]), "float")
-            for key in ("a1", "a2", "a3", "mass", "hbar_c")
-        })
+        physical = PhysicalParams(**{k: values[k] for k in ("a1", "a2", "a3", "mass", "hbar_c")})
     except KGConfineError as exc:
         parser.error(str(exc))
-
-    try:
-        q_list = parse_q_list(pick("q", _COMMON_DEFAULTS["q"]))
-        n_list = parse_n_list(pick("n", _N_DEFAULTS.get(command, "0..10")))
-    except ConfigError as exc:
-        parser.error(str(exc))
-
-    sweep = SweepSpec(
-        mbar_min=_convert(parser, "mbar_min", pick("mbar_min", _COMMON_DEFAULTS["mbar_min"]), "float"),
-        mbar_max=_convert(parser, "mbar_max", pick("mbar_max", _COMMON_DEFAULTS["mbar_max"]), "float"),
-        steps=_convert(parser, "steps", pick("steps", _COMMON_DEFAULTS["steps"]), "int"),
-        scale=_convert(parser, "scale", pick("scale", _COMMON_DEFAULTS["scale"]), "scale"),
-    )
-    if not (sweep.mbar_min > 0.0 and sweep.mbar_max > sweep.mbar_min):
-        parser.error(
-            f"need 0 < mbar-min < mbar-max, got {sweep.mbar_min!r}, {sweep.mbar_max!r}"
-        )
-    if sweep.steps < 2:
-        parser.error(f"--steps must be >= 2, got {sweep.steps}")
-
-    method = _convert(parser, "method", pick("method", _METHOD_DEFAULTS.get(command, "em")), "method")
-    if command == "compare" and method != "both":
+    lo, hi, steps = values["mbar_min"], values["mbar_max"], values["steps"]
+    if not (lo > 0.0 and hi > lo):
+        parser.error(f"need 0 < mbar-min < mbar-max, got {lo!r}, {hi!r}")
+    if steps < 2:
+        parser.error(f"--steps must be >= 2, got {steps}")
+    if command == "compare" and values["method"] != "both":
         parser.error("compare requires --method both")
+    if values["em_order"] not in (1, 2):
+        parser.error(f"--em-order must be 1 or 2, got {values['em_order']}")
+    if values["tol"] <= 0.0:
+        parser.error(f"--tol must be positive, got {values['tol']!r}")
 
-    em_order = _convert(parser, "em_order", pick("em_order", _COMMON_DEFAULTS["em_order"]), "int")
-    if em_order not in (1, 2):
-        parser.error(f"--em-order must be 1 or 2, got {em_order}")
-
-    tol = _convert(parser, "tol", pick("tol", _COMMON_DEFAULTS["tol"]), "float")
-    if tol <= 0.0:
-        parser.error(f"--tol must be positive, got {tol!r}")
-
-    output_format = _convert(parser, "format", pick("format", _COMMON_DEFAULTS["format"]), "format")
-    out = pick("out", None) or f"{command}.{output_format}"
-
+    grid = None
+    if command in ("thermo", "compare"):
+        grid = (np.geomspace if values["scale"] == "log" else np.linspace)(lo, hi, steps)
     return RunConfig(
         command=command,
         physical=physical,
-        sweep=sweep,
-        q_list=q_list,
-        n_list=n_list,
-        method=method,
-        em_order=em_order,
-        output_format=output_format,
-        output_path=out,
-        tol=tol,
+        grid=grid,
+        q_list=values["q"],
+        n_list=values["n"],
+        method=values["method"],
+        em_order=values["em_order"],
+        output_format=values["format"],
+        output_path=values["out"] or f"{command}.{values['format']}",
+        tol=values["tol"],
     )
 
 
-def _fmt12(value) -> str:
-    return format(float(value), ".12g")
-
-
 def _cell(value) -> str:
+    # The one cell rule: None is an empty cell, an int stays exact, and any
+    # other value is rounded to 12 significant digits.
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return _fmt12(value)
+    if isinstance(value, int):
+        return str(value)
+    return "%.12g" % value
 
 
-def _json_value(value):
-    if value is None:
-        return None
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    return float(_fmt12(value))
+def _json_cell(value):
+    return value if value is None or isinstance(value, int) else float(_cell(value))
 
 
 def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str) -> None:
     """Write ``rows`` as CSV or as a JSON list of records.
 
-    Each row is a tuple of cell values in ``header`` order; None is an empty
-    cell (JSON null), integers stay integers, and every other value is
-    rounded to 12 significant digits.
+    Each row is a tuple of cell values in ``header`` order; ``_cell`` gives
+    every cell's text (JSON keeps its ints and floats as numbers).
     """
     if fmt == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(map(_cell, row)) for row in rows)
     else:
-        records = [dict(zip(header, map(_json_value, row))) for row in rows]
+        records = [dict(zip(header, map(_json_cell, row))) for row in rows]
         lines = [json.dumps(records, indent=2)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -385,14 +341,13 @@ def run_sweep(cfg: RunConfig) -> int:
     """The thermo and compare commands; compare adds the terms_direct column."""
     include_terms = cfg.command == "compare"
     em_cfg = thermo.EMConfig(order=cfg.em_order)
-    grid = cfg.sweep.grid()
-    mbars = grid.tolist()
+    mbars = cfg.grid.tolist()
     header = SWEEP_HEADER + (("terms_direct",) if include_terms else ())
     blank = (None,) * (len(header) - 2)
     rows: list[tuple] = []
     errors: list[str] = []
     for q in cfg.q_list:
-        cols = thermo.sweep(cfg.method, grid, q, em_cfg, cfg.tol)
+        cols = thermo.sweep(cfg.method, cfg.grid, q, em_cfg, cfg.tol)
         rel = None
         if cols.Z_direct is not None and cols.Z_em is not None:
             with np.errstate(invalid="ignore"):  # inf - inf on a failed point
@@ -416,8 +371,8 @@ def run_sweep(cfg: RunConfig) -> int:
                    key=lambda row: row[rel_at], default=None)
         if best is not None:
             print(
-                f"max rel_diff {_fmt12(best[rel_at])} "
-                f"at mbar={_fmt12(best[0])} q={_fmt12(best[1])}"
+                f"max rel_diff {_cell(best[rel_at])} "
+                f"at mbar={_cell(best[0])} q={_cell(best[1])}"
             )
 
     for message in errors:

@@ -362,9 +362,12 @@ def euler_maclaurin_sum(
     return total
 
 
-def _em_z_and_derivatives(mbar: float, q: float, order: int) -> tuple[float, float, float]:
+def _em_z_and_derivatives(
+    mbar: np.ndarray, q: float, order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Closed-form Z(mbar) of the truncation plus its first two mbar
-    # derivatives, used for the analytic thermal functions.
+    # derivatives, used for the analytic thermal functions.  On arrays, a
+    # power of mbar past the float range becomes inf instead of raising.
     s1, s2 = sigma_constants(q)
     root = math.sqrt(s2)
     z = 0.5 + (2.0 / s1) * (mbar**2 + root * mbar) + (s1 / (24.0 * root)) / mbar
@@ -379,15 +382,17 @@ def _em_z_and_derivatives(mbar: float, q: float, order: int) -> tuple[float, flo
 
 
 def partition_em(mbar: float, q: float, cfg: EMConfig = EMConfig()) -> ThermoPoint:
-    """Euler-MacLaurin partition function at the configured order."""
+    """Euler-MacLaurin partition function at the configured order.
+
+    A one-point call into the columns that ``sweep`` computes: a point where
+    the closed form is non-positive (below its validity range) or not finite
+    raises DomainError.
+    """
     _check_point(mbar, q, 1.0)
-    try:
-        z, _, _ = _em_z_and_derivatives(mbar, q, cfg.order)
-    except OverflowError:  # a power of mbar past the float range
-        z = math.inf
-    if not math.isfinite(z):
-        raise _not_finite(mbar, q)
-    return ThermoPoint(mbar=mbar, Z=z, method=Source.EM.value)
+    cols = _em_columns(np.array([float(mbar)]), q, cfg.order)
+    if cols.errors[0] is not None:
+        raise cols.errors[0]
+    return ThermoPoint(mbar=mbar, Z=float(cols.Z_em[0]), method=Source.EM.value)
 
 
 @np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite value
@@ -403,9 +408,14 @@ def _em_columns(mbar: np.ndarray, q: float, order: int) -> SweepColumns:
             "outside its validity range"
         )
     z = np.where(valid, z, np.nan)
+    # U and C from u1 = mbar*Z'/Z and u2 = mbar^2*Z''/Z, both ~2 at high
+    # mbar; the division comes before the factor that would overflow, so
+    # both stay finite wherever Z is.
+    u1 = zp / z * mbar
+    u2 = mbar * zpp / z * mbar
     F = -mbar * np.log(z)
-    U = mbar**2 * zp / z
-    C = 2.0 * mbar * zp / z + mbar**2 * (zpp * z - zp * zp) / (z * z)
+    U = mbar * u1
+    C = u1 * (2.0 - u1) + u2
     _flag_not_finite(errors, mbar, q, z, F, U, C)
     return SweepColumns(Z_em=z, F=F, U=U, C=C, errors=tuple(errors))
 

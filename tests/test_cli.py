@@ -48,6 +48,10 @@ def test_parse_q_list_rejects(bad):
         cli.parse_q_list(bad)
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 # ----------------------------------------------------------- config files
 
 
@@ -228,6 +232,20 @@ def test_csv_cells_use_12_significant_digits(tmp_path):
     assert rows[0]["energy_pos"] == format(e, ".12g")
 
 
+def test_write_table_cell_rule(tmp_path):
+    # None is an empty cell (JSON null), an int stays exact, and any other
+    # value is rounded to 12 significant digits.
+    header = ("int", "none", "one", "sum", "big")
+    row = (7, None, 1.0, 0.1 + 0.2, 1e150)
+    cli.write_table(str(tmp_path / "t.csv"), header, [row], "csv")
+    cli.write_table(str(tmp_path / "t.json"), header, [row], "json")
+    assert (tmp_path / "t.csv").read_bytes() == b"int,none,one,sum,big\n7,,1,0.3,1e+150\n"
+    assert (tmp_path / "t.json").read_bytes() == (
+        b'[\n  {\n    "int": 7,\n    "none": null,\n    "one": 1.0,\n'
+        b'    "sum": 0.3,\n    "big": 1e+150\n  }\n]\n'
+    )
+
+
 def test_json_records(tmp_path):
     out = tmp_path / "spec.json"
     rc = cli.main(["spectrum", "--n", "0..2", "--format", "json", "--out", str(out)])
@@ -282,8 +300,20 @@ def test_reruns_are_byte_identical(tmp_path):
     ["thermo", "--tol", "-1e-9"],
     ["compare", "--method", "em"],
     ["wavefunction", "--q", "0"],
+    # A config-file value goes through the same checks as the flag; the
+    # entry after --config is the file's text.
+    ["thermo", "--config", "scale = foo"],
+    ["thermo", "--config", "steps = 1"],
+    ["thermo", "--config", "tol = nan"],
+    ["spectrum", "--config", "n = 2..x"],
+    ["compare", "--config", "method = em"],
 ])
-def test_usage_errors_exit_2(argv):
+def test_usage_errors_exit_2(argv, tmp_path):
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(argv[at] + "\n", encoding="utf-8")
+        argv = argv[:at] + [str(cfg)] + argv[at + 1:]
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2

@@ -325,15 +325,30 @@ def test_sweep_reports_non_finite_points_as_errors():
         direct = thermo.sweep("direct", grid, 1.0, tol=1e-10)
         both = thermo.sweep("both", grid, 1.0, tol=1e-10)
         em = thermo.sweep("em", grid, 1.0)
-    # mbar = 1e150 still fits the direct route; the closed form's mbar^2 * Z'
-    # overflows there, so its U is not finite.
-    assert direct.errors[0] is None
-    assert all(math.isfinite(c[0]) for c in (direct.Z_direct, direct.F, direct.U, direct.C))
-    for cols in (both, em):
-        assert isinstance(cols.errors[0], DomainError)
+    # mbar = 1e150 still fits both routes (Z ~ 1e300); only mbar = 1e300
+    # overflows.
+    for cols in (direct, both, em):
+        assert cols.errors[0] is None
+        assert all(math.isfinite(c[0]) for c in (cols.F, cols.U, cols.C))
+        assert math.isclose(cols.C[0], 2.0, rel_tol=1e-4)
     for cols in (direct, both, em):
         assert isinstance(cols.errors[1], DomainError)
         assert "not finite" in str(cols.errors[1])
+
+
+def test_em_route_is_finite_up_to_the_overflow_of_z():
+    # U and C come from Z'/Z and Z''/Z, so no intermediate overflows before
+    # Z ~ q*mbar^2 itself does (past mbar ~ 1e154).
+    grid = np.geomspace(1e30, 1e150, 25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = thermo.sweep("em", grid, 1.0)
+        point = thermo.thermal_functions("em", 1e150, 1.0)
+    assert cols.errors == (None,) * grid.size
+    assert np.allclose(cols.U, 2.0 * grid, rtol=1e-12)
+    assert np.allclose(cols.C, 2.0, rtol=1e-12)
+    assert (point.Z, point.U, point.C) == (cols.Z_em[-1], cols.U[-1], cols.C[-1])
+    assert thermo.partition_em(1e110, 1.0).Z == pytest.approx(1e220, rel=1e-12)
 
 
 def test_partition_direct_domain():
@@ -376,6 +391,9 @@ def test_partition_em_domain():
         thermo.partition_em(0.0, 1.0)
     with pytest.raises(DomainError):
         thermo.partition_em(1.0, -2.0)
+    # Below its validity range the closed form is negative (Z = -113 here).
+    with pytest.raises(DomainError, match="non-positive at mbar=0.01"):
+        thermo.partition_em(0.01, 1.0)
 
 
 def test_partition_em_at_least_half_on_validated_domain():
