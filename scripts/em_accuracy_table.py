@@ -7,6 +7,7 @@ column never loses to order-1 by more than noise on the sampled grid.
 """
 
 import argparse
+import itertools
 import math
 
 import numpy as np
@@ -27,17 +28,17 @@ def main() -> None:
 
     print(f"{'q':>5} {'mbar':>9} {'Z_direct':>16} {'rel_err_o1':>12} {'rel_err_o2':>12}")
     worse = 0
-    for q in q_values:
-        # One batched direct sum over the whole grid per q.
-        cols = thermo.sweep("both", grid, q, tol=1e-13)
-        for mbar, z, err in zip(grid.tolist(), cols.Z_direct.tolist(), cols.errors):
-            if math.isnan(z):
-                raise err
-            e1 = abs(thermo.partition_em(mbar, q, thermo.EMConfig(order=1)).Z - z) / z
-            e2 = abs(thermo.partition_em(mbar, q, thermo.EMConfig(order=2)).Z - z) / z
-            if e2 > e1 * 1.01:
-                worse += 1
-            print(f"{q:>5g} {mbar:>9.4g} {z:>16.10g} {e1:>12.3e} {e2:>12.3e}")
+    # One batched direct sum over every (q, mbar) point, q-major.
+    cols = thermo.sweep("both", grid, q_values, tol=1e-13)
+    points = itertools.product(q_values, grid.tolist())
+    for (q, mbar), z, err in zip(points, cols.Z_direct.tolist(), cols.errors):
+        if math.isnan(z):
+            raise err
+        e1 = abs(thermo.partition_em(mbar, q, thermo.EMConfig(order=1)).Z - z) / z
+        e2 = abs(thermo.partition_em(mbar, q, thermo.EMConfig(order=2)).Z - z) / z
+        if e2 > e1 * 1.01:
+            worse += 1
+        print(f"{q:>5g} {mbar:>9.4g} {z:>16.10g} {e1:>12.3e} {e2:>12.3e}")
 
     def check(label, ok):
         print(("[PASS] " if ok else "[FAIL] ") + label)

@@ -337,31 +337,39 @@ def run_wavefunction(cfg: RunConfig) -> int:
     return 0
 
 
-def run_sweep(cfg: RunConfig) -> int:
-    """The thermo and compare commands; compare adds the terms_direct column."""
-    include_terms = cfg.command == "compare"
-    em_cfg = thermo.EMConfig(order=cfg.em_order)
-    mbars = cfg.grid.tolist()
-    header = SWEEP_HEADER + (("terms_direct",) if include_terms else ())
-    blank = (None,) * (len(header) - 2)
+def _sweep_rows(cfg: RunConfig, include_terms: bool) -> tuple[list[tuple], list[str]]:
+    # The table rows of a sweep, and a message per failed point.  The
+    # sweep's columns are dropped on return, before the table is written.
+    blank = (None,) * (len(SWEEP_HEADER) - 2 + include_terms)
     rows: list[tuple] = []
     errors: list[str] = []
-    for q in cfg.q_list:
-        cols = thermo.sweep(cfg.method, cfg.grid, q, em_cfg, cfg.tol)
-        rel = None
-        if cols.Z_direct is not None and cols.Z_em is not None:
-            with np.errstate(invalid="ignore"):  # inf - inf on a failed point
-                rel = np.abs(cols.Z_direct - cols.Z_em) / cols.Z_direct
-        columns = (cols.Z_direct, cols.Z_em, cols.F, cols.U, cols.C, rel)
-        columns += (cols.terms,) if include_terms else ()
-        values = [itertools.repeat(None) if c is None else c.tolist() for c in columns]
-        for mbar, err, *point in zip(mbars, cols.errors, *values):
+    # One sweep over every q; its columns are q-major, like the table.
+    em_cfg = thermo.EMConfig(order=cfg.em_order)
+    cols = thermo.sweep(cfg.method, cfg.grid, cfg.q_list, em_cfg, cfg.tol)
+    rel = None
+    if cols.Z_direct is not None and cols.Z_em is not None:
+        with np.errstate(invalid="ignore"):  # inf - inf on a failed point
+            rel = np.abs(cols.Z_direct - cols.Z_em) / cols.Z_direct
+    columns = (cols.Z_direct, cols.Z_em, cols.F, cols.U, cols.C, rel)
+    columns += (cols.terms,) if include_terms else ()
+    mbars = cfg.grid.tolist()
+    for j, q in enumerate(cfg.q_list):
+        part = slice(j * len(mbars), (j + 1) * len(mbars))
+        values = [itertools.repeat(None) if c is None else c[part].tolist() for c in columns]
+        for mbar, err, *point in zip(mbars, cols.errors[part], *values):
             if err is None:
                 rows.append((mbar, q, *point))
             else:
                 rows.append((mbar, q) + blank)
                 errors.append(f"mbar={mbar!r} q={q!r}: {err}")
+    return rows, errors
 
+
+def run_sweep(cfg: RunConfig) -> int:
+    """The thermo and compare commands; compare adds the terms_direct column."""
+    include_terms = cfg.command == "compare"
+    header = SWEEP_HEADER + (("terms_direct",) if include_terms else ())
+    rows, errors = _sweep_rows(cfg, include_terms)
     write_table(cfg.output_path, header, rows, cfg.output_format)
     print(f"wrote {cfg.output_path} ({len(rows)} rows)")
 

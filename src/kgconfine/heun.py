@@ -97,17 +97,16 @@ class Evaluation(NamedTuple):
 
 def _coefficients(hp: HeunParams, n_terms: int, a0: float = 1.0) -> np.ndarray:
     """First ``n_terms + 1`` series coefficients a_0..a_{n_terms}."""
-    a = np.zeros(n_terms + 1)
-    a[0] = a0
-    if n_terms == 0:
-        return a
-    K = hp.K
-    a[1] = K * a0 / (1.0 + hp.c1)
-    for k in range(1, n_terms):
-        a[k + 1] = ((hp.c2 * k + K) * a[k] + (2.0 * k + hp.c1 - hp.c3) * a[k - 1]) / (
-            (k + 1.0) * (k + 1.0 + hp.c1)
-        )
-    return a
+    # The recurrence runs on Python floats, which round exactly as float64
+    # array elements do and cost less per step.
+    a = [float(a0)]
+    if n_terms > 0:
+        K, c1, c2, c3 = hp.K, hp.c1, hp.c2, hp.c3
+        a.append(K * a[0] / (1.0 + c1))
+        for k in range(1, n_terms):
+            a.append(((c2 * k + K) * a[k] + (2.0 * k + c1 - c3) * a[k - 1])
+                     / ((k + 1.0) * (k + 1.0 + c1)))
+    return np.array(a)
 
 
 def _detect_termination(coeffs: np.ndarray) -> bool:
@@ -263,13 +262,13 @@ def evaluate_on_grid(hp: HeunParams, ys: np.ndarray, tol: float = 1e-12) -> np.n
 
 
 def _polyval(coeffs: np.ndarray, y):
-    # Horner evaluation, scalar or vectorized.
-    result = np.zeros_like(np.asarray(y, dtype=float))
-    for a in coeffs[::-1]:
-        result = result * y + a
-    if np.ndim(y) == 0:
-        return float(result)
-    return result
+    # Horner evaluation, scalar or vectorized, updating one array in place.
+    y = np.asarray(y, dtype=float)
+    result = np.zeros_like(y)
+    for a in coeffs[::-1].tolist():
+        np.multiply(result, y, out=result)
+        np.add(result, a, out=result)
+    return float(result) if result.ndim == 0 else result
 
 
 def ode_residual(hp: HeunParams, sol: SeriesSolution, y: float) -> float:

@@ -10,10 +10,13 @@ so the direct sum starts at 1 and the internal energy U is the mean
 excitation energy <E - E_0>.  Two evaluation routes are kept deliberately
 separate.  The direct route sums an exact head of levels plus a tail with a
 rigorous bound (see ``partition_direct``), so its cost does not grow with
-mbar.  One kernel evaluates it for a whole vector of temperatures at once;
-``sweep`` runs a grid of one q through it, and ``partition_direct`` and
-``thermal_functions`` are one-point calls into the same code.  The
-closed-form route is the Euler-MacLaurin truncation from n = 0
+mbar.  With y = (E - E_0)/(k_B T) it sums the moments
+M_k = sum_n y_n^k exp(-y_n): Z = M_0, U/eps = mbar M_1/M_0 and
+C/k_B = M_2/M_0 - (M_1/M_0)^2, each moment with its own bounded tail.  One
+kernel evaluates it for every (q, mbar) point of a sweep at once; ``sweep``
+runs a whole grid of one or more q through it, and ``partition_direct``
+(Z alone) and ``thermal_functions`` are one-point calls into the same code.
+The closed-form route is the Euler-MacLaurin truncation from n = 0
 
     Z(mbar) = 1/2 + (2 mbar^2/sigma1) (1 + sqrt(sigma2)/mbar)
               + sigma1/(24 mbar sqrt(sigma2))
@@ -28,9 +31,10 @@ heat capacity per k_B.  A value that overflows (Z ~ q*mbar^2 does past mbar
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -51,12 +55,6 @@ _BLOCK = 1 << 16
 # b*sigma1/(2*E_N) <= DIRECT_EM_MAX_STEP; both keep the B8 remainder term tiny.
 DIRECT_EM_MIN_N = 32
 DIRECT_EM_MAX_STEP = 0.125
-# Step (in ln mbar) and tolerance for the finite-difference derivatives used
-# by the direct-source thermal functions.
-FD_STEP = 1e-4
-FD_TOL = 1e-14
-# Offsets, in units of FD_STEP, of the five-point ln-mbar stencil.
-_STENCIL = (-2, -1, 0, 1, 2)
 
 
 class Source(enum.Enum):
@@ -97,7 +95,7 @@ class ThermoPoint:
 
 @dataclass(frozen=True)
 class SweepColumns:
-    """Thermal functions of one q over an mbar grid, one entry per point.
+    """Thermal functions of a sweep, one entry per (q, mbar) point, q-major.
 
     Columns a sweep does not compute are None.  A point that failed holds
     NaN or the overflowed value in the columns it could not compute, and its
@@ -145,12 +143,14 @@ def closed_integral(beta1: float, beta2: float, beta3: float) -> float:
     return (2.0 / (beta1**2 * beta2)) * math.exp(-beta1 * root) * (1.0 + beta1 * root)
 
 
-def _tail_integral(b, s1: float, s2: float, n: float):
-    # integral_n^inf exp(-b*(sqrt(s1*x+s2)-sqrt(s2))) dx, the closed_integral
-    # algebra written relative to the ground state so it cannot overflow; b
-    # may be an array.
-    u = math.sqrt(s1 * n + s2)
-    return (2.0 / (b * b * s1)) * np.exp(-b * (u - math.sqrt(s2))) * (1.0 + b * u)
+def _derivative_weights(m: int) -> list[int]:
+    # (m-1+k)!/(k!(m-1-k)!) for k < m: the weight of t^k r^(m-k) in the m-th
+    # n-derivative of the summand (see _summand_derivative).
+    weights, weight = [], 1
+    for k in range(m):
+        weights.append(weight)
+        weight = weight * (m + k) * (m - 1 - k) // (k + 1)
+    return weights
 
 
 def _summand_derivative(m: int, r, t: float, fx):
@@ -167,79 +167,231 @@ def _summand_derivative(m: int, r, t: float, fx):
     arrays (one entry per inverse temperature b).
     """
     acc = 0.0
-    weight = 1
-    for k in range(m):
+    for k, weight in enumerate(_derivative_weights(m)):
         acc = acc * r + weight * t**k
-        weight = weight * (m + k) * (m - 1 - k) // (k + 1)
     return (-1) ** m * fx * (acc * r)
 
 
-def _em_tail(b: np.ndarray, s1: float, s2: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Euler-MacLaurin value of sum_{k >= n} of the ground-state-referenced
-    # summand through the B6 correction, and the first omitted (B8) term,
-    # which bounds the remainder because the summand is completely monotone.
+# Orders of the n-derivatives the Euler-MacLaurin tail needs: 1, 3 and 5 for
+# its B2..B6 corrections and 7 for its remainder bound, with their factors
+# B_{2i}/(2i)!.
+_EM_ORDERS = (1, 3, 5, 7)
+_EM_FACTORS = tuple(BERNOULLI[i] / math.factorial(2 * i) for i in (1, 2, 3, 4))
+
+
+@functools.cache
+def _horner_table(moments: int) -> tuple[np.ndarray, np.ndarray]:
+    """Horner coefficients of every polynomial in r that the Euler-MacLaurin
+    tails of ``moments`` moments need, as (W, P): the coefficient of r^p in
+    column c is W[7 - p, c] * t**P[7 - p, c] (highest power first; zero above
+    the column's order).
+
+    Column (m, j), for m in _EM_ORDERS and j < moments, is
+    R_mj(r) = sum_p p!/(p-j)! c_p r^p, where sum_p c_p r^p is the polynomial
+    of ``_summand_derivative`` (c_p = weight_k t^k with k = m - p), so R_m0
+    is that polynomial itself.  moments - 1 more copies of column (7, 0)
+    serve the remainder bounds of moments 1, 2, ...
+    """
+    columns = [(m, j) for m in _EM_ORDERS for j in range(moments)]
+    columns += [(7, 0)] * (moments - 1)
+    W = np.zeros((7, len(columns)))
+    P = np.zeros((7, len(columns)), dtype=np.intp)
+    for c, (m, j) in enumerate(columns):
+        for k, weight in enumerate(_derivative_weights(m)):
+            W[7 - m + k, c] = weight * math.perm(m - k, j)
+            P[7 - m + k, c] = k
+    W.setflags(write=False)
+    P.setflags(write=False)
+    return W, P
+
+
+def _moment_integrals(pref, fx, z, bu, be0, moments: int) -> list:
+    """integral_n^inf (b v)^k exp(-b v) dn / (k+1)! for every k < moments, at
+    a level n where z = b v(n), fx = exp(-z), bu = b E(n), be0 = b E_0 and
+    pref = 2/(b^2 sigma1).
+
+    With dn = (2E/sigma1) dE and y = b v the integral is
+    pref * [Gamma(k+2, z) + b E_0 Gamma(k+1, z)], and for integer m
+    Gamma(m+1, z) = m! e^{-z} e_m(z) with e_m(z) = sum_{j<=m} z^j/j!, so the
+    scaled integral is pref * fx * (e_{k+1} + b E_0 e_k/(k+1)), a sum of
+    positive terms.  The k = 0 integral is written pref * fx * (1 + bE).
+    """
+    out = [pref * fx * (1.0 + bu)]
+    e_prev, e, term = 1.0, 1.0 + z, z
+    for k in range(1, moments):
+        term = term * z / (k + 1)
+        e_prev, e = e, e + term
+        out.append(pref * fx * (e + be0 * e_prev / (k + 1)))
+    return out
+
+
+def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int):
+    """Euler-MacLaurin value of sum_{n' >= n} (b v)^k exp(-b v) / (k+1)!
+    through the B6 correction, for every row and k < moments, with a bound on
+    its remainder.  Returns (tails, bounds), each of shape (moments, rows).
+
+    The m-th n-derivative of f_0 = exp(-b v) is -fx Q_m(r) for odd m
+    (``_summand_derivative``, r = a b).  The k-th summand is
+    b^k f_k = b^k (-d/db)^k f_0, and d/db reaches Q_m through r, so
+
+        (b^k f_k)^(m) = -fx sum_{j<=k} C(k, j) (-1)^j z^(k-j) R_mj(r)
+
+    with z = b v(n) and R_mj from ``_horner_table``.  The remainder after
+    the B6 correction obeys |R| <= 2|B8|/8! integral_n^inf |g^(8)| (DLMF
+    2.10.1, with |B8(x - floor x)| <= |B8|).
+
+    * k = 0: f_0 is completely monotone in n, so R lies between 0 and the
+      first omitted term B8/8! f_0^(7)(n), whose size is the bound.
+    * k >= 1: f_k is not completely monotone.  As a function of complex
+      beta, f_0^(8)(n; beta) = exp(-beta v) P(beta), with P a polynomial of
+      degrees 1..8 whose coefficients are positive.  On the circle
+      |beta - b| = rho < b, |exp(-beta v)| <= exp(-(b - rho) v) and
+      |P(beta)| <= P(b + rho) <= ((b + rho)/(b - rho))^8 P(b - rho), so
+      Cauchy's estimate gives
+      |f_k^(8)(n; b)| <= k! rho^-k ((b + rho)/(b - rho))^8 f_0^(8)(n; b - rho),
+      and, f_0(.; b - rho) being completely monotone,
+      integral_n^inf f_0^(8)(n'; b - rho) dn' = |f_0^(7)(n; b - rho)|.  With
+      rho = theta b the bound on the moment's remainder is
+      2|B8|/8! k! theta^-k ((1 + theta)/(1 - theta))^8
+      exp(-(1 - theta) z) Q_7((1 - theta) r).  It holds for every theta in
+      (0, 1); theta = k/(12 + z) keeps it near its smallest.
+    """
     x = s1 * n + s2
-    fx = np.exp(-b * (math.sqrt(x) - math.sqrt(s2)))
-    r = b * s1 / (2.0 * math.sqrt(x))
-    t = s1 / (4.0 * x)
-    tail = _tail_integral(b, s1, s2, n) + 0.5 * fx
-    correction = [
-        BERNOULLI[i] / math.factorial(2 * i) * _summand_derivative(2 * i - 1, r, t, fx)
-        for i in (1, 2, 3, 4)
-    ]
-    return tail - sum(correction[:3]), np.abs(correction[3])
+    root = np.sqrt(x)
+    # Powers of t as float ** int, as _summand_derivative forms them, so the
+    # Z tail agrees with that formula bit for bit.
+    powers = np.array([[t**k for k in range(7)] for t in (s1 / (4.0 * x)).tolist()])
+    W, P = _horner_table(moments)
+    coef = W[:, :, None] * powers.T[P]  # (7, columns, q)
+    s1r, rootr = s1[which], root[which]
+    z = b * (root - e0)[which]
+    fx = np.exp(-z)
+    r = b * s1r / (2.0 * rootr)
+    theta = np.arange(1, moments)[:, None] / (12.0 + z)
+    orders = len(_EM_ORDERS)
+    rr = np.empty((W.shape[1], b.size))
+    rr[:orders * moments] = r
+    rr[orders * moments:] = (1.0 - theta) * r
+    acc = coef[0][:, which]
+    for i in range(1, 7):
+        acc = acc * rr + coef[i][:, which]
+    acc = acc * rr
+    R = acc[:orders * moments].reshape(orders, moments, -1)
+    polys = []  # sum_j C(k, j) (-1)^j z^(k-j) R_mj, by Horner's rule in z
+    for k in range(moments):
+        poly = R[:, 0]
+        for j in range(1, k + 1):
+            poly = poly * z + math.comb(k, j) * (-1) ** j * R[:, j]
+        polys.append(poly)
+    ks = np.arange(moments)[:, None]
+    inv = np.array([1.0 / math.factorial(k + 1) for k in range(moments)])[:, None]
+    corrections = np.array(_EM_FACTORS)[:, None] * (-fx * np.array(polys)) * inv[:, :, None]
+    integrals = _moment_integrals(2.0 / (b * b * s1r), fx, z, b * rootr, b * e0[which], moments)
+    tails = np.array(integrals) + 0.5 * (fx * z**ks) * inv - (
+        corrections[:, 0] + corrections[:, 1] + corrections[:, 2])
+    bounds = np.empty_like(tails)
+    bounds[0] = np.abs(corrections[0, 3])
+    k = ks[1:]  # k!/(k+1)! = 1/(k+1) for the moments scaled by 1/(k+1)!
+    bounds[1:] = (2.0 * abs(_EM_FACTORS[3]) / (k + 1) * theta**-k
+                  * ((1.0 + theta) / (1.0 - theta)) ** 8
+                  * np.exp(-(1.0 - theta) * z) * acc[orders * moments:])
+    return tails, bounds
+
+
+def _add_levels(sums: np.ndarray, b: np.ndarray, which: np.ndarray, live: np.ndarray,
+                s1, s2, e0, lo: int, hi: int) -> None:
+    # Add levels lo..hi-1 to the moment sums of every live row.  The rows of
+    # one q are consecutive; the level ladder v of each q with live rows is
+    # computed once, for groups of q whose ladders fill about _BLOCK
+    # elements, and the rows' exp(-b*v) go in blocks of at most _BLOCK.
+    levels = np.arange(lo, hi, dtype=float)
+    q_live = which[live]
+    first = np.flatnonzero(np.r_[True, q_live[1:] != q_live[:-1]])  # first live row of each q
+    step = max(1, _BLOCK // levels.size)
+    for g in range(0, first.size, step):
+        qs = q_live[first[g:g + step]]
+        v = np.sqrt(s1[qs, None] * levels + s2[qs, None]) - e0[qs, None]
+        end = first[g + step] if g + step < first.size else live.size
+        rows = live[first[g]:end]
+        at = np.searchsorted(qs, q_live[first[g]:end])
+        for i in range(0, rows.size, step):
+            block = rows[i:i + step]
+            y = v[at[i:i + step]]
+            y *= b[block, None]
+            w = np.negative(y)
+            np.exp(w, out=w)
+            sums[0, block] += np.sum(w, axis=1)
+            for k in range(1, sums.shape[0]):
+                w *= y
+                sums[k, block] += np.sum(w, axis=1) / math.factorial(k + 1)
 
 
 @np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite Z
 def _direct_sums(
-    b: np.ndarray, tol: float, s1: float, s2: float
+    b: np.ndarray, which: np.ndarray, s1: np.ndarray, s2: np.ndarray, tol: float, moments: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The direct-sum kernel: sum_n exp(-b*(E_n - E_0)/eps) for every b.
+    """The direct-sum kernel: M_k = sum_n (b v_n)^k exp(-b v_n) for k < moments
+    and every row, with v_n = (E_n - E_0)/eps.
 
-    Every row follows the chunk schedule of 32, 64, 128, ... levels, so each
-    round computes the levels' excitation energies once and sums
-    exp(-b*v) over the rows still active, in blocks of at most _BLOCK
-    elements.  After the round a row stops at the first of the two tests in
-    ``partition_direct`` that it passes.  Returns (Z, terms, tail_bound,
-    converged); a row that ran past DIRECT_N_MAX levels holds its partial
-    sum in Z and has converged False.
+    Row i has inverse temperature b[i] and the levels of the q numbered
+    which[i] (constants s1[which[i]], s2[which[i]]); ``which`` is
+    non-decreasing.  M_0 is Z, and M_1/M_0 = <b v>, M_2/M_0 = <(b v)^2> give
+    U and C.  The kernel keeps M_k/(k+1)!, which tends to Z from below at
+    high temperature, so no moment overflows before Z does.  Every row
+    follows the chunk schedule of 32, 64, 128, ... levels.  After each round
+    a row's moment k passes the first of these tests that it meets, and the
+    row stops once every moment has passed:
+
+    * the summand (b v)^k exp(-b v) decreases from level N - 1 on (always
+      for k = 0, from b v_{N-1} >= k for k >= 1), so the unsummed levels add
+      up to less than its integral from N - 1, and that integral is at most
+      ``tol`` times the partial sum: the moment is the exact partial sum;
+    * the summand is smooth on unit spacing (N >= 32 and
+      b*s1/(2*E_N) <= 1/8) and the bound on the Euler-MacLaurin remainder
+      (``_em_tails``) is at most ``tol`` times the sum: the moment is the
+      partial sum plus the tail from level N through the B6 correction.
+
+    Returns (sums, terms, bounds, converged): sums[k] is M_k/(k+1)! and
+    bounds[k] the absolute bound that stopped it, both of shape
+    (moments, rows).  A row that ran past DIRECT_N_MAX levels holds its
+    partial sums and has converged False.
     """
-    e0 = math.sqrt(s2)
-    z = np.zeros(b.size)
+    e0 = np.sqrt(s2)
+    sums = np.zeros((moments, b.size))
+    bounds = np.zeros((moments, b.size))
     terms = np.zeros(b.size, dtype=np.int64)
-    bound = np.zeros(b.size)
+    ks = np.arange(moments)[:, None]
     live = np.arange(b.size)
     n_done = 0
     chunk = DIRECT_EM_MIN_N  # so every Euler-MacLaurin check has N >= DIRECT_EM_MIN_N
     while live.size and n_done <= DIRECT_N_MAX:
         hi = min(n_done + chunk, DIRECT_N_MAX + 1)
-        v = np.sqrt(s1 * np.arange(n_done, hi, dtype=float) + s2) - e0
-        step = max(1, _BLOCK // v.size)
-        for i in range(0, live.size, step):
-            rows = live[i:i + step]
-            z[rows] += np.sum(np.exp(-b[rows, None] * v), axis=1)
+        _add_levels(sums, b, which, live, s1, s2, e0, n_done, hi)
         n_done = hi
-        bl, total = b[live], z[live]
-        # The summand decreases in n, so the unsummed levels add up to less
-        # than the integral from n_done - 1.
-        row_bound = _tail_integral(bl, s1, s2, n_done - 1)
-        stop = row_bound < tol * total
-        smooth = ~stop & (bl * s1 <= 2.0 * DIRECT_EM_MAX_STEP * math.sqrt(s1 * n_done + s2))
+        bl, ql = b[live], which[live]
+        total = sums[:, live]
+        u = np.sqrt(s1 * (n_done - 1) + s2)
+        z = bl * (u - e0)[ql]
+        row_bound = np.array(_moment_integrals(
+            2.0 / (bl * bl * s1[ql]), np.exp(-z), z, bl * u[ql], bl * e0[ql], moments))
+        ok = (row_bound <= tol * total) & (z >= ks)
+        stop = ok.all(axis=0)
+        smooth = ~stop & (bl * s1[ql] <= 2.0 * DIRECT_EM_MAX_STEP * np.sqrt(s1 * n_done + s2)[ql])
         if smooth.any():
             em = np.flatnonzero(smooth)
-            tail, em_bound = _em_tail(bl[em], s1, s2, n_done)
-            accept = em_bound < tol * (total[em] + tail)
-            em = em[accept]
-            total[em] += tail[accept]
-            row_bound[em] = em_bound[accept]
-            stop[em] = True
+            tail, em_bound = _em_tails(n_done, bl[em], ql[em], s1, s2, e0, moments)
+            accept = ~ok[:, em] & (em_bound <= tol * (total[:, em] + tail))
+            total[:, em] += np.where(accept, tail, 0.0)
+            row_bound[:, em] = np.where(accept, em_bound, row_bound[:, em])
+            ok[:, em] |= accept
+            stop = ok.all(axis=0)
         done = live[stop]
-        z[done] = total[stop]
+        sums[:, done] = total[:, stop]
         terms[done] = n_done
-        bound[done] = row_bound[stop]
+        bounds[:, done] = row_bound[:, stop]
         live = live[~stop]
         chunk = min(chunk * 2, 1 << 20)
-    return z, terms, bound, terms > 0
+    return sums, terms, bounds, terms > 0
 
 
 def _truncation_failure(mbar: float, q: float, partial_sum: float) -> TruncationFailure:
@@ -258,12 +410,31 @@ def _not_finite(mbar: float, q: float) -> DomainError:
     )
 
 
-def _flag_not_finite(errors: list, mbar: np.ndarray, q: float, *columns: np.ndarray) -> None:
+class _Rows(NamedTuple):
+    """Sweep points in q-major order: point i is (mbar[i], qs[which[i]])."""
+
+    mbar: np.ndarray
+    which: np.ndarray  # non-decreasing index into qs
+    qs: tuple[float, ...]
+
+    def q(self, i: int) -> float:
+        return self.qs[self.which[i]]
+
+    def constants(self) -> tuple[np.ndarray, np.ndarray]:
+        # sigma1 and sigma2 of each q, as arrays over qs.
+        return tuple(np.array([sigma_constants(q) for q in self.qs]).T)
+
+
+def _point(mbar: float, q: float) -> _Rows:
+    return _Rows(np.array([float(mbar)]), np.zeros(1, dtype=np.intp), (q,))
+
+
+def _flag_not_finite(errors: list, rows: _Rows, *columns: np.ndarray) -> None:
     # A point that has not failed otherwise but holds an infinite or NaN value.
     finite = np.logical_and.reduce([np.isfinite(c) for c in columns])
     for i in np.flatnonzero(~finite):
         if errors[i] is None:
-            errors[i] = _not_finite(float(mbar[i]), q)
+            errors[i] = _not_finite(float(rows.mbar[i]), rows.q(i))
 
 
 def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
@@ -273,11 +444,11 @@ def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
     After each chunk, with N levels summed, the sum stops at the first test
     that passes:
 
-    * the integral bound on the unsummed levels is below ``tol`` times the
+    * the integral bound on the unsummed levels is at most ``tol`` times the
       partial sum: Z is the exact partial sum;
     * the summand is smooth on unit spacing (N >= 32 and
       b*sigma1/(2*E_N) <= 1/8, b = 1/mbar) and the first omitted
-      Euler-MacLaurin term |B8/8! f^(7)(N)| is below ``tol`` times Z: Z is
+      Euler-MacLaurin term |B8/8! f^(7)(N)| is at most ``tol`` times Z: Z is
       the partial sum plus the Euler-MacLaurin tail from level N through the
       B6 correction.  The summand is completely monotone in n, so the tail's
       remainder lies between 0 and that omitted term.
@@ -289,7 +460,7 @@ def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
     is a one-point call into the columns that ``sweep`` computes over a grid.
     """
     _check_point(mbar, q, tol)
-    cols = _direct_columns(np.array([float(mbar)]), q, tol, derivatives=False)
+    cols = _direct_columns(_point(mbar, q), tol, moments=1)
     if cols.errors[0] is not None:
         raise cols.errors[0]
     return ThermoPoint(
@@ -362,19 +533,21 @@ def euler_maclaurin_sum(
     return total
 
 
-def _em_z_and_derivatives(
-    mbar: np.ndarray, q: float, order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _em_z_and_derivatives(rows: _Rows, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Closed-form Z(mbar) of the truncation plus its first two mbar
-    # derivatives, used for the analytic thermal functions.  On arrays, a
-    # power of mbar past the float range becomes inf instead of raising.
-    s1, s2 = sigma_constants(q)
-    root = math.sqrt(s2)
+    # derivatives, used for the analytic thermal functions.  A power of mbar
+    # past the float range becomes inf instead of raising.
+    consts = rows.constants()
+    s1, s2 = (c[rows.which] for c in consts)
+    mbar = rows.mbar
+    root = np.sqrt(s2)
     z = 0.5 + (2.0 / s1) * (mbar**2 + root * mbar) + (s1 / (24.0 * root)) / mbar
     zp = (2.0 / s1) * (2.0 * mbar + root) - (s1 / (24.0 * root)) / mbar**2
     zpp = 4.0 / s1 + (s1 / (12.0 * root)) / mbar**3
     if order >= 2:
-        k = s1**3 / (5760.0 * s2**2.5)
+        # float ** float per q, so every point gets the constant that a
+        # scalar evaluation of the closed form would.
+        k = np.array([c1**3 / (5760.0 * c2**2.5) for c1, c2 in zip(*consts)])[rows.which]
         z -= k * (3.0 / mbar + 3.0 * root / mbar**2 + s2 / mbar**3)
         zp += k * (3.0 / mbar**2 + 6.0 * root / mbar**3 + 3.0 * s2 / mbar**4)
         zpp -= k * (6.0 / mbar**3 + 18.0 * root / mbar**4 + 12.0 * s2 / mbar**5)
@@ -389,22 +562,23 @@ def partition_em(mbar: float, q: float, cfg: EMConfig = EMConfig()) -> ThermoPoi
     raises DomainError.
     """
     _check_point(mbar, q, 1.0)
-    cols = _em_columns(np.array([float(mbar)]), q, cfg.order)
+    cols = _em_columns(_point(mbar, q), cfg.order)
     if cols.errors[0] is not None:
         raise cols.errors[0]
     return ThermoPoint(mbar=mbar, Z=float(cols.Z_em[0]), method=Source.EM.value)
 
 
 @np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite value
-def _em_columns(mbar: np.ndarray, q: float, order: int) -> SweepColumns:
-    # The closed form and its exact derivatives at every mbar; a point where
+def _em_columns(rows: _Rows, order: int) -> SweepColumns:
+    # The closed form and its exact derivatives at every point; a point where
     # the truncation is non-positive has left its validity range.
-    z, zp, zpp = _em_z_and_derivatives(mbar, q, order)
+    z, zp, zpp = _em_z_and_derivatives(rows, order)
+    mbar = rows.mbar
     valid = z > 0.0
     errors = [None] * mbar.size
     for i in np.flatnonzero(~valid):
         errors[i] = DomainError(
-            f"EM truncation is non-positive at mbar={float(mbar[i])!r}, q={q!r}; "
+            f"EM truncation is non-positive at mbar={float(mbar[i])!r}, q={rows.q(i)!r}; "
             "outside its validity range"
         )
     z = np.where(valid, z, np.nan)
@@ -416,49 +590,30 @@ def _em_columns(mbar: np.ndarray, q: float, order: int) -> SweepColumns:
     F = -mbar * np.log(z)
     U = mbar * u1
     C = u1 * (2.0 - u1) + u2
-    _flag_not_finite(errors, mbar, q, z, F, U, C)
+    _flag_not_finite(errors, rows, z, F, U, C)
     return SweepColumns(Z_em=z, F=F, U=U, C=C, errors=tuple(errors))
 
 
 @np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite value
-def _direct_columns(mbar: np.ndarray, q: float, tol: float, derivatives: bool) -> SweepColumns:
-    # Direct-sum Z at every mbar and, with ``derivatives``, F, U and C from
-    # the five-point ln-mbar stencil, summed at min(tol, FD_TOL).  The
-    # stencil is batched only for points whose centre converged, so a
-    # failing point costs one sum, not six.
-    s1, s2 = sigma_constants(q)
-    z, terms, bound, converged = _direct_sums(1.0 / mbar, tol, s1, s2)
+def _direct_columns(rows: _Rows, tol: float, moments: int) -> SweepColumns:
+    # Direct-sum Z at every point from one kernel call; with moments = 3 also
+    # F, U = mbar*M1/M0 and C = M2/M0 - (M1/M0)^2 from the same sums.
+    mbar = rows.mbar
+    sums, terms, bounds, converged = _direct_sums(
+        1.0 / mbar, rows.which, *rows.constants(), tol, moments)
     errors = [None] * mbar.size
     for i in np.flatnonzero(~converged):
-        errors[i] = _truncation_failure(float(mbar[i]), q, float(z[i]))
-    z = np.where(converged, z, np.nan)
-    if not derivatives:
-        _flag_not_finite(errors, mbar, q, z)
-        return SweepColumns(Z_direct=z, terms=terms, tail_bound=bound, errors=tuple(errors))
-
-    centre = np.flatnonzero(converged)
-    h = FD_STEP
-    # The stencil's temperatures come from math.exp/math.log, as in the scalar
-    # reference loop of tests/test_thermo.py: numpy's vectorised exp can
-    # differ in the last bit, and C amplifies an ulp of ln Z about 1e8-fold.
-    stencil = np.array(
-        [[math.exp(math.log(m) + j * h) for j in _STENCIL] for m in mbar[centre].tolist()]
-    ).reshape(-1, len(_STENCIL))
-    zs, _, _, ok = _direct_sums(1.0 / stencil.ravel(), min(tol, FD_TOL), s1, s2)
-    zs, ok = zs.reshape(stencil.shape), ok.reshape(stencil.shape)
-    for k in np.flatnonzero(~ok.all(axis=1)):
-        j = int(np.argmin(ok[k]))  # the first stencil sum that failed
-        errors[centre[k]] = _truncation_failure(float(stencil[k, j]), q, float(zs[k, j]))
-    L = np.log(np.where(ok, zs, np.nan)).T
-    lp = np.full(mbar.size, np.nan)
-    lpp = np.full(mbar.size, np.nan)
-    lp[centre] = (8.0 * (L[3] - L[1]) - (L[4] - L[0])) / (12.0 * h)
-    lpp[centre] = (-L[4] + 16.0 * L[3] - 30.0 * L[2] + 16.0 * L[1] - L[0]) / (12.0 * h * h)
-    F, U, C = -mbar * np.log(z), mbar * lp, lp + lpp
-    _flag_not_finite(errors, mbar, q, z, F, U, C)
+        errors[i] = _truncation_failure(float(mbar[i]), rows.q(i), float(sums[0, i]))
+    z = np.where(converged, sums[0], np.nan)
+    if moments == 1:
+        _flag_not_finite(errors, rows, z)
+        return SweepColumns(Z_direct=z, terms=terms, tail_bound=bounds[0], errors=tuple(errors))
+    m1, m2 = sums[1] / z * 2.0, sums[2] / z * 6.0  # <y> and <y^2>
+    F, U, C = -mbar * np.log(z), mbar * m1, m2 - m1 * m1
+    _flag_not_finite(errors, rows, z, F, U, C)
     return SweepColumns(
         Z_direct=z, F=F, U=U, C=C,
-        terms=terms, tail_bound=bound, errors=tuple(errors),
+        terms=terms, tail_bound=bounds[0], errors=tuple(errors),
     )
 
 
@@ -474,18 +629,20 @@ def thermal_functions(
     With t = ln mbar and L(t) = ln Z:  F/eps = -mbar * L,  U/eps = mbar * L',
     and C/k_B = dU/dT = L' + L''  (equivalently k_B beta^2 (-dU/dbeta), which
     is positive since U falls with beta).  The EM source differentiates the
-    closed form exactly; the direct source uses Richardson-extrapolated
-    central differences in ln mbar with step FD_STEP.  This is a one-point
+    closed form exactly.  The direct source needs no derivative: with
+    y = (E - E_0)/(k_B T), L' = <y> and L' + L'' = <y^2> - <y>^2, so
+    U = mbar <y> and C = <y^2> - <y>^2 come from the moment sums
+    M_k = sum_n y_n^k exp(-y_n), k = 0, 1, 2, that the direct-sum kernel
+    adds in one pass, each with its own bounded tail.  This is a one-point
     call into the same columns that ``sweep`` computes over a grid.
     """
     source = Source(source)
     _check_point(mbar, q, tol)
-    grid = np.array([float(mbar)])
     if source is Source.EM:
-        cols = _em_columns(grid, q, cfg.order)
+        cols = _em_columns(_point(mbar, q), cfg.order)
         z = cols.Z_em
     else:
-        cols = _direct_columns(grid, q, tol, derivatives=True)
+        cols = _direct_columns(_point(mbar, q), tol, moments=3)
         z = cols.Z_direct
     if cols.errors[0] is not None:
         raise cols.errors[0]
@@ -500,36 +657,43 @@ def thermal_functions(
 def sweep(
     method: str,
     mbar: np.ndarray,
-    q: float,
+    q,
     cfg: EMConfig = EMConfig(),
     tol: float = 1e-12,
 ) -> SweepColumns:
-    """Thermal sweep of one q over a whole mbar grid, in one batched pass.
+    """Thermal sweep over an mbar grid for one q or a 1-d array of q.
 
-    ``method`` picks the columns:
+    The columns hold one entry per (q, mbar) point, q-major: the whole grid
+    for the first q, then for the next.  ``method`` picks them:
 
-    * ``"direct"``: direct-sum Z with finite-difference F, U and C, as
+    * ``"direct"``: direct-sum Z, F, U and C, as
       ``thermal_functions("direct")`` gives them point by point;
     * ``"em"``: the Euler-MacLaurin closed form's Z, F, U and C;
-    * ``"both"``: the direct-sum Z (no stencil) next to the closed form's
-      Z, F, U and C.
+    * ``"both"``: the direct-sum Z next to the closed form's Z, F, U and C.
 
-    A point that fails keeps NaN in the columns it could not compute and its
+    Every point of a direct sweep is one row of a single kernel call.  A
+    point that fails keeps NaN in the columns it could not compute and its
     error in ``errors``; under ``"both"`` the direct sum's error wins.
     """
     mbar = np.asarray(mbar, dtype=float)
     if mbar.ndim != 1 or mbar.size == 0:
         raise DomainError(f"mbar must be a non-empty 1-d grid, got shape {mbar.shape}")
-    for extreme in (mbar.min(), mbar.max()):
-        _check_point(float(extreme), q, tol)
+    q_grid = np.asarray(q, dtype=float)
+    if q_grid.ndim > 1 or q_grid.size == 0:
+        raise DomainError(f"q must be a number or a non-empty 1-d array, got shape {q_grid.shape}")
+    qs = tuple(q_grid.reshape(-1).tolist())
+    for value in qs:
+        for extreme in (mbar.min(), mbar.max()):
+            _check_point(float(extreme), value, tol)
+    rows = _Rows(np.tile(mbar, len(qs)), np.repeat(np.arange(len(qs)), mbar.size), qs)
     if method == "direct":
-        return _direct_columns(mbar, q, tol, derivatives=True)
+        return _direct_columns(rows, tol, moments=3)
     if method == "em":
-        return _em_columns(mbar, q, cfg.order)
+        return _em_columns(rows, cfg.order)
     if method != "both":
         raise ConfigError(f"method must be 'direct', 'em' or 'both', got {method!r}")
-    direct = _direct_columns(mbar, q, tol, derivatives=False)
-    em = _em_columns(mbar, q, cfg.order)
+    direct = _direct_columns(rows, tol, moments=1)
+    em = _em_columns(rows, cfg.order)
     return SweepColumns(
         Z_direct=direct.Z_direct, Z_em=em.Z_em, F=em.F, U=em.U, C=em.C,
         terms=direct.terms, tail_bound=direct.tail_bound,
@@ -563,10 +727,11 @@ def excitation_moments(
     Moments are Boltzmann-weighted sums over the spectrum with rigorous
     integral tail bounds; the heat capacity follows from the fluctuation
     identity C/k_B = (<v^2> - <v>^2)/mbar^2.  This brute-force sum does not
-    share the direct-sum kernel on purpose: it is the independent reference
-    that the finite-difference heat capacity of ``thermal_functions`` is
-    checked against (acceptance criterion 7), so its cost still grows as
-    q*mbar^2.
+    share the direct-sum kernel on purpose: it adds every level up to the
+    integral bound, with no Euler-MacLaurin tail and in chunks of its own,
+    so it is an independent reference for the kernel's moment sums behind
+    ``thermal_functions("direct")`` (acceptance criterion 7).  Its cost
+    therefore still grows as q*mbar^2.
     """
     _check_point(mbar, q, tol)
     s1, s2 = sigma_constants(q)

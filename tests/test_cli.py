@@ -385,15 +385,15 @@ def test_compare_reports_the_direct_error_first(tmp_path, capsys):
 
 def test_non_finite_sweep_points_fail(tmp_path, capsys):
     # Above mbar ~ 1e154 the direct sum's Z overflows: those rows are blank
-    # and named in warnings, while the finite row at mbar = 1e150 is kept.
+    # and named in warnings, while the finite row at mbar = 1e150 is kept
+    # (U = 2 mbar and C = 2 to every printed digit there).
     out = tmp_path / "thermo.csv"
     rc = cli.main(["thermo", "--method", "direct", "--q", "1", "--mbar-min", "1e150",
                    "--mbar-max", "1e300", "--steps", "4", "--out", str(out)])
     assert rc == 1
     _, rows = read_csv(out)
     assert [rows[0][c] for c in cli.SWEEP_HEADER] == [
-        "1e+150", "1", "1e+300", "", "-6.90775527898e+152", "1.99999999931e+150",
-        "1.99998863062", ""]
+        "1e+150", "1", "1e+300", "", "-6.90775527898e+152", "2e+150", "2", ""]
     assert all(row[c] == "" for row in rows[1:] for c in cli.SWEEP_HEADER[2:])
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 4

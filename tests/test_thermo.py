@@ -6,14 +6,16 @@ Frozen first-run regression constants:
     Z_em(mbar=1, q=1, order=1)       = 3.8246636133081386
 """
 
+import functools
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgconfine import thermo
+from kgconfine import cli, thermo
 from kgconfine.errors import ConfigError, DomainError, TruncationFailure
 
 Z_DIRECT_11 = 3.8243420863368374
@@ -151,10 +153,9 @@ def _first_em_mbar(q):
 
 @pytest.mark.parametrize("mbar", [_first_em_mbar(1.0), 20.0, 100.0])
 def test_thermal_functions_direct_heat_capacity_matches_moments(mbar):
-    # The finite-difference C sits on sums that end in the Euler-MacLaurin
-    # tail (at the first mbar its stencil straddles heads of 96 and 32
-    # levels); it must still match the fluctuation identity from the
-    # brute-force moment sums.
+    # The kernel's C sits on moment sums that end in the Euler-MacLaurin
+    # tail, from the first mbar where that tail is allowed; it must match
+    # the fluctuation identity from the brute-force moment sums.
     q = 1.0
     _, m1, m2 = thermo.excitation_moments(mbar, q, 1e-12)
     c_fluct = (m2 - m1 * m1) / (mbar * mbar)
@@ -165,7 +166,20 @@ def test_thermal_functions_direct_heat_capacity_matches_moments(mbar):
 # ----------------------------------------------- scalar reference loop
 # The direct sum as it was written before the batched kernel: one point, a
 # numpy chunk per round, the tail tests in scalar math.  It is kept here as
-# the reference the kernel must reproduce.
+# the reference the kernel's Z must reproduce, and, through a five-point
+# finite-difference stencil in ln mbar, as an independent check of the
+# kernel's U and C.
+
+# Step (in ln mbar) of the stencil, and the tolerance of the sums under it.
+FD_STEP = 1e-4
+FD_TOL = 1e-14
+# Where Z rounds to about 1, each ln Z of the stencil carries an absolute
+# rounding error of about 2**-52, which the stencil amplifies by at most
+# 18/(12 h) in L' and 64/(12 h^2) in L''.  This is the reference's own
+# error floor: U = mbar L' is compared within FD_FLOOR_U * mbar, and
+# C = L' + L'' within FD_FLOOR_C.
+FD_FLOOR_U = 18 * 2.0**-52 / (12 * FD_STEP)
+FD_FLOOR_C = FD_FLOOR_U + 64 * 2.0**-52 / (12 * FD_STEP**2)
 
 
 def _ref_tail_integral(b, s1, s2, n):
@@ -222,8 +236,8 @@ def _ref_partition_direct(mbar, q, tol):
 def _ref_thermal_direct(mbar, q, tol):
     # (U, C) from the five-point ln-mbar stencil over the reference loop.
     t = math.log(mbar)
-    h = thermo.FD_STEP
-    fd_tol = min(tol, thermo.FD_TOL)
+    h = FD_STEP
+    fd_tol = min(tol, FD_TOL)
     L = [math.log(_ref_partition_direct(math.exp(t + j * h), q, fd_tol)[0])
          for j in (-2, -1, 0, 1, 2)]
     lp = (8.0 * (L[3] - L[1]) - (L[4] - L[0])) / (12.0 * h)
@@ -237,42 +251,147 @@ REFERENCE_MBAR = np.geomspace(0.01, 1e5, 40)
 @pytest.mark.parametrize("tol", [1e-10, 1e-14])
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
 def test_kernel_matches_reference_loop(q, tol):
-    # The kernel evaluates the tail with np.exp and array powers where the
-    # loop used math.exp and float powers, so Z may differ in the last ulps
-    # (1e-14 relative allowed); the finite differences amplify such ulps of
-    # ln Z by 1/h for U and 1/h^2 for C (h = 1e-4), hence 1e-10 and 1e-6.
+    # Z: the kernel evaluates the tail with np.exp and array powers where the
+    # loop used math.exp and float powers, so the Z-only sums, which stop
+    # where the loop does, may differ in the last ulps (1e-14 relative
+    # allowed).  The moment sums may run on past that level; both they and
+    # the loop are within tol of the true Z.  U and C come from the moment
+    # sums, and the stencil over the loop checks them to 1e-10 and 1e-6
+    # relative, or to its own rounding floor where Z is about 1.
+    both = thermo.sweep("both", REFERENCE_MBAR, q, tol=tol)
     cols = thermo.sweep("direct", REFERENCE_MBAR, q, tol=tol)
     for i, mbar in enumerate(REFERENCE_MBAR.tolist()):
         z_ref, terms_ref = _ref_partition_direct(mbar, q, tol)
         point = thermo.partition_direct(mbar, q, tol)
-        assert point.terms == terms_ref == cols.terms[i]
+        assert point.terms == terms_ref == both.terms[i]
         assert math.isclose(point.Z, z_ref, rel_tol=1e-14)
-        assert math.isclose(cols.Z_direct[i], z_ref, rel_tol=1e-14)
+        assert math.isclose(both.Z_direct[i], z_ref, rel_tol=1e-14)
+        assert math.isclose(cols.Z_direct[i], z_ref, rel_tol=2 * tol)
         u_ref, c_ref = _ref_thermal_direct(mbar, q, tol)
         direct = thermo.thermal_functions("direct", mbar, q, tol=tol)
         for u, c in ((direct.U, direct.C), (cols.U[i], cols.C[i])):
-            assert math.isclose(u, u_ref, rel_tol=1e-10)
-            assert math.isclose(c, c_ref, rel_tol=1e-6)
+            assert math.isclose(u, u_ref, rel_tol=1e-10, abs_tol=FD_FLOOR_U * mbar)
+            assert math.isclose(c, c_ref, rel_tol=1e-6, abs_tol=FD_FLOOR_C)
 
 
-def test_failing_centre_skips_its_stencil(monkeypatch):
-    # A point whose centre sum runs into the level cap costs that one sum:
-    # the kernel batches the five stencil sums only for converged centres.
-    batches = []
+def test_one_kernel_call_per_cli_sweep(monkeypatch, tmp_path):
+    # A CLI sweep runs every (q, mbar) point as one row of a single kernel
+    # call, and a point whose sum runs into the level cap costs that one row.
+    calls = []
     kernel = thermo._direct_sums
 
-    def counting(b, tol, s1, s2):
-        batches.append(b.size)
-        return kernel(b, tol, s1, s2)
+    def counting(b, which, s1, s2, tol, moments):
+        calls.append((b.size, moments))
+        return kernel(b, which, s1, s2, tol, moments)
 
     monkeypatch.setattr(thermo, "_direct_sums", counting)
+    for method, moments in (("direct", 3), ("both", 1)):
+        calls.clear()
+        assert cli.main(["thermo", "--method", method, "--q", "0.5,1,1.5", "--steps", "7",
+                         "--out", str(tmp_path / "t.csv")]) == 0
+        assert calls == [(21, moments)]
+    calls.clear()
     cols = thermo.sweep("direct", [0.01, 10**1.5, 1e5], 1.0, tol=1e-300)
-    assert batches == [3, 5]
+    assert calls == [(3, 3)]
     assert cols.errors[0] is None and cols.Z_direct[0] == 1.0
     for i in (1, 2):
         assert isinstance(cols.errors[i], TruncationFailure)
         assert cols.errors[i].n_terms == thermo.DIRECT_N_MAX
         assert math.isnan(cols.Z_direct[i]) and math.isnan(cols.C[i])
+
+
+# ----------------------------------------------- moment sums at 30 digits
+# Points (mbar, q) whose moment sums, at tol = 1e-12, stop on the integral
+# bound (the first two), on the Euler-MacLaurin tail (the next four, two of
+# them after a 96-level head) or on a mix of both (the last: the integral
+# for k = 0, the tail for k >= 1).
+MOMENT_POINTS = ((0.05, 1.0), (0.3, 0.5), (1.0, 1.0), (3.0, 0.05), (50.0, 0.4),
+                 (300.0, 1.6), (0.2357, 5.0))
+
+
+@functools.cache
+def _mp_moments(mbar, q):
+    """M_k = sum_n y_n^k exp(-y_n), y_n = (E_n - E_0)/(eps mbar), k = 0, 1, 2.
+
+    At 35 digits, from the paper's ladder (E_n/eps)^2 = sigma2 + sigma1 n:
+    an exact head up to a level n >= 64 where b*sigma1/(2E) <= 1/16, then
+    mpmath's quadrature and numerical derivatives for the Euler-MacLaurin
+    tail through B10, whose next term is below 1e-30 of the sum there.
+    """
+    with mp.workdps(35):
+        q = mp.mpf(q)
+        b = 1 / mp.mpf(mbar)
+        s1 = 2 / q
+        s2 = 2 + (1 + mp.sqrt(1 + 4 * q * q)) / q
+        e0 = mp.sqrt(s2)
+
+        def y(n):
+            return b * (mp.sqrt(s1 * n + s2) - e0)
+
+        sums = [mp.mpf(0)] * 3
+        n = 0
+        while n < 64 or b * s1 / (2 * mp.sqrt(s1 * n + s2)) > mp.mpf(1) / 16:
+            yn = y(n)
+            sums = [s + yn**k * mp.exp(-yn) for k, s in enumerate(sums)]
+            n += 1
+            if yn > 100 and mp.exp(-yn) < mp.mpf(10) ** -60:
+                return sums
+        for k in range(3):
+            def f(x, k=k):
+                return y(x) ** k * mp.exp(-y(x))
+
+            d = list(mp.diffs(f, n, 11))
+            sums[k] += mp.quad(f, [n, mp.inf]) + d[0] / 2 - mp.fsum(
+                mp.bernoulli(2 * j) / mp.factorial(2 * j) * d[2 * j - 1] for j in range(1, 6))
+        return sums
+
+
+def _kernel(mbar, q, tol):
+    # (M_k, bounds on their errors, converged) from one kernel row; the
+    # kernel holds M_k/(k+1)!.
+    s1, s2 = thermo.sigma_constants(q)
+    sums, _, bounds, converged = thermo._direct_sums(
+        np.array([1.0 / mbar]), np.zeros(1, dtype=np.intp),
+        np.array([s1]), np.array([s2]), tol, 3)
+    scale = np.array([1.0, 2.0, 6.0])
+    return sums[:, 0] * scale, bounds[:, 0] * scale, converged[0]
+
+
+@pytest.mark.parametrize("mbar,q", MOMENT_POINTS)
+def test_moments_match_30_digit_sums(mbar, q):
+    sums, _, converged = _kernel(mbar, q, 1e-12)
+    assert converged
+    exact = _mp_moments(mbar, q)
+    for k in range(3):
+        assert math.isclose(sums[k], exact[k], rel_tol=1e-12)
+    u, c = mbar * exact[1] / exact[0], exact[2] / exact[0] - (exact[1] / exact[0]) ** 2
+    point = thermo.thermal_functions("direct", mbar, q)
+    assert math.isclose(point.Z, exact[0], rel_tol=1e-12)
+    assert math.isclose(point.U, u, rel_tol=1e-12)
+    assert math.isclose(point.C, c, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-8])
+def test_moment_bounds_cover_their_errors(tol):
+    # Each moment's bound covers its truncation error; 1e-14 of the sum
+    # allows for rounding, which at low mbar reaches a few 1e-15 through the
+    # cancellation in v_1 = E_1 - E_0.  The check has teeth where a bound
+    # lies far above that allowance: at (0.3, 0.5), which stops on the
+    # integral bounds, and for k >= 1 at (1.0, 1.0), which stops on the
+    # Euler-MacLaurin tail (its k = 0 bound is at the rounding level).
+    margin = {}
+    for mbar, q in MOMENT_POINTS:
+        sums, bounds, converged = _kernel(mbar, q, tol)
+        assert converged
+        exact = _mp_moments(mbar, q)
+        for k in range(3):
+            error = abs(mp.mpf(sums[k]) - exact[k])
+            allowance = 1e-14 * sums[k]
+            assert 0.0 <= bounds[k] <= tol * sums[k]
+            assert error <= bounds[k] + allowance
+            margin[mbar, q, k] = bounds[k] / allowance
+    assert all(margin[0.3, 0.5, k] > 10.0 for k in range(3))
+    assert all(margin[1.0, 1.0, k] > 10.0 for k in (1, 2))
 
 
 def test_sweep_columns_match_point_calls():
@@ -291,6 +410,24 @@ def test_sweep_columns_match_point_calls():
                     assert math.isclose(got, want, rel_tol=1e-15)
 
 
+def test_q_array_sweep_matches_per_q_calls():
+    # One call over an array of q gives, q-major, the very bits of one call
+    # per q, whatever the other rows of the kernel are.
+    grid = np.geomspace(0.05, 1e4, 37)
+    qs = [0.3, 1.0, 0.77, 5.0]
+    for method in ("both", "em", "direct"):
+        cols = thermo.sweep(method, grid, qs, tol=1e-10)
+        for j, q in enumerate(qs):
+            one = thermo.sweep(method, grid, q, tol=1e-10)
+            part = slice(j * grid.size, (j + 1) * grid.size)
+            for name in ("Z_direct", "Z_em", "F", "U", "C", "terms", "tail_bound"):
+                got, want = getattr(cols, name), getattr(one, name)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    np.testing.assert_array_equal(got[part], want)
+            assert [repr(e) for e in cols.errors[part]] == [repr(e) for e in one.errors]
+
+
 def test_sweep_rejects_bad_input():
     for grid in ([], [[1.0, 2.0]], [1.0, 0.0], [1.0, math.inf], [math.nan]):
         with pytest.raises(DomainError):
@@ -299,6 +436,9 @@ def test_sweep_rejects_bad_input():
         thermo.sweep("direct", [1.0], 1.0, tol=0.0)
     with pytest.raises(ConfigError):
         thermo.sweep("moments", [1.0], 1.0)
+    for q in ([], [[1.0]], [1.0, 0.0], [math.nan]):
+        with pytest.raises(DomainError):
+            thermo.sweep("direct", [1.0], q)
 
 
 def test_overflowing_temperature_is_a_domain_error():
