@@ -11,8 +11,9 @@ lines exactly when they behave byte for byte the same on the matrix:
     diff old.txt new.txt
 
 The matrix covers all five commands in csv and json, direct/em/both sweeps
-(including the failing ``--tol 1e-300`` and mbar = 1e150..1e300 sweeps),
-``--config`` files, usage errors and ``--help``.
+(including the failing ``--tol 1e-300`` and mbar = 1e150..1e300 sweeps), a
+wavefunction whose norm overflows (``--a3 200``), ``--config`` files, usage
+errors and ``--help``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ for fmt in ("csv", "json"):
     RUNS += [
         (f"spectrum-{fmt}", ["spectrum", *out], None),
         (f"wavefunction-{fmt}", ["wavefunction", "--n", "0,3", *out], None),
+        # The level-0 norm overflows here: a warning and exit 1, no table.
+        (f"wavefunction-overflow-{fmt}", ["wavefunction", "--a3", "200", "--n", "0", *out], None),
         (f"density-{fmt}", ["density", "--n", "0..5", *out], None),
         (f"thermo-{fmt}", ["thermo", *out], None),
         (f"compare-{fmt}", ["compare", *out], None),

@@ -321,8 +321,8 @@ def run_wavefunction(cfg: RunConfig) -> int:
     for n in cfg.n_list:
         path = f"{root}_n{n}{ext}"
         try:
-            grid = spec_mod.auto_grid(n, cfg.physical, points=_WAVEFUNCTION_POINTS, tol=cfg.tol)
-            sample = spec_mod.wavefunction(n, cfg.physical, grid, normalize=True, tol=cfg.tol)
+            grid = spec_mod.auto_grid(n, cfg.physical, points=_WAVEFUNCTION_POINTS)
+            sample = spec_mod.wavefunction(n, cfg.physical, grid, normalize=True)
         except KGConfineError as exc:
             failures.append(f"n={n}: {exc}")
             continue

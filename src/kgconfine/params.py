@@ -79,15 +79,6 @@ class DimensionlessParams:
     A3: float
     p: float
 
-    def eps1_of(self, energy: float) -> float:
-        """Energy-dependent constant term of the scaled wave equation.
-
-        eps1(E) = (Q/a2)*(E^2 - (m c^2 + a1)^2 - 2 a2 a3), rewritten in the
-        stored dimensionless fields via Q/a2 = q/eps^2 and
-        (m c^2 + a1)^2 = A3^2 eps^2 / (4 q).
-        """
-        return self.q * (energy / self.eps) ** 2 - 0.25 * self.A3**2 - 2.0 * self.q
-
 
 class _Reduction(NamedTuple):
     Q_a2: float  # Q/a2

@@ -64,19 +64,13 @@ class Source(enum.Enum):
 
 @dataclass(frozen=True)
 class EMConfig:
-    """Euler-MacLaurin truncation order and derivative policy."""
+    """Euler-MacLaurin truncation order."""
 
     order: int = 2
-    derivative_mode: str = "analytic"  # or "finite_difference"
 
     def __post_init__(self):
         if self.order not in (1, 2):
             raise ConfigError(f"order must be 1 or 2, got {self.order!r}")
-        if self.derivative_mode not in ("analytic", "finite_difference"):
-            raise ConfigError(
-                f"derivative_mode must be 'analytic' or 'finite_difference', "
-                f"got {self.derivative_mode!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -143,35 +137,6 @@ def closed_integral(beta1: float, beta2: float, beta3: float) -> float:
     return (2.0 / (beta1**2 * beta2)) * math.exp(-beta1 * root) * (1.0 + beta1 * root)
 
 
-def _derivative_weights(m: int) -> list[int]:
-    # (m-1+k)!/(k!(m-1-k)!) for k < m: the weight of t^k r^(m-k) in the m-th
-    # n-derivative of the summand (see _summand_derivative).
-    weights, weight = [], 1
-    for k in range(m):
-        weights.append(weight)
-        weight = weight * (m + k) * (m - 1 - k) // (k + 1)
-    return weights
-
-
-def _summand_derivative(m: int, r, t: float, fx):
-    """m-th derivative in n of f(n) = c*exp(-b*sqrt(s1*n + s2)) at the level
-    where s1*n + s2 = x and f(n) = fx, given r = b*s1/(2 sqrt(x)) and
-    t = s1/(4x):
-
-        f^(m) = (-1)^m s1^m f * sum_{k<m} (m-1+k)!/(k!(m-1-k)!)
-                * b^(m-k) / (2^(m+k) x^((m+k)/2)),
-
-    and the k-th term of s1^m * sum is weight_k * t^k * r^(m-k), a
-    polynomial in r evaluated by Horner's rule.  Every coefficient and r are
-    positive, so the sum loses no digits to cancellation.  r and fx may be
-    arrays (one entry per inverse temperature b).
-    """
-    acc = 0.0
-    for k, weight in enumerate(_derivative_weights(m)):
-        acc = acc * r + weight * t**k
-    return (-1) ** m * fx * (acc * r)
-
-
 # Orders of the n-derivatives the Euler-MacLaurin tail needs: 1, 3 and 5 for
 # its B2..B6 corrections and 7 for its remainder bound, with their factors
 # B_{2i}/(2i)!.
@@ -186,20 +151,29 @@ def _horner_table(moments: int) -> tuple[np.ndarray, np.ndarray]:
     column c is W[7 - p, c] * t**P[7 - p, c] (highest power first; zero above
     the column's order).
 
-    Column (m, j), for m in _EM_ORDERS and j < moments, is
-    R_mj(r) = sum_p p!/(p-j)! c_p r^p, where sum_p c_p r^p is the polynomial
-    of ``_summand_derivative`` (c_p = weight_k t^k with k = m - p), so R_m0
-    is that polynomial itself.  moments - 1 more copies of column (7, 0)
-    serve the remainder bounds of moments 1, 2, ...
+    The m-th n-derivative of f(n) = exp(-b sqrt(s1 n + s2)), at the level
+    where s1 n + s2 = x, is (-1)^m f Q_m(r) with r = b s1/(2 sqrt(x)),
+    t = s1/(4x) and
+
+        Q_m(r) = sum_{k<m} (m-1+k)!/(k!(m-1-k)!) t^k r^(m-k),
+
+    a polynomial in r whose coefficients are all positive, so Horner's rule
+    loses no digits to cancellation.  Column (m, j), for m in _EM_ORDERS and
+    j < moments, is R_mj(r) = sum_p p!/(p-j)! c_p r^p, where c_p is the
+    coefficient of r^p in Q_m, so R_m0 = Q_m; column c = i * moments holds
+    Q_m for the i-th order.  moments - 1 more copies of column (7, 0) serve
+    the remainder bounds of moments 1, 2, ...
     """
     columns = [(m, j) for m in _EM_ORDERS for j in range(moments)]
     columns += [(7, 0)] * (moments - 1)
     W = np.zeros((7, len(columns)))
     P = np.zeros((7, len(columns)), dtype=np.intp)
     for c, (m, j) in enumerate(columns):
-        for k, weight in enumerate(_derivative_weights(m)):
+        weight = 1  # (m-1+k)!/(k!(m-1-k)!), the weight of t^k r^(m-k) in Q_m
+        for k in range(m):
             W[7 - m + k, c] = weight * math.perm(m - k, j)
             P[7 - m + k, c] = k
+            weight = weight * (m + k) * (m - 1 - k) // (k + 1)
     W.setflags(write=False)
     P.setflags(write=False)
     return W, P
@@ -231,7 +205,7 @@ def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int
     its remainder.  Returns (tails, bounds), each of shape (moments, rows).
 
     The m-th n-derivative of f_0 = exp(-b v) is -fx Q_m(r) for odd m
-    (``_summand_derivative``, r = a b).  The k-th summand is
+    (Q_m from ``_horner_table``, r = a b).  The k-th summand is
     b^k f_k = b^k (-d/db)^k f_0, and d/db reaches Q_m through r, so
 
         (b^k f_k)^(m) = -fx sum_{j<=k} C(k, j) (-1)^j z^(k-j) R_mj(r)
@@ -258,8 +232,9 @@ def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int
     """
     x = s1 * n + s2
     root = np.sqrt(x)
-    # Powers of t as float ** int, as _summand_derivative forms them, so the
-    # Z tail agrees with that formula bit for bit.
+    # Powers of t as float ** int, as partition_summand forms them: a
+    # different power rule would move the last bits of the Z tail, and with
+    # them the direct sums and every table built from them.
     powers = np.array([[t**k for k in range(7)] for t in (s1 / (4.0 * x)).tolist()])
     W, P = _horner_table(moments)
     coef = W[:, :, None] * powers.T[P]  # (7, columns, q)
@@ -425,10 +400,6 @@ class _Rows(NamedTuple):
         return tuple(np.array([sigma_constants(q) for q in self.qs]).T)
 
 
-def _point(mbar: float, q: float) -> _Rows:
-    return _Rows(np.array([float(mbar)]), np.zeros(1, dtype=np.intp), (q,))
-
-
 def _flag_not_finite(errors: list, rows: _Rows, *columns: np.ndarray) -> None:
     # A point that has not failed otherwise but holds an infinite or NaN value.
     finite = np.logical_and.reduce([np.isfinite(c) for c in columns])
@@ -459,14 +430,7 @@ def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
     raises TruncationFailure, and a Z that overflows raises DomainError.  This
     is a one-point call into the columns that ``sweep`` computes over a grid.
     """
-    _check_point(mbar, q, tol)
-    cols = _direct_columns(_point(mbar, q), tol, moments=1)
-    if cols.errors[0] is not None:
-        raise cols.errors[0]
-    return ThermoPoint(
-        mbar=mbar, Z=float(cols.Z_direct[0]), method=Source.DIRECT.value,
-        terms=int(cols.terms[0]), tail_bound=float(cols.tail_bound[0]),
-    )
+    return _one_point(Source.DIRECT, mbar, q, thermal=False, tol=tol)
 
 
 def partition_summand(
@@ -488,7 +452,16 @@ def partition_summand(
 
     f0 = f(0.0)
     r = b * s1 / (2.0 * math.sqrt(s2))
-    derivs = {m: _summand_derivative(m, r, s1 / (4.0 * s2), f0) for m in (1, 3)}
+    t = s1 / (4.0 * s2)
+    # f^(m)(0) = -f(0) Q_m(r) for odd m; Q_1 and Q_3 are the first two
+    # columns of the Euler-MacLaurin tails' Horner table.
+    W, P = _horner_table(1)
+    derivs = {}
+    for c, m in enumerate((1, 3)):
+        acc = 0.0
+        for w, k in zip(W[:, c].tolist(), P[:, c].tolist()):
+            acc = acc * r + w * t**k
+        derivs[m] = -f0 * (acc * r)
     return f, derivs, closed_integral(b, s1, s2)
 
 
@@ -502,34 +475,21 @@ def euler_maclaurin_sum(
 
         sum f(n) = f(0)/2 + integral - sum_{i<=order} B_{2i}/(2i)! * f^(2i-1)(0)
 
-    In analytic mode the odd derivatives at 0 must be supplied via
-    ``derivatives``; in finite_difference mode they are estimated with central
-    stencils (step 1e-5 for f', 1e-3 for f''', where the cube in the
-    denominator makes smaller steps round off).
+    The odd derivatives at 0 must be supplied via ``derivatives``
+    (``partition_summand`` gives them exactly for the level sum).
     """
     if not math.isfinite(integral):
         raise DomainError(f"integral must be finite, got {integral!r}")
-    needed = [2 * i - 1 for i in range(1, cfg.order + 1)]
-    derivs: dict[int, float] = {}
-    if cfg.derivative_mode == "analytic":
-        if derivatives is None:
-            raise ConfigError("analytic mode requires a derivatives mapping")
-        for order in needed:
-            if order not in derivatives:
-                raise ConfigError(f"missing derivative of order {order}")
-            derivs[order] = float(derivatives[order])
-    else:
-        if 1 in needed:
-            h = 1e-5
-            derivs[1] = (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
-        if 3 in needed:
-            h = 1e-3
-            derivs[3] = (f(2 * h) - 2.0 * f(h) + 2.0 * f(-h) - f(-2 * h)) / (2.0 * h**3)
+    if derivatives is None:
+        raise ConfigError("euler_maclaurin_sum requires a derivatives mapping")
+    orders = [2 * i - 1 for i in range(1, cfg.order + 1)]
+    for order in orders:
+        if order not in derivatives:
+            raise ConfigError(f"missing derivative of order {order}")
 
     total = 0.5 * f(0.0) + integral
-    for i in range(1, cfg.order + 1):
-        order = 2 * i - 1
-        total -= BERNOULLI[i] / math.factorial(2 * i) * derivs[order]
+    for i, order in enumerate(orders, start=1):
+        total -= BERNOULLI[i] / math.factorial(2 * i) * float(derivatives[order])
     return total
 
 
@@ -561,11 +521,7 @@ def partition_em(mbar: float, q: float, cfg: EMConfig = EMConfig()) -> ThermoPoi
     the closed form is non-positive (below its validity range) or not finite
     raises DomainError.
     """
-    _check_point(mbar, q, 1.0)
-    cols = _em_columns(_point(mbar, q), cfg.order)
-    if cols.errors[0] is not None:
-        raise cols.errors[0]
-    return ThermoPoint(mbar=mbar, Z=float(cols.Z_em[0]), method=Source.EM.value)
+    return _one_point(Source.EM, mbar, q, thermal=False, order=cfg.order)
 
 
 @np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite value
@@ -636,19 +592,28 @@ def thermal_functions(
     adds in one pass, each with its own bounded tail.  This is a one-point
     call into the same columns that ``sweep`` computes over a grid.
     """
-    source = Source(source)
+    return _one_point(Source(source), mbar, q, thermal=True, order=cfg.order, tol=tol)
+
+
+def _one_point(
+    source: Source, mbar: float, q: float, thermal: bool, order: int = 2, tol: float = 1e-12
+) -> ThermoPoint:
+    # The columns that ``sweep`` computes, at the single point (mbar, q), as a
+    # ThermoPoint; a failed point raises its error.  Without ``thermal`` F, U
+    # and C stay None and the direct route sums Z alone.
     _check_point(mbar, q, tol)
+    rows = _Rows(np.array([float(mbar)]), np.zeros(1, dtype=np.intp), (q,))
     if source is Source.EM:
-        cols = _em_columns(_point(mbar, q), cfg.order)
+        cols = _em_columns(rows, order)
         z = cols.Z_em
     else:
-        cols = _direct_columns(_point(mbar, q), tol, moments=3)
+        cols = _direct_columns(rows, tol, moments=3 if thermal else 1)
         z = cols.Z_direct
     if cols.errors[0] is not None:
         raise cols.errors[0]
+    F, U, C = (float(c[0]) for c in (cols.F, cols.U, cols.C)) if thermal else (None,) * 3
     return ThermoPoint(
-        mbar=mbar, Z=float(z[0]), method=source.value,
-        F=float(cols.F[0]), U=float(cols.U[0]), C=float(cols.C[0]),
+        mbar=mbar, Z=float(z[0]), method=source.value, F=F, U=U, C=C,
         terms=None if cols.terms is None else int(cols.terms[0]),
         tail_bound=None if cols.tail_bound is None else float(cols.tail_bound[0]),
     )

@@ -159,6 +159,17 @@ def test_wavefunction_per_n_files(tmp_path, capsys):
         assert y[0] == 0.0 and np.all(np.diff(y) > 0)
 
 
+def test_wavefunction_overflow_fails_loudly(tmp_path, capsys):
+    # The level-0 norm overflows at a3 = 200: no table, a warning, exit 1.
+    out = tmp_path / "wf.csv"
+    rc = cli.main(["wavefunction", "--a3", "200", "--n", "0", "--out", str(out)])
+    assert rc == 1
+    assert not (tmp_path / "wf_n0.csv").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("kgconfine: warning: n=0: ")
+    assert err[1] == "kgconfine: warning: 1 of 1 profiles failed"
+
+
 def test_thermo_em_sweep_columns(tmp_path):
     out = tmp_path / "thermo.csv"
     rc = cli.main([

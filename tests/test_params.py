@@ -102,13 +102,3 @@ def test_scaled_coordinate_examples():
     assert math.isclose(scaled_coordinate(1.0, p4), 2.0, rel_tol=1e-15)
     with pytest.raises(DomainError):
         scaled_coordinate(math.inf, p1)
-
-
-def test_eps1_of_vanishes_at_ground_state():
-    # eps1(E_0) + A3^2/4 = 2p + 0 must hold by the quantization condition.
-    from kgconfine import spectrum
-
-    phys = PhysicalParams(a1=0.1, a2=0.1, a3=0.1, mass=0.5)
-    d = to_dimensionless(phys)
-    e0 = spectrum.energy(0, phys).energy
-    assert abs(d.eps1_of(e0) + 0.25 * d.A3**2 - 2.0 * d.p) < 1e-12

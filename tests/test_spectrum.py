@@ -221,6 +221,19 @@ def test_wavefunction_normalization_quadrature(fig1_params):
         assert sample.normalized
 
 
+@pytest.mark.parametrize("a3", [200.0, 500.0])
+def test_overflowing_profile_is_a_domain_error(a3):
+    # At a3 = 200 the raw ground state peaks near 9e175, so psi^2 and the norm
+    # overflow; at a3 = 500 psi itself does.  Neither may come back as an
+    # all-zero or NaN profile labelled normalized.
+    phys = PhysicalParams(a1=0.1, a2=0.1, a3=a3, mass=0.5)
+    with pytest.raises(DomainError):
+        grid = spectrum.auto_grid(0, phys)
+        spectrum.wavefunction(0, phys, grid, normalize=True)
+    with pytest.raises(DomainError):
+        spectrum.wavefunction(0, phys, np.linspace(0.0, 50.0, 2001), normalize=True)
+
+
 def test_wavefunction_short_grid_refuses_normalized_flag(fig1_params):
     grid = np.linspace(0.0, 1.0, 101)  # stops well inside the profile
     sample = spectrum.wavefunction(0, fig1_params, grid, normalize=True)

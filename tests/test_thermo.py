@@ -410,6 +410,25 @@ def test_sweep_columns_match_point_calls():
                     assert math.isclose(got, want, rel_tol=1e-15)
 
 
+@pytest.mark.parametrize("call, thermal, direct", [
+    (lambda: thermo.partition_direct(2.0, 1.0), False, True),
+    (lambda: thermo.partition_em(2.0, 1.0), False, False),
+    (lambda: thermo.thermal_functions("direct", 2.0, 1.0), True, True),
+    (lambda: thermo.thermal_functions("em", 2.0, 1.0), True, False),
+])
+def test_point_results_fill_their_own_fields(call, thermal, direct):
+    # Each one-point call sets exactly the fields its route computes.
+    point = call()
+    assert point.mbar == 2.0 and type(point.Z) is float
+    assert point.method == ("direct" if direct else "em")
+    for value in (point.F, point.U, point.C):
+        assert type(value) is float if thermal else value is None
+    if direct:
+        assert type(point.terms) is int and type(point.tail_bound) is float
+    else:
+        assert point.terms is None and point.tail_bound is None
+
+
 def test_q_array_sweep_matches_per_q_calls():
     # One call over an array of q gives, q-major, the very bits of one call
     # per q, whatever the other rows of the kernel are.
@@ -545,8 +564,6 @@ def test_partition_em_at_least_half_on_validated_domain():
 def test_em_config_validation():
     with pytest.raises(ConfigError):
         thermo.EMConfig(order=3)
-    with pytest.raises(ConfigError):
-        thermo.EMConfig(order=2, derivative_mode="symbolic")
 
 
 def test_euler_maclaurin_geometric_series():
@@ -575,15 +592,6 @@ def test_euler_maclaurin_missing_derivative():
     with pytest.raises(ConfigError):
         thermo.euler_maclaurin_sum(lambda n: math.exp(-n), 1.0,
                                    thermo.EMConfig(order=1), None)
-
-
-def test_euler_maclaurin_finite_difference_mode():
-    f, derivs, integral = thermo.partition_summand(2.0, 1.0)
-    analytic = thermo.euler_maclaurin_sum(f, integral, thermo.EMConfig(), derivs)
-    fd = thermo.euler_maclaurin_sum(
-        f, integral, thermo.EMConfig(derivative_mode="finite_difference")
-    )
-    assert math.isclose(analytic, fd, rel_tol=1e-9)
 
 
 def test_partition_summand_derivatives_match_finite_differences():
