@@ -1,19 +1,25 @@
-"""Print one digest line per command-line run over a fixed matrix of runs.
+"""Print one digest line per run over a fixed matrix of runs.
 
-Each run is ``python -m kgconfine ARGS`` in a fresh temporary directory.
-Its line gives the exit code and the sha256 (first 16 hex digits) of every
-table it wrote, of its stdout and of its stderr, with the temporary
-directory's path replaced by ``{tmp}``.  Two source trees give the same
-lines exactly when they behave byte for byte the same on the matrix:
+Each run is ``python -m kgconfine ARGS`` or a small library script
+``python -c CODE`` in a fresh temporary directory.  Its line gives the exit
+code and the sha256 (first 16 hex digits) of every table it wrote, of its
+stdout and of its stderr, with the temporary directory's path replaced by
+``{tmp}``.  Two source trees give the same lines exactly when they behave
+byte for byte the same on the matrix:
 
     python3 scripts/cli_digest.py > new.txt
     python3 scripts/cli_digest.py --src /path/to/other/checkout/src > old.txt
     diff old.txt new.txt
 
 The matrix covers all five commands in csv and json, direct/em/both sweeps
-(including the failing ``--tol 1e-300`` and mbar = 1e150..1e300 sweeps), a
-wavefunction whose norm overflows (``--a3 200``), ``--config`` files, usage
-errors and ``--help``.
+(including the failing ``--tol 1e-300`` and mbar = 1e150..1e300 sweeps),
+wavefunctions whose raw squares (``--a3 200``) or samples (``--a3 500``)
+overflow double precision, ``--config`` files, usage errors and ``--help``.
+The library scripts print the bits of three ensembles: auto_grid plus the
+normalized profile for n = 0..150 on 24 potentials, ``thermo.sweep`` columns
+over 9 q x 301 mbar x 4 tol for every method, and ``heun.evaluate`` and
+``heun.adaptive_series`` over 400 random parameter sets x 9 points x 3 tol
+(value, term count and coefficients; the error estimate is left out).
 """
 
 from __future__ import annotations
@@ -42,8 +48,11 @@ for fmt in ("csv", "json"):
     RUNS += [
         (f"spectrum-{fmt}", ["spectrum", *out], None),
         (f"wavefunction-{fmt}", ["wavefunction", "--n", "0,3", *out], None),
-        # The level-0 norm overflows here: a warning and exit 1, no table.
+        # The raw level-0 profile peaks near 9e175 here, so its square overflows.
         (f"wavefunction-overflow-{fmt}", ["wavefunction", "--a3", "200", "--n", "0", *out], None),
+        # Here the samples themselves overflow: a warning and exit 1, no table.
+        (f"wavefunction-psi-overflow-{fmt}",
+         ["wavefunction", "--a3", "500", "--n", "0", *out], None),
         (f"density-{fmt}", ["density", "--n", "0..5", *out], None),
         (f"thermo-{fmt}", ["thermo", *out], None),
         (f"compare-{fmt}", ["compare", *out], None),
@@ -125,19 +134,79 @@ RUNS += [
     ("help-wavefunction", ["wavefunction", "-h"], None),
 ]
 
+# (name, code) run as ``python -c CODE``; each prints the bits it computed.
+LIBRARY: list[tuple[str, str]] = [
+    ("lib-profiles", """
+import hashlib, numpy as np
+from kgconfine import spectrum
+from kgconfine.errors import KGConfineError
+from kgconfine.params import PhysicalParams
+rng = np.random.default_rng(11)
+potentials = [(0.1, 0.1, 0.1, 0.5)] + [
+    (rng.uniform(-0.5, 0.5), rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.0, 2.0))
+    for _ in range(23)]
+for a1, a2, a3, mass in potentials:
+    phys = PhysicalParams(a1=a1, a2=a2, a3=a3, mass=mass)
+    h = hashlib.sha256()
+    for n in range(151):
+        try:
+            grid = spectrum.auto_grid(n, phys)
+            s = spectrum.wavefunction(n, phys, grid, normalize=True)
+            h.update(grid.tobytes() + s.values.tobytes() + bytes([s.normalized]))
+        except KGConfineError as exc:
+            h.update(repr(exc).encode())
+    print(repr((a1, a2, a3, mass)), h.hexdigest())
+"""),
+    ("lib-sweep", """
+import hashlib, numpy as np
+from kgconfine import thermo
+q = np.linspace(0.25, 2.25, 9)
+mbar = np.geomspace(0.01, 1e6, 301)
+for method in ("direct", "em", "both"):
+    for tol in (1e-6, 1e-9, 1e-12, 1e-15):
+        cols = thermo.sweep(method, mbar, q, tol=tol)
+        for name in ("Z_direct", "Z_em", "F", "U", "C", "terms", "tail_bound"):
+            col = getattr(cols, name)
+            data = b"None" if col is None else col.tobytes()
+            print(method, tol, name, hashlib.sha256(data).hexdigest())
+        print(method, tol, "errors", hashlib.sha256(repr(cols.errors).encode()).hexdigest())
+"""),
+    ("lib-heun", """
+import hashlib, numpy as np
+from kgconfine import heun
+from kgconfine.errors import KGConfineError, TruncationFailure
+rng = np.random.default_rng(9)
+for _ in range(400):
+    c = rng.uniform(-5.0, 5.0, 4).tolist()
+    try:
+        hp = heun.HeunParams(*c)
+    except KGConfineError as exc:
+        print(repr(exc))
+        continue
+    for y in (0.0, 0.05, 0.3, 1.0, 2.7, 6.0, 15.0, 40.0, -0.7):
+        for tol in (1e-6, 1e-12, 1e-15):
+            try:
+                ev = heun.evaluate(hp, y, tol)
+                coeffs = heun.adaptive_series(hp, y, tol).coeffs
+                print(repr(ev.value), ev.n_terms, hashlib.sha256(coeffs.tobytes()).hexdigest())
+            except TruncationFailure as exc:
+                print(str(exc), repr(exc.partial_sum), exc.n_terms)
+"""),
+]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def digest(src: Path, name: str, argv: list[str], config: str | None) -> str:
+def digest(src: Path, name: str, python_args: list[str], config: str | None) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
             Path(tmp, "run.cfg").write_text(config.replace("{tmp}", tmp), encoding="utf-8")
         before = set(os.listdir(tmp))
         env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80", NO_COLOR="1")
         proc = subprocess.run(
-            [sys.executable, "-B", "-m", "kgconfine", *(a.replace("{tmp}", tmp) for a in argv)],
+            [sys.executable, "-B", *(a.replace("{tmp}", tmp) for a in python_args)],
             cwd=tmp, env=env, capture_output=True,
         )
         tables = " ".join(
@@ -154,8 +223,11 @@ def main() -> None:
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="source tree whose kgconfine package runs (default: this checkout's)")
     args = ap.parse_args()
+    src = args.src.resolve()
     for name, argv, config in RUNS:
-        print(digest(args.src.resolve(), name, argv, config), flush=True)
+        print(digest(src, name, ["-m", "kgconfine", *argv], config), flush=True)
+    for name, code in LIBRARY:
+        print(digest(src, name, ["-c", code], None), flush=True)
 
 
 if __name__ == "__main__":

@@ -41,8 +41,6 @@ COMMANDS = {
 # Column order of thermal sweep tables.
 SWEEP_HEADER = ("mbar", "q", "Z_direct", "Z_em", "F", "U", "C", "rel_diff")
 
-_WAVEFUNCTION_POINTS = 2001
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -321,7 +319,7 @@ def run_wavefunction(cfg: RunConfig) -> int:
     for n in cfg.n_list:
         path = f"{root}_n{n}{ext}"
         try:
-            grid = spec_mod.auto_grid(n, cfg.physical, points=_WAVEFUNCTION_POINTS)
+            grid = spec_mod.auto_grid(n, cfg.physical)
             sample = spec_mod.wavefunction(n, cfg.physical, grid, normalize=True)
         except KGConfineError as exc:
             failures.append(f"n={n}: {exc}")

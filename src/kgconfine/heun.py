@@ -40,6 +40,8 @@ _CONSECUTIVE = 3
 DEGREE_TOL = 1e-9
 # Margin keeping 1 + c1 away from 0, -1, -2, ...
 _SINGULAR_TOL = 1e-9
+# Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,6 @@ class SeriesSolution:
     """Truncated power-series solution u(xi) = sum_k coeffs[k] * xi^k."""
 
     coeffs: np.ndarray
-    truncation_index: int
-    tol: float
     terminated_polynomially: bool
 
     @property
@@ -88,23 +88,28 @@ class SeriesSolution:
 
 
 class Evaluation(NamedTuple):
-    """Series value with the magnitude of the first neglected term."""
+    """Series value with a bound on its truncation and rounding error."""
 
     value: float
     error_estimate: float
     n_terms: int
 
 
-def _coefficients(hp: HeunParams, n_terms: int, a0: float = 1.0) -> np.ndarray:
-    """First ``n_terms + 1`` series coefficients a_0..a_{n_terms}."""
+def _coefficients(hp: HeunParams, n_terms: int, y: float = 1.0) -> np.ndarray:
+    """Terms t_k = a_k y^k for k = 0..n_terms; at y = 1 the coefficients a_k.
+
+    Multiplying the a_{k+1} row by y^{k+1} gives the recurrence for the terms
+    themselves, which stays in floating range even where the bare power y^k
+    would overflow.
+    """
     # The recurrence runs on Python floats, which round exactly as float64
     # array elements do and cost less per step.
-    a = [float(a0)]
+    a = [1.0]
     if n_terms > 0:
         K, c1, c2, c3 = hp.K, hp.c1, hp.c2, hp.c3
-        a.append(K * a[0] / (1.0 + c1))
+        a.append(K / (1.0 + c1) * y)
         for k in range(1, n_terms):
-            a.append(((c2 * k + K) * a[k] + (2.0 * k + c1 - c3) * a[k - 1])
+            a.append(((c2 * k + K) * y * a[k] + (2.0 * k + c1 - c3) * y * y * a[k - 1])
                      / ((k + 1.0) * (k + 1.0 + c1)))
     return np.array(a)
 
@@ -130,12 +135,7 @@ def series_coefficients(hp: HeunParams, n_terms: int) -> SeriesSolution:
         raise DomainError(f"n_terms must be >= 2, got {n_terms!r}")
     coeffs = _coefficients(hp, n_terms)
     coeffs.setflags(write=False)
-    return SeriesSolution(
-        coeffs=coeffs,
-        truncation_index=n_terms,
-        tol=0.0,
-        terminated_polynomially=_detect_termination(coeffs),
-    )
+    return SeriesSolution(coeffs, _detect_termination(coeffs))
 
 
 def truncated_polynomial(hp: HeunParams, degree: int) -> SeriesSolution:
@@ -152,12 +152,7 @@ def truncated_polynomial(hp: HeunParams, degree: int) -> SeriesSolution:
     probe = _coefficients(hp, degree + 2)
     coeffs = probe[: degree + 1].copy()
     coeffs.setflags(write=False)
-    return SeriesSolution(
-        coeffs=coeffs,
-        truncation_index=degree,
-        tol=0.0,
-        terminated_polynomially=bool(np.all(probe[degree + 1 :] == 0.0)),
-    )
+    return SeriesSolution(coeffs, _detect_termination(probe))
 
 
 def evaluate_series(sol: SeriesSolution, ys):
@@ -165,54 +160,51 @@ def evaluate_series(sol: SeriesSolution, ys):
     return _polyval(sol.coeffs, ys)
 
 
-def _adaptive_core(hp: HeunParams, y: float, tol: float) -> tuple[list[float], float, float]:
-    """Shared adaptive loop: (coefficients, partial sum, first neglected term).
+def _adaptive_core(hp: HeunParams, y: float, tol: float) -> tuple[int, float, float]:
+    """Adaptive truncation at ``y``: (last index n, partial sum, error bound).
 
-    The stopping test tracks the terms t_k = a_k y^k through the recurrence
-    itself (multiply the a_{k+1} row by y^{k+1}), which stays in floating
-    range even when the bare power y^k would overflow.
+    The terms t_k = a_k y^k come from ``_coefficients`` in blocks of doubling
+    length; their running sums (``np.cumsum`` adds in order) are scanned for
+    the first overflow or the first of three consecutive terms below
+    tol * |partial sum|.  The bound is the first neglected term |t_{n+1}|
+    plus the recursive-summation bound gamma_n * sum |t_k| (Higham, Accuracy
+    and Stability of Numerical Algorithms, sec. 4.2).
     """
     if tol <= 0.0 or not math.isfinite(tol):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     if not math.isfinite(y):
         raise DomainError(f"y must be finite, got {y!r}")
-    K = hp.K
-    a1 = K / (1.0 + hp.c1)
     if y == 0.0:
-        return [1.0, a1], 1.0, 0.0
-
-    coeffs = [1.0, a1]
-    t_prev, t_cur = 1.0, a1 * y
-    partial = t_prev + t_cur
-    quiet = 0
-    k = 1
-    while k < N_MAX:
-        denom = (k + 1.0) * (k + 1.0 + hp.c1)
-        a_next = ((hp.c2 * k + K) * coeffs[k] + (2.0 * k + hp.c1 - hp.c3) * coeffs[k - 1]) / denom
-        t_next = ((hp.c2 * k + K) * y * t_cur + (2.0 * k + hp.c1 - hp.c3) * y * y * t_prev) / denom
-        coeffs.append(a_next)
-        partial += t_next
-        if not math.isfinite(partial):
+        return 1, 1.0, 0.0
+    m = 64
+    while True:
+        m = min(m, N_MAX + 1)
+        t = _coefficients(hp, m, y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            partial = np.cumsum(t)
+        # Candidates are 2 <= j < m, so that t_{j+1} is at hand when j stops.
+        s = partial[:m]
+        quiet = np.abs(t[:m]) < tol * np.maximum(np.abs(s), 1e-300)
+        quiet[:2] = False
+        settled = np.convolve(quiet, np.ones(_CONSECUTIVE, dtype=int))[:m] == _CONSECUTIVE
+        overflow = ~np.isfinite(s)
+        overflow[:2] = False
+        stop = np.nonzero(overflow | settled)[0]
+        if stop.size:
+            n = int(stop[0])
+            if overflow[n]:
+                raise TruncationFailure(
+                    f"series overflowed at term {n} for y={y!r}", float(partial[n]), n
+                )
+            gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+            rounding = gamma * float(np.sum(np.abs(t[: n + 1])))
+            return n, float(partial[n]), abs(float(t[n + 1])) + rounding
+        if m > N_MAX:
             raise TruncationFailure(
-                f"series overflowed at term {k + 1} for y={y!r}", partial, k + 1
+                f"series did not settle within {N_MAX} terms for y={y!r}",
+                float(partial[N_MAX]), N_MAX,
             )
-        if abs(t_next) < tol * max(abs(partial), 1e-300):
-            quiet += 1
-            if quiet >= _CONSECUTIVE:
-                n = len(coeffs) - 1
-                denom = (n + 1.0) * (n + 1.0 + hp.c1)
-                neglected = (
-                    (hp.c2 * n + K) * y * t_next
-                    + (2.0 * n + hp.c1 - hp.c3) * y * y * t_cur
-                ) / denom
-                return coeffs, partial, abs(neglected)
-        else:
-            quiet = 0
-        t_prev, t_cur = t_cur, t_next
-        k += 1
-    raise TruncationFailure(
-        f"series did not settle within {N_MAX} terms for y={y!r}", partial, N_MAX
-    )
+        m *= 2
 
 
 def adaptive_series(hp: HeunParams, y: float, tol: float) -> SeriesSolution:
@@ -223,25 +215,25 @@ def adaptive_series(hp: HeunParams, y: float, tol: float) -> SeriesSolution:
     the factorial decay of the coefficients takes over).  Failure to settle
     within N_MAX terms raises TruncationFailure.
     """
-    coeffs, _, _ = _adaptive_core(hp, y, tol)
-    arr = np.array(coeffs)
-    arr.setflags(write=False)
-    return SeriesSolution(arr, len(coeffs) - 1, tol, _detect_termination(arr))
+    n, _, _ = _adaptive_core(hp, y, tol)
+    coeffs = _coefficients(hp, n)
+    coeffs.setflags(write=False)
+    return SeriesSolution(coeffs, _detect_termination(coeffs))
 
 
 def evaluate(hp: HeunParams, y: float, tol: float = 1e-12) -> Evaluation:
     """Evaluate the regular solution at ``y``.
 
-    Returns the truncated-series value, the magnitude of the first neglected
-    term as an error estimate, and the number of terms summed.  u(0) = 1
-    exactly by normalization.
+    Returns the truncated-series value, a bound on its error (the first
+    neglected term plus the rounding bound of summing the terms), and the
+    number of terms summed.  u(0) = 1 exactly by normalization.
     """
     if y == 0.0:
         if tol <= 0.0 or not math.isfinite(tol):
             raise DomainError(f"tol must be positive and finite, got {tol!r}")
         return Evaluation(1.0, 0.0, 1)
-    coeffs, partial, neglected = _adaptive_core(hp, y, tol)
-    return Evaluation(partial, neglected, len(coeffs))
+    n, partial, bound = _adaptive_core(hp, y, tol)
+    return Evaluation(partial, bound, n + 1)
 
 
 def evaluate_on_grid(hp: HeunParams, ys: np.ndarray, tol: float = 1e-12) -> np.ndarray:

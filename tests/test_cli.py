@@ -160,9 +160,9 @@ def test_wavefunction_per_n_files(tmp_path, capsys):
 
 
 def test_wavefunction_overflow_fails_loudly(tmp_path, capsys):
-    # The level-0 norm overflows at a3 = 200: no table, a warning, exit 1.
+    # The level-0 profile overflows at a3 = 500: no table, a warning, exit 1.
     out = tmp_path / "wf.csv"
-    rc = cli.main(["wavefunction", "--a3", "200", "--n", "0", "--out", str(out)])
+    rc = cli.main(["wavefunction", "--a3", "500", "--n", "0", "--out", str(out)])
     assert rc == 1
     assert not (tmp_path / "wf_n0.csv").exists()
     err = capsys.readouterr().err.splitlines()

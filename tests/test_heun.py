@@ -5,6 +5,7 @@ The k=1 termination example below is exact in floating point: with
 so the regular solution is u(xi) = 1 + xi.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -55,13 +56,14 @@ def test_series_coefficients_needs_two_terms():
         heun.series_coefficients(EXACT_POLY, 1)
 
 
-@given(hp=hp_strategy(), scale=st.floats(min_value=0.1, max_value=10.0))
+@given(hp=hp_strategy(), y=st.floats(min_value=-10.0, max_value=10.0))
 # a_5 ~ -5.2e-6 comes out of cancelling terms of order 1e-2 here.
-@example(hp=heun.HeunParams(c1=1.607421875, c2=0.23046875, c3=5.0, c4=1.609375), scale=3.0)
-def test_coefficients_linear_in_normalization(hp, scale):
-    base = heun._coefficients(hp, 8, a0=1.0)
-    scaled = heun._coefficients(hp, 8, a0=scale)
-    # a_k is linear in a0 up to rounding, which is relative to the summed
+@example(hp=heun.HeunParams(c1=1.607421875, c2=0.23046875, c3=5.0, c4=1.609375), y=3.0)
+def test_terms_are_coefficients_times_powers(hp, y):
+    base = heun._coefficients(hp, 8)
+    terms = heun._coefficients(hp, 8, y)
+    powers = np.abs(y) ** np.arange(9)
+    # t_k = a_k y^k up to rounding, which is relative to the summed
     # magnitudes of the terms behind a_k, not to a_k itself: the recurrence
     # run on absolute values bounds both (1e-300 absorbs subnormal rounding).
     mag = np.zeros(9)
@@ -70,7 +72,16 @@ def test_coefficients_linear_in_normalization(hp, scale):
         mag[k + 1] = (abs(hp.c2 * k + hp.K) * mag[k] + abs(2.0 * k + hp.c1 - hp.c3) * mag[k - 1]) / (
             abs((k + 1.0) * (k + 1.0 + hp.c1))
         )
-    assert np.all(np.abs(scaled - scale * base) <= 1e-13 * scale * mag + 1e-300)
+    assert np.all(np.abs(terms - base * y ** np.arange(9)) <= 1e-13 * powers * mag + 1e-300)
+
+
+@given(hp=hp_strategy(), y=st.floats(min_value=-10.0, max_value=10.0).filter(lambda y: y != 0.0))
+def test_adaptive_series_runs_the_one_recurrence(hp, y):
+    # The adaptive cut only picks how many coefficients to keep: they are
+    # the fixed-length coefficients bit for bit.  (At y = 0 it keeps two,
+    # fewer than series_coefficients accepts.)
+    coeffs = heun.adaptive_series(hp, y, tol=1e-12).coeffs
+    assert np.array_equal(coeffs, heun.series_coefficients(hp, coeffs.size - 1).coeffs)
 
 
 def test_exact_termination_detected():
@@ -112,12 +123,7 @@ def test_corrupted_coefficient_blows_residual():
     if bad.size < 3:
         bad = np.append(bad, np.zeros(3 - bad.size))
     bad[2] += 0.1
-    corrupted = heun.SeriesSolution(
-        coeffs=bad,
-        truncation_index=bad.size - 1,
-        tol=sol.tol,
-        terminated_polynomially=False,
-    )
+    corrupted = heun.SeriesSolution(coeffs=bad, terminated_polynomially=False)
     assert heun.ode_residual(EXACT_POLY, corrupted, 0.5) > 1e-3
 
 
@@ -135,6 +141,32 @@ def test_evaluate_error_estimate_and_terms():
     # reported estimate's scale.
     tight = heun.evaluate(hp, 0.7, tol=1e-15)
     assert abs(ev.value - tight.value) <= max(10.0 * ev.error_estimate, 1e-12)
+
+
+def _reference_value(hp, y):
+    # The same recurrence at 80 significant digits, summed far past the point
+    # where its terms fall below double-precision rounding of the sum.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        c1, c2, c3, Y = (decimal.Decimal(v) for v in (hp.c1, hp.c2, hp.c3, y))
+        K = (decimal.Decimal(hp.c4) + c2 * (1 + c1)) / 2
+        prev, cur = decimal.Decimal(1), K / (1 + c1) * Y
+        total = prev + cur
+        for k in range(1, 3000):
+            prev, cur = cur, ((c2 * k + K) * Y * cur + (2 * k + c1 - c3) * Y * Y * prev) / (
+                (k + 1) * (k + 1 + c1)
+            )
+            total += cur
+        return total
+
+
+@pytest.mark.parametrize("y", [3.0, 6.0, 9.0, 12.0, 20.0])
+def test_evaluate_error_estimate_bounds_the_error(y):
+    # Cancellation among terms far larger than the sum costs much more than
+    # the first neglected term: at y = 20 the value even has the wrong sign.
+    hp = heun.HeunParams(c1=0.3, c2=-1.2, c3=4.4, c4=0.7)
+    ev = heun.evaluate(hp, y, tol=1e-14)
+    assert abs(decimal.Decimal(ev.value) - _reference_value(hp, y)) <= ev.error_estimate
 
 
 def test_evaluate_rejects_bad_tol():

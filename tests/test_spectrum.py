@@ -221,11 +221,21 @@ def test_wavefunction_normalization_quadrature(fig1_params):
         assert sample.normalized
 
 
-@pytest.mark.parametrize("a3", [200.0, 500.0])
+@pytest.mark.parametrize("a3", [200.0, 300.0])
+def test_profile_whose_square_overflows_is_normalized(a3):
+    # At a3 = 200 the raw ground state peaks near 9e175, so psi^2 overflows;
+    # the norm is taken on psi scaled by a power of two instead.
+    phys = PhysicalParams(a1=0.1, a2=0.1, a3=a3, mass=0.5)
+    grid = spectrum.auto_grid(0, phys)
+    sample = spectrum.wavefunction(0, phys, grid, normalize=True)
+    assert sample.normalized
+    assert abs(2.0 * np.trapezoid(sample.values**2, grid) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("a3", [500.0, 1000.0])
 def test_overflowing_profile_is_a_domain_error(a3):
-    # At a3 = 200 the raw ground state peaks near 9e175, so psi^2 and the norm
-    # overflow; at a3 = 500 psi itself does.  Neither may come back as an
-    # all-zero or NaN profile labelled normalized.
+    # Here psi itself overflows: it may not come back as an all-zero or NaN
+    # profile labelled normalized.
     phys = PhysicalParams(a1=0.1, a2=0.1, a3=a3, mass=0.5)
     with pytest.raises(DomainError):
         grid = spectrum.auto_grid(0, phys)
