@@ -19,7 +19,9 @@ The library scripts print the bits of three ensembles: auto_grid plus the
 normalized profile for n = 0..150 on 24 potentials, ``thermo.sweep`` columns
 over 9 q x 301 mbar x 4 tol for every method, and ``heun.evaluate`` and
 ``heun.adaptive_series`` over 400 random parameter sets x 9 points x 3 tol
-(value, term count and coefficients; the error estimate is left out).
+(value, term count and coefficients; the error estimate is left out), and
+``heun.evaluate_on_grid`` on one grid of +-y points per parameter set of the
+same ensemble x 3 tol.
 """
 
 from __future__ import annotations
@@ -191,6 +193,25 @@ for _ in range(400):
                 print(repr(ev.value), ev.n_terms, hashlib.sha256(coeffs.tobytes()).hexdigest())
             except TruncationFailure as exc:
                 print(str(exc), repr(exc.partial_sum), exc.n_terms)
+"""),
+    ("lib-heun-grid", """
+import hashlib, numpy as np
+from kgconfine import heun
+from kgconfine.errors import KGConfineError, TruncationFailure
+rng = np.random.default_rng(9)
+ys = np.array([-15.0, -6.0, -2.7, -1.0, -0.3, 0.0, 0.05, 0.3, 1.0, 2.7, 6.0, 15.0])
+for _ in range(400):
+    c = rng.uniform(-5.0, 5.0, 4).tolist()
+    try:
+        hp = heun.HeunParams(*c)
+    except KGConfineError as exc:
+        print(repr(exc))
+        continue
+    for tol in (1e-6, 1e-12, 1e-15):
+        try:
+            print(hashlib.sha256(heun.evaluate_on_grid(hp, ys, tol).tobytes()).hexdigest())
+        except TruncationFailure as exc:
+            print(str(exc), repr(exc.partial_sum), exc.n_terms)
 """),
 ]
 

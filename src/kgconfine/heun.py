@@ -239,9 +239,11 @@ def evaluate(hp: HeunParams, y: float, tol: float = 1e-12) -> Evaluation:
 def evaluate_on_grid(hp: HeunParams, ys: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Evaluate the regular solution on a grid of points.
 
-    One coefficient set, truncated adaptively at the largest |y|, serves the
+    One truncation, chosen adaptively at the largest |y| (y_ref), serves the
     whole grid: term magnitudes are monotone in |y|, so the cut is valid at
-    every smaller point.
+    every smaller point.  The terms t_k = a_k y_ref^k are Horner-evaluated at
+    y / y_ref, where |y / y_ref| <= 1, so coefficients a_k that underflow
+    while their terms do not (as at large |y|) lose nothing.
     """
     ys = np.asarray(ys, dtype=float)
     if ys.size == 0:
@@ -249,8 +251,8 @@ def evaluate_on_grid(hp: HeunParams, ys: np.ndarray, tol: float = 1e-12) -> np.n
     y_ref = float(np.max(np.abs(ys)))
     if y_ref == 0.0:
         return np.ones_like(ys)
-    sol = adaptive_series(hp, y_ref, tol)
-    return _polyval(sol.coeffs, ys)
+    n, _, _ = _adaptive_core(hp, y_ref, tol)
+    return _polyval(_coefficients(hp, n, y_ref), ys / y_ref)
 
 
 def _polyval(coeffs: np.ndarray, y):

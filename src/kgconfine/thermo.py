@@ -31,7 +31,6 @@ heat capacity per k_B.  A value that overflows (Z ~ q*mbar^2 does past mbar
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
@@ -137,46 +136,34 @@ def closed_integral(beta1: float, beta2: float, beta3: float) -> float:
     return (2.0 / (beta1**2 * beta2)) * math.exp(-beta1 * root) * (1.0 + beta1 * root)
 
 
-# Orders of the n-derivatives the Euler-MacLaurin tail needs: 1, 3 and 5 for
-# its B2..B6 corrections and 7 for its remainder bound, with their factors
-# B_{2i}/(2i)!.
-_EM_ORDERS = (1, 3, 5, 7)
-_EM_FACTORS = tuple(BERNOULLI[i] / math.factorial(2 * i) for i in (1, 2, 3, 4))
+# C(1/2, j) for j = 1..7, the Taylor coefficients of sqrt(1 + e); all are
+# dyadic, so the recurrence C(1/2, j) = C(1/2, j-1) (3/2 - j)/j forms them exactly.
+_HALF_BINOMIALS = np.cumprod([(1.5 - j) / j for j in range(1, 8)])
+# Entry (m, j) indexes row m - j of a series padded with a zero row 8, which
+# it picks above the diagonal: the Toeplitz matrix of a truncated product.
+_PRODUCT = np.array([[m - j if j <= m else 8 for j in range(8)] for m in range(8)])
 
 
-@functools.cache
-def _horner_table(moments: int) -> tuple[np.ndarray, np.ndarray]:
-    """Horner coefficients of every polynomial in r that the Euler-MacLaurin
-    tails of ``moments`` moments need, as (W, P): the coefficient of r^p in
-    column c is W[7 - p, c] * t**P[7 - p, c] (highest power first; zero above
-    the column's order).
+def _root_series(s1, x: np.ndarray) -> np.ndarray:
+    """Taylor coefficients sqrt(x) C(1/2, j) (s1/x)^j of sqrt(x + s1 e) in e
+    for orders j = 1..7 at every x; shape (7, x.size)."""
+    return np.sqrt(x) * _HALF_BINOMIALS[:, None] * (s1 / x) ** np.arange(1, 8)[:, None]
 
-    The m-th n-derivative of f(n) = exp(-b sqrt(s1 n + s2)), at the level
-    where s1 n + s2 = x, is (-1)^m f Q_m(r) with r = b s1/(2 sqrt(x)),
-    t = s1/(4x) and
 
-        Q_m(r) = sum_{k<m} (m-1+k)!/(k!(m-1-k)!) t^k r^(m-k),
+def _exp_series(c: np.ndarray) -> np.ndarray:
+    """Taylor coefficients E_0..E_7 of exp(sum_{j=1..7} c_j e^j) at e = 0, for
+    every column of c (row j - 1 holds c_j); shape (8, columns).
 
-    a polynomial in r whose coefficients are all positive, so Horner's rule
-    loses no digits to cancellation.  Column (m, j), for m in _EM_ORDERS and
-    j < moments, is R_mj(r) = sum_p p!/(p-j)! c_p r^p, where c_p is the
-    coefficient of r^p in Q_m, so R_m0 = Q_m; column c = i * moments holds
-    Q_m for the i-th order.  moments - 1 more copies of column (7, 0) serve
-    the remainder bounds of moments 1, 2, ...
+    E = exp(C) obeys E' = C' E, whose coefficient of e^(j-1) is the
+    recurrence j E_j = sum_{i<=j} i c_i E_{j-i} with E_0 = 1 (Griewank and
+    Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13).
     """
-    columns = [(m, j) for m in _EM_ORDERS for j in range(moments)]
-    columns += [(7, 0)] * (moments - 1)
-    W = np.zeros((7, len(columns)))
-    P = np.zeros((7, len(columns)), dtype=np.intp)
-    for c, (m, j) in enumerate(columns):
-        weight = 1  # (m-1+k)!/(k!(m-1-k)!), the weight of t^k r^(m-k) in Q_m
-        for k in range(m):
-            W[7 - m + k, c] = weight * math.perm(m - k, j)
-            P[7 - m + k, c] = k
-            weight = weight * (m + k) * (m - 1 - k) // (k + 1)
-    W.setflags(write=False)
-    P.setflags(write=False)
-    return W, P
+    ic = np.arange(1.0, 8.0)[:, None] * c
+    E = np.empty((8, c.shape[1]))
+    E[0] = 1.0
+    for j in range(1, 8):
+        E[j] = np.einsum("ir,ir->r", ic[:j], E[j - 1::-1]) / j
+    return E
 
 
 def _moment_integrals(pref, fx, z, bu, be0, moments: int) -> list:
@@ -200,76 +187,65 @@ def _moment_integrals(pref, fx, z, bu, be0, moments: int) -> list:
 
 
 def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int):
-    """Euler-MacLaurin value of sum_{n' >= n} (b v)^k exp(-b v) / (k+1)!
-    through the B6 correction, for every row and k < moments, with a bound on
-    its remainder.  Returns (tails, bounds), each of shape (moments, rows).
+    """Euler-MacLaurin value of sum_{n' >= n} g_k(n'), g_k = y^k e^{-y}/(k+1)!,
+    y = b v, through the B6 correction, for every row and k < moments, and a
+    bound on its remainder: (tails, bounds), each of shape (moments, rows).
 
-    The m-th n-derivative of f_0 = exp(-b v) is -fx Q_m(r) for odd m
-    (Q_m from ``_horner_table``, r = a b).  The k-th summand is
-    b^k f_k = b^k (-d/db)^k f_0, and d/db reaches Q_m through r, so
+    At the level where s1 n + s2 = x, y(n + e) = z + sum_j dy_j e^j with
+    z = b v(n) and dy_j = b ``_root_series``(s1, x)_j, so e^{-y(n+e)} =
+    e^{-z} sum_m E_m e^m, E from ``_exp_series`` at c_j = -dy_j.  The dy_j
+    alternate in sign from dy_1 > 0, so each term of E_m's recurrence has the
+    sign (-1)^m and none cancels.  The series of g_k is e^{-z} (Y^k E)/(k+1)!,
+    Y = z + sum_j dy_j e^j, and g_k^(m)(n) is m! times its coefficient of
+    e^m: the correction B_{2i}/(2i)! g_k^(2i-1)(n) is B_{2i}/(2i) times the
+    coefficient of order 2i - 1.  The remainder after the B6 correction obeys
+    |R| <= 2|B8|/8! integral_n^inf |g_k^(8)| (DLMF 2.10.1, with
+    |B8(x - floor x)| <= |B8|).
 
-        (b^k f_k)^(m) = -fx sum_{j<=k} C(k, j) (-1)^j z^(k-j) R_mj(r)
-
-    with z = b v(n) and R_mj from ``_horner_table``.  The remainder after
-    the B6 correction obeys |R| <= 2|B8|/8! integral_n^inf |g^(8)| (DLMF
-    2.10.1, with |B8(x - floor x)| <= |B8|).
-
-    * k = 0: f_0 is completely monotone in n, so R lies between 0 and the
-      first omitted term B8/8! f_0^(7)(n), whose size is the bound.
-    * k >= 1: f_k is not completely monotone.  As a function of complex
-      beta, f_0^(8)(n; beta) = exp(-beta v) P(beta), with P a polynomial of
-      degrees 1..8 whose coefficients are positive.  On the circle
-      |beta - b| = rho < b, |exp(-beta v)| <= exp(-(b - rho) v) and
+    * k = 0: g_0 is completely monotone in n, so R lies between 0 and the
+      first omitted term B8/8! g_0^(7)(n) = (B8/8) e^{-z} E_7: its size.
+    * k >= 1: g_k is not completely monotone.  As a function of complex
+      beta, f = exp(-beta v) has f^(8)(n; beta) = f P(beta), with P a
+      polynomial of degrees 1..8 whose coefficients are positive.  On the
+      circle |beta - b| = rho < b, |exp(-beta v)| <= exp(-(b - rho) v) and
       |P(beta)| <= P(b + rho) <= ((b + rho)/(b - rho))^8 P(b - rho), so
       Cauchy's estimate gives
-      |f_k^(8)(n; b)| <= k! rho^-k ((b + rho)/(b - rho))^8 f_0^(8)(n; b - rho),
-      and, f_0(.; b - rho) being completely monotone,
-      integral_n^inf f_0^(8)(n'; b - rho) dn' = |f_0^(7)(n; b - rho)|.  With
-      rho = theta b the bound on the moment's remainder is
-      2|B8|/8! k! theta^-k ((1 + theta)/(1 - theta))^8
-      exp(-(1 - theta) z) Q_7((1 - theta) r).  It holds for every theta in
-      (0, 1); theta = k/(12 + z) keeps it near its smallest.
+      |(v^k f)^(8)(n; b)| <= k! rho^-k ((b + rho)/(b - rho))^8 f^(8)(n; b - rho),
+      and, f(.; b - rho) being completely monotone, integral_n^inf
+      f^(8)(n'; b - rho) dn' = |f^(7)(n; b - rho)| = 7! e^{-(1 - theta) z} |E'_7|
+      with rho = theta b and E' the series at dy scaled by 1 - theta.  As
+      g_k = b^k v^k f/(k+1)!, the bound on the moment's remainder is
+      2|B8|/8 (1/(k+1)) theta^-k ((1 + theta)/(1 - theta))^8
+      e^{-(1 - theta) z} |E'_7|.  It holds for every theta in (0, 1);
+      theta = k/(12 + z) keeps it near its smallest.
     """
     x = s1 * n + s2
     root = np.sqrt(x)
-    # Powers of t as float ** int, as partition_summand forms them: a
-    # different power rule would move the last bits of the Z tail, and with
-    # them the direct sums and every table built from them.
-    powers = np.array([[t**k for k in range(7)] for t in (s1 / (4.0 * x)).tolist()])
-    W, P = _horner_table(moments)
-    coef = W[:, :, None] * powers.T[P]  # (7, columns, q)
-    s1r, rootr = s1[which], root[which]
+    dy = b * _root_series(s1, x)[:, which]
     z = b * (root - e0)[which]
     fx = np.exp(-z)
-    r = b * s1r / (2.0 * rootr)
-    theta = np.arange(1, moments)[:, None] / (12.0 + z)
-    orders = len(_EM_ORDERS)
-    rr = np.empty((W.shape[1], b.size))
-    rr[:orders * moments] = r
-    rr[orders * moments:] = (1.0 - theta) * r
-    acc = coef[0][:, which]
-    for i in range(1, 7):
-        acc = acc * rr + coef[i][:, which]
-    acc = acc * rr
-    R = acc[:orders * moments].reshape(orders, moments, -1)
-    polys = []  # sum_j C(k, j) (-1)^j z^(k-j) R_mj, by Horner's rule in z
-    for k in range(moments):
-        poly = R[:, 0]
-        for j in range(1, k + 1):
-            poly = poly * z + math.comb(k, j) * (-1) ** j * R[:, j]
-        polys.append(poly)
-    ks = np.arange(moments)[:, None]
-    inv = np.array([1.0 / math.factorial(k + 1) for k in range(moments)])[:, None]
-    corrections = np.array(_EM_FACTORS)[:, None] * (-fx * np.array(polys)) * inv[:, :, None]
-    integrals = _moment_integrals(2.0 / (b * b * s1r), fx, z, b * rootr, b * e0[which], moments)
-    tails = np.array(integrals) + 0.5 * (fx * z**ks) * inv - (
-        corrections[:, 0] + corrections[:, 1] + corrections[:, 2])
-    bounds = np.empty_like(tails)
-    bounds[0] = np.abs(corrections[0, 3])
-    k = ks[1:]  # k!/(k+1)! = 1/(k+1) for the moments scaled by 1/(k+1)!
-    bounds[1:] = (2.0 * abs(_EM_FACTORS[3]) / (k + 1) * theta**-k
-                  * ((1.0 + theta) / (1.0 - theta)) ** 8
-                  * np.exp(-(1.0 - theta) * z) * acc[orders * moments:])
+    # theta_0 = 0 gives the tail's own series, theta_k (k >= 1) the series of
+    # the k-th bound: one recurrence serves them all.
+    k = np.arange(moments)[:, None]
+    theta = k / (12.0 + z)
+    E = _exp_series((dy[:, None] * (theta - 1.0)).reshape(7, -1)).reshape(8, moments, -1)
+    series = [E[:, 0]]  # Y^k E, each of shape (8, rows)
+    if moments > 1:
+        Y = np.concatenate([z[None], dy, np.zeros((1, z.size))])[_PRODUCT]
+        for _ in range(1, moments):
+            series.append(np.einsum("mjr,jr->mr", Y, series[-1]))
+    series = np.array(series)
+    inv = np.array([1.0 / math.factorial(j + 1) for j in range(moments)])[:, None]
+    corrections = sum(BERNOULLI[i] / (2 * i) * series[:, 2 * i - 1] for i in (1, 2, 3))
+    integrals = _moment_integrals(
+        2.0 / (b * b * s1[which]), fx, z, b * root[which], b * e0[which], moments)
+    # Scaled term by term, as (integral + f/2) - corrections: another grouping
+    # moves the last bits of the tails and of every direct sum built on them.
+    tails = np.array(integrals) + 0.5 * (fx * series[:, 0]) * inv - fx * corrections * inv
+    # k = 0: the omitted term, half the Cauchy estimate's value at theta = 0.
+    bounds = (np.where(k == 0, 1.0, 2.0) / (k + 1) * abs(BERNOULLI[4]) / 8 * theta**-k
+              * ((1.0 + theta) / (1.0 - theta)) ** 8
+              * np.exp(-(1.0 - theta) * z) * np.abs(E[7]))
     return tails, bounds
 
 
@@ -450,18 +426,10 @@ def partition_summand(
     def f(n: float) -> float:
         return math.exp(-b * math.sqrt(s1 * n + s2))
 
-    f0 = f(0.0)
-    r = b * s1 / (2.0 * math.sqrt(s2))
-    t = s1 / (4.0 * s2)
-    # f^(m)(0) = -f(0) Q_m(r) for odd m; Q_1 and Q_3 are the first two
-    # columns of the Euler-MacLaurin tails' Horner table.
-    W, P = _horner_table(1)
-    derivs = {}
-    for c, m in enumerate((1, 3)):
-        acc = 0.0
-        for w, k in zip(W[:, c].tolist(), P[:, c].tolist()):
-            acc = acc * r + w * t**k
-        derivs[m] = -f0 * (acc * r)
+    # f^(m)(0) = m! f(0) E_m, E_m the Taylor coefficients of f(e)/f(0) from
+    # the recurrence of the Euler-MacLaurin tails.
+    E = _exp_series(-b * _root_series(s1, np.array([s2])))
+    derivs = {m: f(0.0) * math.factorial(m) * float(E[m, 0]) for m in (1, 3)}
     return f, derivs, closed_integral(b, s1, s2)
 
 

@@ -185,6 +185,18 @@ def test_evaluate_on_grid_matches_pointwise():
                             rel_tol=1e-9, abs_tol=1e-12)
 
 
+def test_evaluate_on_grid_keeps_terms_whose_coefficients_underflow():
+    # At y = 12, 251 of the 594 coefficients a_k are subnormal or zero while
+    # their terms a_k y^k reach 4e62; a grid must still agree with the
+    # pointwise values within their error bounds, on both sides of 0.
+    hp = heun.HeunParams(c1=0.3, c2=-1.2, c3=4.4, c4=0.7)
+    ys = np.linspace(-12.0, 12.0, 9)
+    grid_vals = heun.evaluate_on_grid(hp, ys, tol=1e-14)
+    for y, v in zip(ys.tolist(), grid_vals.tolist()):
+        ev = heun.evaluate(hp, y, tol=1e-14)
+        assert abs(v - ev.value) <= ev.error_estimate
+
+
 def test_overflow_reports_truncation_failure():
     hp = heun.HeunParams(c1=1.0, c2=4.0, c3=3.0, c4=1.0)
     with pytest.raises(TruncationFailure) as err:

@@ -394,6 +394,44 @@ def test_moment_bounds_cover_their_errors(tol):
     assert all(margin[1.0, 1.0, k] > 10.0 for k in (1, 2))
 
 
+# Rows (mbar, q) of one Euler-MacLaurin tail call from level EM_TAIL_N; the
+# summand is smooth there on every row (b*sigma1/(2E_N) <= 1/8).
+EM_TAIL_N = 64
+EM_TAIL_ROWS = ((2.0, 0.4), (1.0, 1.0), (20.0, 1.0), (300.0, 1.6))
+
+
+def test_em_tails_match_30_digit_truncation():
+    # The tails' corrections use the summands' n-derivatives of orders 1, 3
+    # and 5, and the k = 0 bound that of order 7; mpmath's numerical
+    # derivatives of the same summands g_k = y^k exp(-y)/(k+1)! check all four.
+    qs = (0.4, 1.0, 1.6)
+    s1, s2 = np.array([thermo.sigma_constants(q) for q in qs]).T
+    which = np.array([qs.index(q) for _, q in EM_TAIL_ROWS])
+    b = np.array([1.0 / mbar for mbar, _ in EM_TAIL_ROWS])
+    n = EM_TAIL_N
+    assert np.all(b * s1[which] <= 2.0 * thermo.DIRECT_EM_MAX_STEP
+                  * np.sqrt(s1[which] * n + s2[which]))
+    tails, bounds = thermo._em_tails(n, b, which, s1, s2, np.sqrt(s2), 3)
+    with mp.workdps(30):
+        for row, i in enumerate(which.tolist()):
+            beta, c1, c2 = mp.mpf(b[row]), mp.mpf(s1[i]), mp.mpf(s2[i])
+
+            def y(x):
+                return beta * (mp.sqrt(c1 * x + c2) - mp.sqrt(c2))
+
+            for k in range(3):
+                def g(x, k=k):
+                    return y(x) ** k * mp.exp(-y(x)) / mp.factorial(k + 1)
+
+                d = list(mp.diffs(g, n, 7))
+                want = mp.quad(g, [n, mp.inf]) + d[0] / 2 - mp.fsum(
+                    mp.bernoulli(2 * j) / mp.factorial(2 * j) * d[2 * j - 1] for j in (1, 2, 3))
+                assert abs(tails[k, row] - want) <= 1e-13 * want
+                if k == 0:
+                    omitted = abs(mp.bernoulli(8) / mp.factorial(8) * d[7])
+                    assert abs(bounds[0, row] - omitted) <= 1e-10 * omitted
+
+
 def test_sweep_columns_match_point_calls():
     grid = np.geomspace(0.3, 300.0, 12)
     for q in (0.5, 1.5):
