@@ -12,7 +12,8 @@ byte for byte the same on the matrix:
     diff old.txt new.txt
 
 The matrix covers all five commands in csv and json, direct/em/both sweeps
-(including the failing ``--tol 1e-300`` and mbar = 1e150..1e300 sweeps),
+(including the failing ``--tol 1e-300`` and mbar = 1e150..1e300 sweeps, and
+the q = 0.5 em sweep over mbar = 1e153..1.9e154, where Z nears the float limit),
 wavefunctions whose raw squares (``--a3 200``) or samples (``--a3 500``)
 overflow double precision, ``--config`` files, usage errors and ``--help``.
 The library scripts print the bits of three ensembles: auto_grid plus the
@@ -42,6 +43,8 @@ FAILING = ["--q", "1.0", "--mbar-min", "0.01", "--mbar-max", "1e5", "--steps", "
 HUGE = ["--q", "1", "--mbar-min", "1e150", "--mbar-max", "1e300", "--steps", "4"]
 # Crosses mbar ~ 1e77, where the closed form's C used to overflow.
 LARGE = ["--q", "0.5,1", "--mbar-min", "1e30", "--mbar-max", "1e160", "--steps", "27"]
+# For q < 1, mbar^2 overflows here before Z ~ q*mbar^2 does.
+OVERFLOW_WINDOW = ["--q", "0.5", "--mbar-min", "1e153", "--mbar-max", "1.9e154", "--steps", "12"]
 
 # (name, argv, config-file text or None); "{tmp}" is the run's directory.
 RUNS: list[tuple[str, list[str], str | None]] = []
@@ -75,6 +78,8 @@ RUNS += [
                               "--out", "{tmp}/t.csv"], None),
     ("thermo-tol", ["thermo", "--method", "direct", "--tol", "1e-6", *SWEEP,
                     "--out", "{tmp}/t.csv"], None),
+    ("em-overflow-window", ["thermo", "--method", "em", *OVERFLOW_WINDOW,
+                            "--out", "{tmp}/t.csv"], None),
     ("default-name", ["density", "--n", "0", "--format", "json"], None),
     ("io-failure", ["spectrum", "--out", "{tmp}/missing/s.csv"], None),
     ("wavefunction-tol", ["wavefunction", "--n", "2", "--tol", "1e-8", "--mass", "1",

@@ -34,8 +34,8 @@ def main() -> None:
     for (q, mbar), z, err in zip(points, cols.Z_direct.tolist(), cols.errors):
         if math.isnan(z):
             raise err
-        e1 = abs(thermo.partition_em(mbar, q, thermo.EMConfig(order=1)).Z - z) / z
-        e2 = abs(thermo.partition_em(mbar, q, thermo.EMConfig(order=2)).Z - z) / z
+        e1 = abs(thermo.partition_em(mbar, q, 1).Z - z) / z
+        e2 = abs(thermo.partition_em(mbar, q, 2).Z - z) / z
         if e2 > e1 * 1.01:
             worse += 1
         print(f"{q:>5g} {mbar:>9.4g} {z:>16.10g} {e1:>12.3e} {e2:>12.3e}")

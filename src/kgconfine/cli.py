@@ -292,10 +292,8 @@ def run_spectrum(cfg: RunConfig) -> int:
     header = ("n", "energy_pos", "energy_neg", "residual")
     rows = []
     for n in cfg.n_list:
-        pos = spec_mod.energy(n, cfg.physical, spec_mod.Branch.POSITIVE)
-        neg = spec_mod.energy(n, cfg.physical, spec_mod.Branch.NEGATIVE)
-        rows.append((n, pos.energy, neg.energy,
-                     spec_mod.quantization_residual(pos.energy, n, cfg.physical)))
+        e = spec_mod.energy(n, cfg.physical)
+        rows.append((n, e, -e, spec_mod.quantization_residual(e, n, cfg.physical)))
     write_table(cfg.output_path, header, rows, cfg.output_format)
     print(f"wrote {cfg.output_path} ({len(rows)} rows)")
     return 0
@@ -305,7 +303,7 @@ def run_density(cfg: RunConfig) -> int:
     header = ("n", "energy", "rho_consistent", "rho_paper")
     rows = []
     for n in cfg.n_list:
-        e = spec_mod.energy(n, cfg.physical).energy
+        e = spec_mod.energy(n, cfg.physical)
         rows.append((n, e, spec_mod.level_density_consistent(e, cfg.physical),
                      spec_mod.level_density_paper(e, cfg.physical)))
     write_table(cfg.output_path, header, rows, cfg.output_format)
@@ -342,8 +340,7 @@ def _sweep_rows(cfg: RunConfig, include_terms: bool) -> tuple[list[tuple], list[
     rows: list[tuple] = []
     errors: list[str] = []
     # One sweep over every q; its columns are q-major, like the table.
-    em_cfg = thermo.EMConfig(order=cfg.em_order)
-    cols = thermo.sweep(cfg.method, cfg.grid, cfg.q_list, em_cfg, cfg.tol)
+    cols = thermo.sweep(cfg.method, cfg.grid, cfg.q_list, cfg.em_order, cfg.tol)
     rel = None
     if cols.Z_direct is not None and cols.Z_em is not None:
         with np.errstate(invalid="ignore"):  # inf - inf on a failed point

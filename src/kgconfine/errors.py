@@ -28,7 +28,3 @@ class TruncationFailure(KGConfineError, RuntimeError):
 
 class ConfigError(KGConfineError, ValueError):
     """Invalid or incomplete run configuration."""
-
-
-class InternalError(KGConfineError, RuntimeError):
-    """A condition that the surrounding invariants should make unreachable."""

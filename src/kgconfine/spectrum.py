@@ -6,7 +6,9 @@ The closed-form spectrum of the scalar-coupled model is
 
 independent of both the rest energy and the offset a1 (their contributions
 cancel between eps1 and A3^2/4).  Both signs of the square root are physical
-branches.  Eigenfunctions are assembled in the scaled coordinate y as
+branches; ``energy`` returns the positive one, and for this pure scalar
+coupling the negative branch is exactly its negation.  Eigenfunctions are
+assembled in the scaled coordinate y as
 
     psi(y) = y^p * exp((A3*y - y^2)/2) * u(y)
 
@@ -25,31 +27,18 @@ decaying tail.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import heun
-from .errors import DomainError, InternalError
+from .errors import DomainError
 from .params import PhysicalParams, _reduction
 
 # psi must drop below this fraction of its peak for a grid to count as
 # covering the full decay (and for normalized samples to claim it).
 DECAY_FRACTION = 1e-8
-
-
-class Branch(enum.Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-
-
-@dataclass(frozen=True)
-class SpectrumPoint:
-    n: int
-    branch: Branch
-    energy: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,18 +62,14 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
-def energy(n: int, params: PhysicalParams, branch: Branch = Branch.POSITIVE) -> SpectrumPoint:
-    """Closed-form eigenvalue for level ``n`` on the chosen branch."""
+def energy(n: int, params: PhysicalParams) -> float:
+    """Closed-form positive-branch eigenvalue of level ``n``; the negative
+    branch is its negation."""
     n = _check_n(n)
     root = _reduction(params).root
+    # a2 > 0, a3 >= 0, Q > 0 and root >= 1 make every term non-negative.
     e_sq = 2.0 * params.a2 * params.a3 + (params.a2 / params.Q) * (2.0 * n + 1.0 + root)
-    if e_sq < 0.0:
-        # a2 > 0, a3 >= 0 make every term non-negative.
-        raise InternalError(f"negative squared energy {e_sq!r} for n={n}")
-    value = math.sqrt(e_sq)
-    if branch is Branch.NEGATIVE:
-        value = -value
-    return SpectrumPoint(n=n, branch=branch, energy=value)
+    return math.sqrt(e_sq)
 
 
 def quantization_residual(energy_value: float, n: int, params: PhysicalParams) -> float:
@@ -124,7 +109,7 @@ def level_density_consistent(energy_value: float, params: PhysicalParams) -> flo
 
 def heun_parameters(n: int, params: PhysicalParams) -> heun.HeunParams:
     """Heun parameters of the level-n eigenfunction via coefficient matching."""
-    r = _reduction(params, energy(n, params).energy)
+    r = _reduction(params, energy(n, params))
     return heun.HeunParams(
         c1=2.0 * r.p - 1.0,
         c2=-r.A3,
@@ -141,7 +126,8 @@ def wavefunction(
     The Heun factor is the degree-n truncation of the series (see module
     docstring); normalization uses trapezoid quadrature of psi^2 over the
     doubled symmetric domain (the profile is even in y), i.e. 2 * trapz(psi^2).
-    A sample that overflows double precision raises DomainError.
+    A sample that overflows double precision, or a profile that underflows to
+    zero on the grid when normalized, raises DomainError.
     """
     n = _check_n(n)
     grid = np.asarray(grid, dtype=float)
@@ -177,7 +163,7 @@ def wavefunction(
         np.ldexp(values, -math.frexp(peak)[1], out=values)
         norm_sq = 2.0 * np.trapezoid(values**2, grid)
         if norm_sq <= 0.0:
-            raise InternalError("profile has vanishing norm on the given grid")
+            raise DomainError(f"level-{n} profile underflows to zero on this grid")
         values = values / math.sqrt(norm_sq)
     values.setflags(write=False)
     return WavefunctionSample(
@@ -199,7 +185,7 @@ def auto_grid(n: int, params: PhysicalParams, points: int = 2001) -> np.ndarray:
         raise DomainError(f"points must be >= 2, got {points!r}")
 
     # Outer classical turning point of y^2 - A3*y = eps1 as a starting guess.
-    r = _reduction(params, energy(n, params).energy)
+    r = _reduction(params, energy(n, params))
     disc = r.A3 * r.A3 + 4.0 * r.eps1
     y_turn = 0.5 * (r.A3 + math.sqrt(disc)) if disc > 0.0 else 0.0
     end = max(2.0, 1.5 * y_turn + 2.0)

@@ -30,7 +30,6 @@ heat capacity per k_B.  A value that overflows (Z ~ q*mbar^2 does past mbar
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
@@ -54,22 +53,6 @@ _BLOCK = 1 << 16
 # b*sigma1/(2*E_N) <= DIRECT_EM_MAX_STEP; both keep the B8 remainder term tiny.
 DIRECT_EM_MIN_N = 32
 DIRECT_EM_MAX_STEP = 0.125
-
-
-class Source(enum.Enum):
-    DIRECT = "direct"
-    EM = "em"
-
-
-@dataclass(frozen=True)
-class EMConfig:
-    """Euler-MacLaurin truncation order."""
-
-    order: int = 2
-
-    def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ConfigError(f"order must be 1 or 2, got {self.order!r}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +93,11 @@ class HighTemperatureLimits:
     Z_coefficient: float  # Z ~ Z_coefficient * mbar^2
     U_slope: float        # U/eps ~ U_slope * mbar
     C_limit: float        # C/k_B -> C_limit
+
+
+def _check_order(order: int) -> None:
+    if order not in (1, 2):
+        raise ConfigError(f"order must be 1 or 2, got {order!r}")
 
 
 def _check_point(mbar: float, q: float, tol: float) -> None:
@@ -406,7 +394,7 @@ def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
     raises TruncationFailure, and a Z that overflows raises DomainError.  This
     is a one-point call into the columns that ``sweep`` computes over a grid.
     """
-    return _one_point(Source.DIRECT, mbar, q, thermal=False, tol=tol)
+    return _one_point("direct", mbar, q, thermal=False, tol=tol)
 
 
 def partition_summand(
@@ -436,28 +424,29 @@ def partition_summand(
 def euler_maclaurin_sum(
     f: Callable[[float], float],
     integral: float,
-    cfg: EMConfig = EMConfig(),
+    order: int = 2,
     derivatives: Mapping[int, float] | None = None,
 ) -> float:
-    """Euler-MacLaurin value of sum_{n>=0} f(n) truncated at cfg.order.
+    """Euler-MacLaurin value of sum_{n>=0} f(n) truncated at ``order`` (1 or 2).
 
         sum f(n) = f(0)/2 + integral - sum_{i<=order} B_{2i}/(2i)! * f^(2i-1)(0)
 
     The odd derivatives at 0 must be supplied via ``derivatives``
     (``partition_summand`` gives them exactly for the level sum).
     """
+    _check_order(order)
     if not math.isfinite(integral):
         raise DomainError(f"integral must be finite, got {integral!r}")
     if derivatives is None:
         raise ConfigError("euler_maclaurin_sum requires a derivatives mapping")
-    orders = [2 * i - 1 for i in range(1, cfg.order + 1)]
-    for order in orders:
-        if order not in derivatives:
-            raise ConfigError(f"missing derivative of order {order}")
+    odd = [2 * i - 1 for i in range(1, order + 1)]
+    for m in odd:
+        if m not in derivatives:
+            raise ConfigError(f"missing derivative of order {m}")
 
     total = 0.5 * f(0.0) + integral
-    for i, order in enumerate(orders, start=1):
-        total -= BERNOULLI[i] / math.factorial(2 * i) * float(derivatives[order])
+    for i, m in enumerate(odd, start=1):
+        total -= BERNOULLI[i] / math.factorial(2 * i) * float(derivatives[m])
     return total
 
 
@@ -469,7 +458,10 @@ def _em_z_and_derivatives(rows: _Rows, order: int) -> tuple[np.ndarray, np.ndarr
     s1, s2 = (c[rows.which] for c in consts)
     mbar = rows.mbar
     root = np.sqrt(s2)
-    z = 0.5 + (2.0 / s1) * (mbar**2 + root * mbar) + (s1 / (24.0 * root)) / mbar
+    # The leading term at mbar/2, times 4: scaling by powers of two is exact,
+    # and for q = 2/sigma1 < 1 a bare mbar^2 would overflow before Z does.
+    m = 0.5 * mbar
+    z = 0.5 + 4.0 * ((2.0 / s1) * (m * m + root * m * 0.5)) + (s1 / (24.0 * root)) / mbar
     zp = (2.0 / s1) * (2.0 * mbar + root) - (s1 / (24.0 * root)) / mbar**2
     zpp = 4.0 / s1 + (s1 / (12.0 * root)) / mbar**3
     if order >= 2:
@@ -482,14 +474,14 @@ def _em_z_and_derivatives(rows: _Rows, order: int) -> tuple[np.ndarray, np.ndarr
     return z, zp, zpp
 
 
-def partition_em(mbar: float, q: float, cfg: EMConfig = EMConfig()) -> ThermoPoint:
-    """Euler-MacLaurin partition function at the configured order.
+def partition_em(mbar: float, q: float, order: int = 2) -> ThermoPoint:
+    """Euler-MacLaurin partition function at ``order`` 1 or 2.
 
     A one-point call into the columns that ``sweep`` computes: a point where
     the closed form is non-positive (below its validity range) or not finite
     raises DomainError.
     """
-    return _one_point(Source.EM, mbar, q, thermal=False, order=cfg.order)
+    return _one_point("em", mbar, q, thermal=False, order=order)
 
 
 @np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite value
@@ -542,46 +534,50 @@ def _direct_columns(rows: _Rows, tol: float, moments: int) -> SweepColumns:
 
 
 def thermal_functions(
-    source: Source | str,
+    method: str,
     mbar: float,
     q: float,
-    cfg: EMConfig = EMConfig(),
+    order: int = 2,
     tol: float = 1e-12,
 ) -> ThermoPoint:
     """Free energy, internal energy, and heat capacity at one sweep point.
 
     With t = ln mbar and L(t) = ln Z:  F/eps = -mbar * L,  U/eps = mbar * L',
     and C/k_B = dU/dT = L' + L''  (equivalently k_B beta^2 (-dU/dbeta), which
-    is positive since U falls with beta).  The EM source differentiates the
-    closed form exactly.  The direct source needs no derivative: with
+    is positive since U falls with beta).  ``method`` is ``"direct"`` or
+    ``"em"``.  The em route differentiates the closed form of Euler-MacLaurin
+    ``order`` exactly.  The direct route needs no derivative: with
     y = (E - E_0)/(k_B T), L' = <y> and L' + L'' = <y^2> - <y>^2, so
     U = mbar <y> and C = <y^2> - <y>^2 come from the moment sums
     M_k = sum_n y_n^k exp(-y_n), k = 0, 1, 2, that the direct-sum kernel
     adds in one pass, each with its own bounded tail.  This is a one-point
     call into the same columns that ``sweep`` computes over a grid.
     """
-    return _one_point(Source(source), mbar, q, thermal=True, order=cfg.order, tol=tol)
+    return _one_point(method, mbar, q, thermal=True, order=order, tol=tol)
 
 
 def _one_point(
-    source: Source, mbar: float, q: float, thermal: bool, order: int = 2, tol: float = 1e-12
+    method: str, mbar: float, q: float, thermal: bool, order: int = 2, tol: float = 1e-12
 ) -> ThermoPoint:
     # The columns that ``sweep`` computes, at the single point (mbar, q), as a
     # ThermoPoint; a failed point raises its error.  Without ``thermal`` F, U
     # and C stay None and the direct route sums Z alone.
+    _check_order(order)
     _check_point(mbar, q, tol)
     rows = _Rows(np.array([float(mbar)]), np.zeros(1, dtype=np.intp), (q,))
-    if source is Source.EM:
+    if method == "em":
         cols = _em_columns(rows, order)
         z = cols.Z_em
-    else:
+    elif method == "direct":
         cols = _direct_columns(rows, tol, moments=3 if thermal else 1)
         z = cols.Z_direct
+    else:
+        raise ConfigError(f"method must be 'direct' or 'em', got {method!r}")
     if cols.errors[0] is not None:
         raise cols.errors[0]
     F, U, C = (float(c[0]) for c in (cols.F, cols.U, cols.C)) if thermal else (None,) * 3
     return ThermoPoint(
-        mbar=mbar, Z=float(z[0]), method=source.value, F=F, U=U, C=C,
+        mbar=mbar, Z=float(z[0]), method=method, F=F, U=U, C=C,
         terms=None if cols.terms is None else int(cols.terms[0]),
         tail_bound=None if cols.tail_bound is None else float(cols.tail_bound[0]),
     )
@@ -591,7 +587,7 @@ def sweep(
     method: str,
     mbar: np.ndarray,
     q,
-    cfg: EMConfig = EMConfig(),
+    order: int = 2,
     tol: float = 1e-12,
 ) -> SweepColumns:
     """Thermal sweep over an mbar grid for one q or a 1-d array of q.
@@ -601,13 +597,14 @@ def sweep(
 
     * ``"direct"``: direct-sum Z, F, U and C, as
       ``thermal_functions("direct")`` gives them point by point;
-    * ``"em"``: the Euler-MacLaurin closed form's Z, F, U and C;
+    * ``"em"``: the Euler-MacLaurin closed form's Z, F, U and C at ``order``;
     * ``"both"``: the direct-sum Z next to the closed form's Z, F, U and C.
 
     Every point of a direct sweep is one row of a single kernel call.  A
     point that fails keeps NaN in the columns it could not compute and its
     error in ``errors``; under ``"both"`` the direct sum's error wins.
     """
+    _check_order(order)
     mbar = np.asarray(mbar, dtype=float)
     if mbar.ndim != 1 or mbar.size == 0:
         raise DomainError(f"mbar must be a non-empty 1-d grid, got shape {mbar.shape}")
@@ -622,11 +619,11 @@ def sweep(
     if method == "direct":
         return _direct_columns(rows, tol, moments=3)
     if method == "em":
-        return _em_columns(rows, cfg.order)
+        return _em_columns(rows, order)
     if method != "both":
         raise ConfigError(f"method must be 'direct', 'em' or 'both', got {method!r}")
     direct = _direct_columns(rows, tol, moments=1)
-    em = _em_columns(rows, cfg.order)
+    em = _em_columns(rows, order)
     return SweepColumns(
         Z_direct=direct.Z_direct, Z_em=em.Z_em, F=em.F, U=em.U, C=em.C,
         terms=direct.terms, tail_bound=direct.tail_bound,

@@ -239,7 +239,7 @@ def test_csv_cells_use_12_significant_digits(tmp_path):
     from kgconfine import spectrum as spec_mod
     from kgconfine.params import PhysicalParams
 
-    e = spec_mod.energy(0, PhysicalParams(a1=0.1, a2=0.1, a3=0.1, mass=0.5)).energy
+    e = spec_mod.energy(0, PhysicalParams(a1=0.1, a2=0.1, a3=0.1, mass=0.5))
     assert rows[0]["energy_pos"] == format(e, ".12g")
 
 

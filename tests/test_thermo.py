@@ -159,7 +159,7 @@ def test_thermal_functions_direct_heat_capacity_matches_moments(mbar):
     q = 1.0
     _, m1, m2 = thermo.excitation_moments(mbar, q, 1e-12)
     c_fluct = (m2 - m1 * m1) / (mbar * mbar)
-    c_fd = thermo.thermal_functions(thermo.Source.DIRECT, mbar, q).C
+    c_fd = thermo.thermal_functions("direct", mbar, q).C
     assert math.isclose(c_fd, c_fluct, rel_tol=1e-5)
 
 
@@ -548,6 +548,18 @@ def test_em_route_is_finite_up_to_the_overflow_of_z():
     assert thermo.partition_em(1e110, 1.0).Z == pytest.approx(1e220, rel=1e-12)
 
 
+def test_em_route_overflows_where_the_direct_route_does():
+    # For q = 2/sigma1 < 1 a bare mbar^2 overflows before Z ~ q*mbar^2 does;
+    # the closed form must stay finite on every point where the direct sum is.
+    grid = np.geomspace(1e153, 2e154, 40)
+    for q in (0.25, 0.5, 0.9, 2.0):
+        em = thermo.sweep("em", grid, q)
+        direct = thermo.sweep("direct", grid, q, tol=1e-10)
+        assert [e is None for e in em.errors] == [e is None for e in direct.errors]
+    z = thermo.partition_em(1.5e154, 0.5).Z
+    assert z == pytest.approx(thermo.partition_direct(1.5e154, 0.5).Z, rel=1e-12)
+
+
 def test_partition_direct_domain():
     for bad in ((0.0, 1.0, 1e-9), (1.0, 0.0, 1e-9), (1.0, 1.0, 0.0)):
         with pytest.raises(DomainError):
@@ -555,9 +567,9 @@ def test_partition_direct_domain():
 
 
 def test_partition_em_frozen_values():
-    assert math.isclose(thermo.partition_em(1.0, 1.0, thermo.EMConfig(order=2)).Z,
+    assert math.isclose(thermo.partition_em(1.0, 1.0, 2).Z,
                         Z_EM_11_O2, rel_tol=1e-13)
-    assert math.isclose(thermo.partition_em(1.0, 1.0, thermo.EMConfig(order=1)).Z,
+    assert math.isclose(thermo.partition_em(1.0, 1.0, 1).Z,
                         Z_EM_11_O1, rel_tol=1e-13)
 
 
@@ -600,8 +612,23 @@ def test_partition_em_at_least_half_on_validated_domain():
 
 
 def test_em_config_validation():
-    with pytest.raises(ConfigError):
-        thermo.EMConfig(order=3)
+    # The Euler-MacLaurin order is 1 or 2 wherever it is taken, even on the
+    # direct route, which does not use it.
+    calls = (
+        lambda: thermo.partition_em(1.0, 1.0, 3),
+        lambda: thermo.thermal_functions("em", 1.0, 1.0, order=3),
+        lambda: thermo.thermal_functions("direct", 1.0, 1.0, order=3),
+        lambda: thermo.sweep("em", [1.0], 1.0, order=3),
+        lambda: thermo.euler_maclaurin_sum(lambda n: 0.0, 0.0, 3, {1: 0.0, 3: 0.0, 5: 0.0}),
+    )
+    for call in calls:
+        with pytest.raises(ConfigError):
+            call()
+
+
+def test_thermal_functions_rejects_unknown_method():
+    with pytest.raises(ConfigError, match="'moments'"):
+        thermo.thermal_functions("moments", 1.0, 1.0)
 
 
 def test_euler_maclaurin_geometric_series():
@@ -609,27 +636,25 @@ def test_euler_maclaurin_geometric_series():
     # within the next (B_6) correction's scale, and beat order 1.
     exact = 1.0 / (1.0 - math.exp(-1.0))
     f = math.exp
-    cfg2 = thermo.EMConfig(order=2)
-    cfg1 = thermo.EMConfig(order=1)
     derivs = {1: -1.0, 3: -1.0}
-    em2 = thermo.euler_maclaurin_sum(lambda n: f(-n), 1.0, cfg2, derivs)
-    em1 = thermo.euler_maclaurin_sum(lambda n: f(-n), 1.0, cfg1, derivs)
+    em2 = thermo.euler_maclaurin_sum(lambda n: f(-n), 1.0, 2, derivs)
+    em1 = thermo.euler_maclaurin_sum(lambda n: f(-n), 1.0, 1, derivs)
     assert abs(em2 - exact) < 5e-5
     assert abs(em2 - exact) < abs(em1 - exact)
 
 
 def test_euler_maclaurin_zero_function():
-    assert thermo.euler_maclaurin_sum(lambda n: 0.0, 0.0, thermo.EMConfig(),
+    assert thermo.euler_maclaurin_sum(lambda n: 0.0, 0.0, 2,
                                       {1: 0.0, 3: 0.0}) == 0.0
 
 
 def test_euler_maclaurin_missing_derivative():
     with pytest.raises(ConfigError):
         thermo.euler_maclaurin_sum(lambda n: math.exp(-n), 1.0,
-                                   thermo.EMConfig(order=2), {1: -1.0})
+                                   2, {1: -1.0})
     with pytest.raises(ConfigError):
         thermo.euler_maclaurin_sum(lambda n: math.exp(-n), 1.0,
-                                   thermo.EMConfig(order=1), None)
+                                   1, None)
 
 
 def test_partition_summand_derivatives_match_finite_differences():
@@ -645,7 +670,7 @@ def test_partition_summand_derivatives_match_finite_differences():
 def test_partition_em_equals_generic_path():
     for mbar, q in ((0.5, 0.5), (1.0, 1.0), (4.0, 1.5), (20.0, 1.0)):
         f, derivs, integral = thermo.partition_summand(mbar, q)
-        generic = thermo.euler_maclaurin_sum(f, integral, thermo.EMConfig(), derivs)
+        generic = thermo.euler_maclaurin_sum(f, integral, 2, derivs)
         _, s2 = thermo.sigma_constants(q)
         shifted = generic * math.exp(math.sqrt(s2) / mbar)
         assert math.isclose(shifted, thermo.partition_em(mbar, q).Z, rel_tol=1e-12)
@@ -655,7 +680,7 @@ def test_thermal_functions_em_analytic_vs_fd_lnz():
     # Analytic U must match a central difference of ln Z_em to 1e-6 relative.
     for q in (0.5, 1.0, 1.5):
         for mbar in (0.5, 2.0, 10.0, 50.0):
-            point = thermo.thermal_functions(thermo.Source.EM, mbar, q)
+            point = thermo.thermal_functions("em", mbar, q)
             h = 1e-5 * mbar
             lp = math.log(thermo.partition_em(mbar + h, q).Z)
             lm = math.log(thermo.partition_em(mbar - h, q).Z)
@@ -666,28 +691,28 @@ def test_thermal_functions_em_analytic_vs_fd_lnz():
 def test_thermal_functions_direct_matches_em_at_moderate_mbar():
     for q in (0.5, 1.0, 1.5):
         for mbar in (1.0, 3.0, 10.0):
-            em = thermo.thermal_functions(thermo.Source.EM, mbar, q)
-            direct = thermo.thermal_functions(thermo.Source.DIRECT, mbar, q)
+            em = thermo.thermal_functions("em", mbar, q)
+            direct = thermo.thermal_functions("direct", mbar, q)
             assert math.isclose(em.F, direct.F, rel_tol=1e-3, abs_tol=1e-6)
             assert math.isclose(em.U, direct.U, rel_tol=1e-3)
             assert math.isclose(em.C, direct.C, rel_tol=1e-2)
 
 
 def test_thermal_functions_free_energy_zero_when_z_is_one():
-    point = thermo.thermal_functions(thermo.Source.DIRECT, 0.01, 1.0)
+    point = thermo.thermal_functions("direct", 0.01, 1.0)
     assert abs(point.F) < 1e-12
 
 
 def test_thermal_functions_accepts_string_source():
     a = thermo.thermal_functions("em", 1.0, 1.0)
-    b = thermo.thermal_functions(thermo.Source.EM, 1.0, 1.0)
+    b = thermo.thermal_functions("em", 1.0, 1.0)
     assert a.Z == b.Z and a.U == b.U
 
 
 def test_thermal_functions_direct_heat_capacity_positive():
     for q in (0.5, 1.0, 1.5):
         for mbar in np.geomspace(0.1, 50.0, 25):
-            point = thermo.thermal_functions(thermo.Source.DIRECT, float(mbar), q)
+            point = thermo.thermal_functions("direct", float(mbar), q)
             assert point.C > -1e-8
 
 
@@ -696,7 +721,7 @@ def test_thermal_functions_em_heat_capacity_positive_on_validated_domain():
     # unphysical (calibrated), so the invariant is asserted from 0.25 up.
     for q in (0.5, 1.0, 1.5):
         for mbar in np.geomspace(0.25, 50.0, 25):
-            point = thermo.thermal_functions(thermo.Source.EM, float(mbar), q)
+            point = thermo.thermal_functions("em", float(mbar), q)
             assert point.C > -1e-8
 
 
@@ -706,8 +731,8 @@ def test_convergence_bracket():
     for q in (0.5, 1.0, 1.5):
         for mbar in np.linspace(1.0, 10.0, 10):
             direct = thermo.partition_direct(float(mbar), q, 1e-12).Z
-            em1 = thermo.partition_em(float(mbar), q, thermo.EMConfig(order=1)).Z
-            em2 = thermo.partition_em(float(mbar), q, thermo.EMConfig(order=2)).Z
+            em1 = thermo.partition_em(float(mbar), q, 1).Z
+            em2 = thermo.partition_em(float(mbar), q, 2).Z
             lo, hi = min(em1, em2), max(em1, em2)
             inside = lo <= direct <= hi
             close = (abs(direct - em1) / direct < 1e-2
@@ -717,7 +742,7 @@ def test_convergence_bracket():
 
 def test_thermodynamic_identity_same_source():
     # U = F + T*S with S = -dF/dT, everything from one Z source.
-    for source in (thermo.Source.EM, thermo.Source.DIRECT):
+    for source in ("em", "direct"):
         for q, mbar in ((0.5, 0.8), (1.0, 2.0), (1.5, 7.0)):
             point = thermo.thermal_functions(source, mbar, q)
             h = 1e-4 * mbar
@@ -758,5 +783,5 @@ def test_fluctuation_identity_spot_check():
     for q, mbar in ((0.5, 0.5), (1.0, 2.0), (1.5, 5.0)):
         z, m1, m2 = thermo.excitation_moments(mbar, q, 1e-12)
         c_fluct = (m2 - m1 * m1) / (mbar * mbar)
-        c_fd = thermo.thermal_functions(thermo.Source.DIRECT, mbar, q).C
+        c_fd = thermo.thermal_functions("direct", mbar, q).C
         assert math.isclose(c_fluct, c_fd, rel_tol=1e-4)
