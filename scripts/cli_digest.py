@@ -12,8 +12,9 @@ byte for byte the same on the matrix:
     diff old.txt new.txt
 
 The matrix covers all five commands in csv and json, direct/em/both sweeps
-(including the failing ``--tol 1e-300`` and mbar = 1e150..1e300 sweeps, and
-the q = 0.5 em sweep over mbar = 1e153..1.9e154, where Z nears the float limit),
+(including the failing ``--tol 1e-300`` and mbar = 1e150..1e300 sweeps, a
+compare over mbar = 1e30..1e160 that fails in both of its q blocks, and the
+q = 0.5 em sweep over mbar = 1e153..1.9e154, where Z nears the float limit),
 wavefunctions whose raw squares (``--a3 200``) or samples (``--a3 500``)
 overflow double precision, ``--config`` files, usage errors and ``--help``.
 The library scripts print the bits of three ensembles: auto_grid plus the
@@ -69,6 +70,8 @@ for fmt in ("csv", "json"):
     for method in ("direct", "em", "both"):
         RUNS.append((f"huge-{method}-{fmt}", ["thermo", "--method", method, *HUGE, *out], None))
         RUNS.append((f"large-{method}-{fmt}", ["thermo", "--method", method, *LARGE, *out], None))
+    # Blank rows in both q blocks next to the int terms_direct column.
+    RUNS.append((f"compare-large-{fmt}", ["compare", *LARGE, *out], None))
 
 RUNS += [
     ("spectrum-potential", ["spectrum", "--a1", "0", "--a2", "1", "--a3", "0", "--mass", "0",

@@ -272,15 +272,35 @@ def _json_cell(value):
     return value if value is None or isinstance(value, int) else float(_cell(value))
 
 
+# The format field of each cell type whose text is ``_cell``'s: a None cell
+# is consumed by "%.0s", which prints its str cut to no characters.
+_CSV_FIELDS = {float: "%.12g", int: "%d", type(None): "%.0s"}
+
+
+@functools.cache
+def _csv_format(signature: tuple[type, ...]) -> str | None:
+    # The one-% format of a CSV row whose cells have these types, or None
+    # when a type (bool, a numpy scalar, ...) needs ``_cell`` itself.
+    try:
+        return ",".join([_CSV_FIELDS[t] for t in signature])
+    except KeyError:
+        return None
+
+
 def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str) -> None:
     """Write ``rows`` as CSV or as a JSON list of records.
 
     Each row is a tuple of cell values in ``header`` order; ``_cell`` gives
-    every cell's text (JSON keeps its ints and floats as numbers).
+    every cell's text (JSON keeps its ints and floats as numbers).  A CSV row
+    is written with one ``%`` format, built once per cell-type signature,
+    whose fields give the same text as ``_cell``; a row with a cell of any
+    other type is joined from ``_cell`` itself.
     """
     if fmt == "csv":
         lines = [",".join(header)]
-        lines.extend(",".join(map(_cell, row)) for row in rows)
+        for row in rows:
+            form = _csv_format(tuple(map(type, row)))
+            lines.append(",".join(map(_cell, row)) if form is None else form % row)
     else:
         records = [dict(zip(header, map(_json_cell, row))) for row in rows]
         lines = [json.dumps(records, indent=2)]
@@ -350,13 +370,14 @@ def _sweep_rows(cfg: RunConfig, include_terms: bool) -> tuple[list[tuple], list[
     mbars = cfg.grid.tolist()
     for j, q in enumerate(cfg.q_list):
         part = slice(j * len(mbars), (j + 1) * len(mbars))
-        values = [itertools.repeat(None) if c is None else c[part].tolist() for c in columns]
-        for mbar, err, *point in zip(mbars, cols.errors[part], *values):
-            if err is None:
-                rows.append((mbar, q, *point))
-            else:
-                rows.append((mbar, q) + blank)
-                errors.append(f"mbar={mbar!r} q={q!r}: {err}")
+        block = [itertools.repeat(None) if c is None else c[part].tolist() for c in columns]
+        rows.extend(zip(mbars, itertools.repeat(q), *block))
+    # A failed point keeps its mbar and q and blanks every other cell.
+    for i, err in enumerate(cols.errors):
+        if err is not None:
+            mbar, q = rows[i][:2]
+            rows[i] = (mbar, q) + blank
+            errors.append(f"mbar={mbar!r} q={q!r}: {err}")
     return rows, errors
 
 

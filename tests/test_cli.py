@@ -6,8 +6,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kgconfine import cli
+from kgconfine import cli, thermo
 from kgconfine.errors import ConfigError
 
 
@@ -257,6 +258,37 @@ def test_write_table_cell_rule(tmp_path):
     )
 
 
+# Cell values of every type a table may hold: the float edge cases, ints
+# past 64 bits, and the types (bool, numpy scalars) that fall back to _cell.
+_CELL_KINDS = (
+    st.floats(allow_subnormal=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, -1e-300]),
+    st.integers(-2**100, 2**100) | st.sampled_from([2**63, -2**63 - 1, 2**64 + 1]),
+    st.none(),
+    st.booleans(),
+    st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+)
+_SIGNATURES = st.lists(st.sampled_from(_CELL_KINDS), max_size=9)
+
+
+@st.composite
+def _tables(draw):
+    # Rows drawn from a few cell-type signatures, mixed in one table.
+    signatures = draw(st.lists(_SIGNATURES, min_size=1, max_size=3))
+    row = st.one_of([st.tuples(*kinds) for kinds in signatures])
+    return draw(st.lists(row, max_size=20))
+
+
+@given(rows=_tables())
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_csv_rows_agree_with_cell_rule(tmp_path, rows):
+    out = tmp_path / "t.csv"
+    cli.write_table(str(out), ("h",), rows, "csv")
+    expected = ["h"] + [",".join(map(cli._cell, row)) for row in rows]
+    assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
 def test_json_records(tmp_path):
     out = tmp_path / "spec.json"
     rc = cli.main(["spectrum", "--n", "0..2", "--format", "json", "--out", str(out)])
@@ -412,3 +444,27 @@ def test_non_finite_sweep_points_fail(tmp_path, capsys):
         assert line == (f"kgconfine: warning: mbar={mbar} q=1.0: thermal functions are "
                         f"not finite at mbar={mbar}, q=1.0 (floating-point overflow)")
     assert err[3] == "kgconfine: warning: 3 of 4 sweep points failed"
+
+
+@pytest.mark.parametrize("command", ["thermo", "compare"])
+def test_sweep_failures_in_several_q_blocks(command, tmp_path, capsys):
+    # Above mbar ~ 1e154 the sums overflow at both q, so failed points fall
+    # in each q block: rows stay in (q, mbar) order, the failed ones are
+    # blank, and their warnings come q-major.
+    q_list, grid = (0.5, 1.0), np.geomspace(1e30, 1e160, 27).tolist()
+    out = tmp_path / "t.csv"
+    method = "direct" if command == "thermo" else "both"
+    rc = cli.main([command, "--method", method, "--q", "0.5,1", "--mbar-min", "1e30",
+                   "--mbar-max", "1e160", "--steps", "27", "--out", str(out)])
+    assert rc == 1
+    header, rows = read_csv(out)
+    points = [(q, mbar) for q in q_list for mbar in grid]
+    assert [(r["q"], r["mbar"]) for r in rows] == [(cli._cell(q), cli._cell(m)) for q, m in points]
+    errors = thermo.sweep(method, np.array(grid), q_list, 2, 1e-10).errors
+    failed = [e is not None for e in errors]
+    assert any(failed[:len(grid)]) and any(failed[len(grid):])
+    assert [all(r[c] == "" for c in header[2:]) for r in rows] == failed
+    expected = [f"kgconfine: warning: mbar={m!r} q={q!r}: {e}"
+                for (q, m), e in zip(points, errors) if e is not None]
+    expected.append(f"kgconfine: warning: {sum(failed)} of {len(rows)} sweep points failed")
+    assert capsys.readouterr().err.splitlines() == expected

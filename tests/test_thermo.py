@@ -703,12 +703,6 @@ def test_thermal_functions_free_energy_zero_when_z_is_one():
     assert abs(point.F) < 1e-12
 
 
-def test_thermal_functions_accepts_string_source():
-    a = thermo.thermal_functions("em", 1.0, 1.0)
-    b = thermo.thermal_functions("em", 1.0, 1.0)
-    assert a.Z == b.Z and a.U == b.U
-
-
 def test_thermal_functions_direct_heat_capacity_positive():
     for q in (0.5, 1.0, 1.5):
         for mbar in np.geomspace(0.1, 50.0, 25):
