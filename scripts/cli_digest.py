@@ -17,13 +17,14 @@ compare over mbar = 1e30..1e160 that fails in both of its q blocks, and the
 q = 0.5 em sweep over mbar = 1e153..1.9e154, where Z nears the float limit),
 wavefunctions whose raw squares (``--a3 200``) or samples (``--a3 500``)
 overflow double precision, ``--config`` files, usage errors and ``--help``.
-The library scripts print the bits of three ensembles: auto_grid plus the
-normalized profile for n = 0..150 on 24 potentials, ``thermo.sweep`` columns
-over 9 q x 301 mbar x 4 tol for every method, and ``heun.evaluate`` and
-``heun.adaptive_series`` over 400 random parameter sets x 9 points x 3 tol
-(value, term count and coefficients; the error estimate is left out), and
-``heun.evaluate_on_grid`` on one grid of +-y points per parameter set of the
-same ensemble x 3 tol.
+The library scripts print the bits of four ensembles: auto_grid plus the
+normalized profile for n = 0..150 on 24 potentials, the same profiles on one
+fixed grid per potential (so a change to ``auto_grid`` alone moves only the
+first), ``thermo.sweep`` columns over 9 q x 301 mbar x 4 tol for every
+method, and ``heun.evaluate`` and ``heun.adaptive_series`` over 400 random
+parameter sets x 9 points x 3 tol (value, term count and coefficients; the
+error estimate is left out), and ``heun.evaluate_on_grid`` on one grid of +-y
+points per parameter set of the same ensemble x 3 tol.
 """
 
 from __future__ import annotations
@@ -163,6 +164,30 @@ for a1, a2, a3, mass in potentials:
             grid = spectrum.auto_grid(n, phys)
             s = spectrum.wavefunction(n, phys, grid, normalize=True)
             h.update(grid.tobytes() + s.values.tobytes() + bytes([s.normalized]))
+        except KGConfineError as exc:
+            h.update(repr(exc).encode())
+    print(repr((a1, a2, a3, mass)), h.hexdigest())
+"""),
+    # The same potentials and levels on fixed grids, so the profile kernel's
+    # bits are checked apart from auto_grid: odd-numbered potentials use a
+    # grid that starts off zero.
+    ("lib-profiles-fixed-grid", """
+import hashlib, numpy as np
+from kgconfine import spectrum
+from kgconfine.errors import KGConfineError
+from kgconfine.params import PhysicalParams
+rng = np.random.default_rng(11)
+potentials = [(0.1, 0.1, 0.1, 0.5)] + [
+    (rng.uniform(-0.5, 0.5), rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.0, 2.0))
+    for _ in range(23)]
+for i, (a1, a2, a3, mass) in enumerate(potentials):
+    phys = PhysicalParams(a1=a1, a2=a2, a3=a3, mass=mass)
+    grid = np.linspace(0.25 * (i % 2), 40.0, 2001)
+    h = hashlib.sha256()
+    for n in range(151):
+        try:
+            s = spectrum.wavefunction(n, phys, grid, normalize=True)
+            h.update(s.values.tobytes() + bytes([s.normalized]))
         except KGConfineError as exc:
             h.update(repr(exc).encode())
     print(repr((a1, a2, a3, mass)), h.hexdigest())

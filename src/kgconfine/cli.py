@@ -305,7 +305,7 @@ def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str)
         records = [dict(zip(header, map(_json_cell, row))) for row in rows]
         lines = [json.dumps(records, indent=2)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines + [""]))  # one copy of the text, final newline included
 
 
 def run_spectrum(cfg: RunConfig) -> int:

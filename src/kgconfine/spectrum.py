@@ -27,6 +27,7 @@ decaying tail.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,6 +119,32 @@ def heun_parameters(n: int, params: PhysicalParams) -> heun.HeunParams:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _truncation(n: int, params: PhysicalParams) -> heun.SeriesSolution:
+    # One entry: auto_grid's probes and the wavefunction call after them
+    # share the degree-n cut, and nothing is kept from one (n, params) to
+    # the next.
+    return heun.truncated_polynomial(heun_parameters(n, params), n)
+
+
+def _profile(n: int, params: PhysicalParams, grid: np.ndarray) -> np.ndarray:
+    """psi of level n on a grid that is already checked; a fresh array."""
+    # Horner runs outside the errstate block: inside it, the profiles
+    # benchmark ran ~8% slower on a 2-vCPU VM.  The finiteness check below
+    # also catches a non-finite Horner value u.
+    values = heun.evaluate_series(_truncation(n, params), grid)
+    r = _reduction(params)
+    # y^p with p >= 1 vanishes at y = 0; elsewhere it is exp(p*log y).
+    k = int(grid[0] == 0.0)
+    y = grid[k:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[k:] *= np.exp(r.p * np.log(y) + 0.5 * (r.A3 * y - y**2))
+    values[:k] = 0.0
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"level-{n} profile is not finite in double precision on this grid")
+    return values
+
+
 def wavefunction(
     n: int, params: PhysicalParams, grid: np.ndarray, normalize: bool = False
 ) -> WavefunctionSample:
@@ -138,21 +165,7 @@ def wavefunction(
     if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid must be non-negative and strictly increasing")
 
-    # Horner runs outside the errstate block: inside it, the profiles
-    # benchmark ran ~8% slower on a 2-vCPU VM.  A non-finite u is caught below.
-    u = heun.evaluate_series(heun.truncated_polynomial(heun_parameters(n, params), n), grid)
-    r = _reduction(params)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # y^p with p >= 1 vanishes at y = 0; compute via exp(p*log y) off zero.
-        prefactor = np.where(
-            grid > 0.0,
-            np.exp(r.p * np.log(np.where(grid > 0.0, grid, 1.0)) + 0.5 * (r.A3 * grid - grid**2)),
-            0.0,
-        )
-        values = prefactor * u
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"level-{n} profile is not finite in double precision on this grid")
-
+    values = _profile(n, params, grid)
     peak = float(np.max(np.abs(values)))
     decayed = peak > 0.0 and abs(values[-1]) < DECAY_FRACTION * peak
     if normalize:
@@ -179,6 +192,12 @@ def auto_grid(n: int, params: PhysicalParams, points: int = 2001) -> np.ndarray:
     rises, oscillates through its n nodes, and decays below the normalization
     threshold.  Node zeros inside the oscillatory region do not fool the scan
     because it keys on the *last* above-threshold point, not the first dip.
+
+    The probe has 2001 points on [0, end], and decay is judged against the
+    probe's peak, not the returned grid's.  So the returned grid's own last
+    sample can sit just above the threshold (seen at n = 148-149, 1.00-1.03
+    times DECAY_FRACTION), and ``wavefunction`` then reports
+    ``normalized=False``.
     """
     n = _check_n(n)
     if points < 2:
@@ -192,8 +211,8 @@ def auto_grid(n: int, params: PhysicalParams, points: int = 2001) -> np.ndarray:
 
     y_max = None
     for _ in range(12):
-        probe = np.linspace(0.0, end, 4001)
-        mag = np.abs(wavefunction(n, params, probe).values)
+        probe = np.linspace(0.0, end, 2001)
+        mag = np.abs(_profile(n, params, probe))
         above = np.nonzero(mag >= DECAY_FRACTION * float(np.max(mag)))[0]
         last = int(above[-1])
         if last < mag.size - 1:

@@ -286,3 +286,43 @@ def test_auto_grid_covers_decay(n):
 def test_auto_grid_point_count_validation(fig1_params):
     with pytest.raises(DomainError):
         spectrum.auto_grid(0, fig1_params, points=1)
+
+
+@pytest.mark.parametrize("n", [0, 20, 40, 60])
+def test_auto_grid_contract_at_higher_n(n):
+    # The returned grid reaches the decay, and it is not over-long: 5% short
+    # of y_max the profile is still above the threshold.
+    phys = PhysicalParams(a1=0.1, a2=0.1, a3=0.1, mass=0.5)
+    grid = spectrum.auto_grid(n, phys)
+    sample = spectrum.wavefunction(n, phys, grid, normalize=True)
+    mag = np.abs(sample.values)
+    threshold = spectrum.DECAY_FRACTION * float(np.max(mag))
+    assert mag[-1] < threshold
+    assert sample.normalized
+    assert mag[np.argmin(np.abs(grid - 0.95 * grid[-1]))] >= threshold
+
+
+def test_truncation_cache_does_not_leak_between_levels_or_potentials():
+    # Equal by value but distinct objects, then a different potential.
+    first = PhysicalParams(a1=0.1, a2=0.1, a3=0.1, mass=0.5)
+    twin = PhysicalParams(a1=0.1, a2=0.1, a3=0.1, mass=0.5)
+    other = PhysicalParams(a1=-0.2, a2=0.7, a3=1.3, mass=1.1)
+    calls = [(n, p) for n in (3, 7, 3, 0) for p in (first, other, twin, other)]
+
+    def run():
+        out = []
+        for n, p in calls:
+            grid = spectrum.auto_grid(n, p)
+            sample = spectrum.wavefunction(n, p, grid, normalize=True)
+            out.append((grid.tobytes(), sample.values.tobytes(), sample.normalized))
+        return out
+
+    interleaved = run()
+    fresh = []
+    for n, p in calls:
+        spectrum._truncation.cache_clear()
+        grid = spectrum.auto_grid(n, p)
+        spectrum._truncation.cache_clear()
+        sample = spectrum.wavefunction(n, p, grid, normalize=True)
+        fresh.append((grid.tobytes(), sample.values.tobytes(), sample.normalized))
+    assert interleaved == fresh
