@@ -101,8 +101,6 @@ def parse_q_list(text: str) -> tuple[float, ...]:
         if not (value > 0.0) or not math.isfinite(value):
             raise ConfigError(f"q values must be positive, got {part!r}")
         values.append(value)
-    if not values:
-        raise ConfigError("q list is empty")
     return tuple(values)
 
 

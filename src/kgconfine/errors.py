@@ -9,10 +9,6 @@ class DomainError(KGConfineError, ValueError):
     """An input lies outside the mathematical domain of an operation."""
 
 
-class DegenerateReduction(DomainError):
-    """The dimensionless reduction is undefined (a3 = 0 sends sigma1 = 2/q to infinity)."""
-
-
 class SingularParameter(KGConfineError, ValueError):
     """1 + c1 is numerically a non-positive integer, so series denominators vanish."""
 

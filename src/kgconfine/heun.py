@@ -80,12 +80,6 @@ class SeriesSolution:
     coeffs: np.ndarray
     terminated_polynomially: bool
 
-    @property
-    def degree(self) -> int:
-        """Index of the last non-zero stored coefficient."""
-        nz = np.nonzero(self.coeffs)[0]
-        return int(nz[-1]) if nz.size else 0
-
 
 class Evaluation(NamedTuple):
     """Series value with a bound on its truncation and rounding error."""

@@ -8,7 +8,15 @@ added to the mass term and no vector coupling.  All module math works with
 the inverse length Q = 1/(hbar*c) and the scaled coordinate y = sqrt(Q*a2)*|x|.
 The reduction's formulas live here only: ``spectrum`` takes its wave-equation
 coefficients from ``_reduction`` and ``thermo`` its level constants from
-``sigma_constants``.
+``sigma_constants``.  Their symbols:
+
+    q       = a3/(hbar*c), the single coupling the spectrum depends on
+    eps     = sqrt(a2*a3), the natural energy unit
+    sigma1  = 2/q
+    sigma2  = 2 + (1 + sqrt(1 + 4 q^2))/q, so E_n = eps*sqrt(sigma1*n + sigma2)
+    A1..A3  = coefficients of the scaled wave equation
+              psi'' + (eps1 + A1/y + A2/y^2 + A3*y - y^2) psi = 0
+    p       = 1/2 + sqrt(1 - 4*A2)/2, the power in the y -> 0 behavior y^p
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegenerateReduction, DomainError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -57,29 +65,6 @@ class PhysicalParams:
         return 1.0 / self.hbar_c
 
 
-@dataclass(frozen=True)
-class DimensionlessParams:
-    """Derived quantities that drive the series and thermodynamic formulas.
-
-    q       = a3/(hbar*c), the single coupling the spectrum depends on
-    eps     = sqrt(a2*a3), the natural energy unit
-    sigma1  = 2/q
-    sigma2  = 2 + (1 + sqrt(1 + 4 q^2))/q, so E_n = eps*sqrt(sigma1*n + sigma2)
-    A1..A3  = coefficients of the scaled wave equation
-              psi'' + (eps1 + A1/y + A2/y^2 + A3*y - y^2) psi = 0
-    p       = 1/2 + sqrt(1 - 4*A2)/2, the power in the y -> 0 behavior y^p
-    """
-
-    q: float
-    eps: float
-    sigma1: float
-    sigma2: float
-    A1: float
-    A2: float
-    A3: float
-    p: float
-
-
 class _Reduction(NamedTuple):
     Q_a2: float  # Q/a2
     shift: float  # m c^2 + a1, the effective mass offset entering A1 and A3
@@ -94,7 +79,7 @@ class _Reduction(NamedTuple):
 def _reduction(params: PhysicalParams, energy: float | None = None) -> _Reduction:
     """The scaled wave equation's coefficients, valid for every a3 >= 0.
 
-    A1..A3 and p are those of DimensionlessParams; with an ``energy`` E also
+    A1..A3 and p are defined in the module docstring; with an ``energy`` E also
     eps1(E) = (Q/a2)*(E^2 - (m c^2 + a1)^2 - 2 a2 a3).
     """
     Q = params.Q
@@ -123,29 +108,3 @@ def sigma_constants(q: float) -> tuple[float, float]:
         raise DomainError(f"q must be positive and finite, got {q!r}")
     root = math.sqrt(1.0 + 4.0 * q * q)
     return 2.0 / q, 2.0 + (1.0 + root) / q
-
-
-def to_dimensionless(params: PhysicalParams) -> DimensionlessParams:
-    """Reduce physical parameters to the dimensionless set.
-
-    Raises DegenerateReduction for a3 = 0: q vanishes there and sigma1 = 2/q
-    is undefined, even though the spectrum itself stays finite.
-    """
-    if params.a3 == 0.0:
-        raise DegenerateReduction(
-            "a3 = 0 has no dimensionless reduction (q = 0 makes sigma1 = 2/q blow up)"
-        )
-    q = params.Q * params.a3
-    sigma1, sigma2 = sigma_constants(q)
-    r = _reduction(params)
-    return DimensionlessParams(
-        q=q, eps=math.sqrt(params.a2 * params.a3), sigma1=sigma1, sigma2=sigma2,
-        A1=r.A1, A2=r.A2, A3=r.A3, p=r.p,
-    )
-
-
-def scaled_coordinate(x: float, params: PhysicalParams) -> float:
-    """Map a physical coordinate to y = sqrt(Q*a2)*|x|."""
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    return math.sqrt(params.Q * params.a2) * abs(x)

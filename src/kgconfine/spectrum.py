@@ -184,7 +184,7 @@ def wavefunction(
     )
 
 
-def auto_grid(n: int, params: PhysicalParams, points: int = 2001) -> np.ndarray:
+def auto_grid(n: int, params: PhysicalParams) -> np.ndarray:
     """Pick a y-grid [0, y_max] that covers the decaying part of level n.
 
     y_max is chosen just past the last probe point where |psi| is still at
@@ -193,15 +193,13 @@ def auto_grid(n: int, params: PhysicalParams, points: int = 2001) -> np.ndarray:
     threshold.  Node zeros inside the oscillatory region do not fool the scan
     because it keys on the *last* above-threshold point, not the first dip.
 
-    The probe has 2001 points on [0, end], and decay is judged against the
-    probe's peak, not the returned grid's.  So the returned grid's own last
-    sample can sit just above the threshold (seen at n = 148-149, 1.00-1.03
-    times DECAY_FRACTION), and ``wavefunction`` then reports
-    ``normalized=False``.
+    The probe has 2001 points on [0, end], the returned grid 2001 on
+    [0, y_max], and decay is judged against the probe's peak, not the
+    returned grid's.  So the returned grid's own last sample can sit just
+    above the threshold (seen at n = 148-149, 1.00-1.03 times
+    DECAY_FRACTION), and ``wavefunction`` then reports ``normalized=False``.
     """
     n = _check_n(n)
-    if points < 2:
-        raise DomainError(f"points must be >= 2, got {points!r}")
 
     # Outer classical turning point of y^2 - A3*y = eps1 as a starting guess.
     r = _reduction(params, energy(n, params))
@@ -221,4 +219,4 @@ def auto_grid(n: int, params: PhysicalParams, points: int = 2001) -> np.ndarray:
         end *= 1.6
     if y_max is None:
         y_max = end
-    return np.linspace(0.0, float(y_max), points)
+    return np.linspace(0.0, float(y_max), 2001)

@@ -23,9 +23,10 @@ The closed-form route is the Euler-MacLaurin truncation from n = 0
               - (sigma1^3/(5760 mbar sigma2^{5/2}))
                 * (3 + 3 sqrt(sigma2)/mbar + sigma2/mbar^2),
 
-whose last term is dropped at order 1.  Reported units: energies per eps,
-heat capacity per k_B.  A value that overflows (Z ~ q*mbar^2 does past mbar
-~ 1e154) is a DomainError, not an inf or NaN.
+whose last term is dropped at order 1.  At large mbar Z ~ q*mbar^2,
+U ~ 2*mbar and C -> 2.  Reported units: energies per eps, heat capacity per
+k_B.  A value that overflows (Z does past mbar ~ 1e154) is a DomainError,
+not an inf or NaN.
 """
 
 from __future__ import annotations
@@ -86,13 +87,6 @@ class SweepColumns:
     terms: np.ndarray | None = None
     tail_bound: np.ndarray | None = None
     errors: tuple[KGConfineError | None, ...] = ()
-
-
-@dataclass(frozen=True)
-class HighTemperatureLimits:
-    Z_coefficient: float  # Z ~ Z_coefficient * mbar^2
-    U_slope: float        # U/eps ~ U_slope * mbar
-    C_limit: float        # C/k_B -> C_limit
 
 
 def _check_order(order: int) -> None:
@@ -629,12 +623,6 @@ def sweep(
         terms=direct.terms, tail_bound=direct.tail_bound,
         errors=tuple(d if d is not None else e for d, e in zip(direct.errors, em.errors)),
     )
-
-
-def high_temperature_limits(q: float) -> HighTemperatureLimits:
-    """Leading large-mbar behavior: Z ~ q*mbar^2, U ~ 2*mbar, C -> 2."""
-    s1, _ = sigma_constants(q)
-    return HighTemperatureLimits(Z_coefficient=2.0 / s1, U_slope=2.0, C_limit=2.0)
 
 
 def _exp_moment_tail(b: float, z: float, m: int) -> float:

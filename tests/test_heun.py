@@ -89,7 +89,6 @@ def test_exact_termination_detected():
     assert sol.terminated_polynomially
     assert sol.coeffs[1] == 1.0
     assert np.all(sol.coeffs[2:] == 0.0)
-    assert sol.degree == 1
 
 
 def test_exact_polynomial_equals_direct_evaluation():

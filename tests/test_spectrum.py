@@ -275,17 +275,12 @@ def test_wavefunction_uses_degree_n_truncation(fig1_params):
 @given(n=st.integers(min_value=0, max_value=8))
 def test_auto_grid_covers_decay(n):
     phys = PhysicalParams(a1=0.1, a2=0.1, a3=0.1, mass=0.5)
-    grid = spectrum.auto_grid(n, phys, points=801)
+    grid = spectrum.auto_grid(n, phys)
     assert grid[0] == 0.0
-    assert grid.shape == (801,)
+    assert grid.shape == (2001,)
     sample = spectrum.wavefunction(n, phys, grid)
     mag = np.abs(sample.values)
     assert mag[-1] <= spectrum.DECAY_FRACTION * float(np.max(mag)) * 1.01
-
-
-def test_auto_grid_point_count_validation(fig1_params):
-    with pytest.raises(DomainError):
-        spectrum.auto_grid(0, fig1_params, points=1)
 
 
 @pytest.mark.parametrize("n", [0, 20, 40, 60])

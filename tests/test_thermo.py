@@ -746,18 +746,6 @@ def test_thermodynamic_identity_same_source():
             assert math.isclose(point.U, point.F + mbar * entropy, rel_tol=1e-6)
 
 
-def test_high_temperature_limits_values():
-    lims = thermo.high_temperature_limits(1.0)
-    assert (lims.Z_coefficient, lims.U_slope, lims.C_limit) == (1.0, 2.0, 2.0)
-    assert thermo.high_temperature_limits(0.5).Z_coefficient == 0.5
-
-
-@given(q=q_strategy)
-def test_high_temperature_c_limit_independent_of_q(q):
-    assert thermo.high_temperature_limits(q).C_limit == 2.0
-    assert thermo.high_temperature_limits(q).U_slope == 2.0
-
-
 def test_excitation_moments_against_brute_force():
     q, mbar = 1.0, 2.0
     s1, s2 = thermo.sigma_constants(q)
