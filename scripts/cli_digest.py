@@ -14,7 +14,8 @@ byte for byte the same on the matrix:
 The matrix covers all five commands in csv and json, direct/em/both sweeps
 (including the failing ``--tol 1e-300`` and mbar = 1e150..1e300 sweeps, a
 compare over mbar = 1e30..1e160 that fails in both of its q blocks, and the
-q = 0.5 em sweep over mbar = 1e153..1.9e154, where Z nears the float limit),
+q = 0.5 em sweep over mbar = 1e153..1.9e154, where Z nears the float limit,
+and a 5 q x 3,000 mbar compare at the benchmark's sweep_dense scale),
 wavefunctions whose raw squares (``--a3 200``) or samples (``--a3 500``)
 overflow double precision, ``--config`` files, usage errors and ``--help``.
 The library scripts print the bits of four ensembles: auto_grid plus the
@@ -47,6 +48,8 @@ HUGE = ["--q", "1", "--mbar-min", "1e150", "--mbar-max", "1e300", "--steps", "4"
 LARGE = ["--q", "0.5,1", "--mbar-min", "1e30", "--mbar-max", "1e160", "--steps", "27"]
 # For q < 1, mbar^2 overflows here before Z ~ q*mbar^2 does.
 OVERFLOW_WINDOW = ["--q", "0.5", "--mbar-min", "1e153", "--mbar-max", "1.9e154", "--steps", "12"]
+# The benchmark's sweep_dense scale: a 15,000-row compare table.
+DENSE = ["--q", "0.5,0.7,1.0,1.2,1.5", "--mbar-min", "0.1", "--mbar-max", "2", "--steps", "3000"]
 
 # (name, argv, config-file text or None); "{tmp}" is the run's directory.
 RUNS: list[tuple[str, list[str], str | None]] = []
@@ -97,6 +100,7 @@ RUNS += [
      "a2 = 4.0\na3 = 0.0\nformat = json\nout = {tmp}/c.csv\n"),
     ("config-compare", ["compare", "--config", "{tmp}/run.cfg"],
      "q = 1\nmbar-min = 1\nmbar-max = 3\nsteps = 3\nout = {tmp}/c.csv\n"),
+    ("compare-dense-csv", ["compare", *DENSE, "--out", "{tmp}/c.csv"], None),
 ]
 
 USAGE_ERRORS = [

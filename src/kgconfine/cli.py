@@ -257,10 +257,13 @@ def resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def _cell(value) -> str:
-    # The one cell rule: None is an empty cell, an int stays exact, and any
-    # other value is rounded to 12 significant digits.
+    # The one cell rule: None is an empty cell, a str is text this rule has
+    # already produced, an int stays exact, and any other value is rounded
+    # to 12 significant digits.
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, int):
         return str(value)
     return "%.12g" % value
@@ -272,7 +275,7 @@ def _json_cell(value):
 
 # The format field of each cell type whose text is ``_cell``'s: a None cell
 # is consumed by "%.0s", which prints its str cut to no characters.
-_CSV_FIELDS = {float: "%.12g", int: "%d", type(None): "%.0s"}
+_CSV_FIELDS = {float: "%.12g", int: "%d", str: "%s", type(None): "%.0s"}
 
 
 @functools.cache
@@ -285,20 +288,39 @@ def _csv_format(signature: tuple[type, ...]) -> str | None:
         return None
 
 
+def _table_format(rows: list[tuple]) -> str | None:
+    # The one-% format of every row of a table whose rows have one length
+    # and whose columns each hold one type; None for any other table.  The
+    # length check comes first because zip(*rows) stops at the shortest row.
+    if len(set(map(len, rows))) != 1:
+        return None
+    column_types = [set(map(type, column)) for column in zip(*rows)]
+    if any(len(types) != 1 for types in column_types):
+        return None
+    return _csv_format(tuple(types.pop() for types in column_types))
+
+
 def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str) -> None:
     """Write ``rows`` as CSV or as a JSON list of records.
 
     Each row is a tuple of cell values in ``header`` order; ``_cell`` gives
-    every cell's text (JSON keeps its ints and floats as numbers).  A CSV row
-    is written with one ``%`` format, built once per cell-type signature,
-    whose fields give the same text as ``_cell``; a row with a cell of any
-    other type is joined from ``_cell`` itself.
+    every cell's text (JSON writes a str cell as the number it spells, and
+    keeps its ints and floats as numbers).  A CSV table whose rows have one
+    length and whose columns each hold one type is written with a single
+    ``%`` row format; any other table builds one format per cell-type
+    signature of a row.  Either format gives the same text as ``_cell``, and
+    a row with a cell of a type the formats do not map (a bool, a numpy
+    scalar) is joined from ``_cell`` itself.
     """
     if fmt == "csv":
         lines = [",".join(header)]
-        for row in rows:
-            form = _csv_format(tuple(map(type, row)))
-            lines.append(",".join(map(_cell, row)) if form is None else form % row)
+        form = _table_format(rows)
+        if form is not None:
+            lines += [form % row for row in rows]
+        else:
+            for row in rows:
+                form = _csv_format(tuple(map(type, row)))
+                lines.append(",".join(map(_cell, row)) if form is None else form % row)
     else:
         records = [dict(zip(header, map(_json_cell, row))) for row in rows]
         lines = [json.dumps(records, indent=2)]
@@ -351,12 +373,13 @@ def run_wavefunction(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_rows(cfg: RunConfig, include_terms: bool) -> tuple[list[tuple], list[str]]:
-    # The table rows of a sweep, and a message per failed point.  The
+def _sweep_rows(cfg: RunConfig, include_terms: bool) -> tuple[list[tuple], list[str], int | None]:
+    # The table rows of a sweep, a message per failed point, and, with
+    # include_terms, the index of the first row with the largest rel_diff
+    # among the points computed (None when every point failed).  The
     # sweep's columns are dropped on return, before the table is written.
     blank = (None,) * (len(SWEEP_HEADER) - 2 + include_terms)
     rows: list[tuple] = []
-    errors: list[str] = []
     # One sweep over every q; its columns are q-major, like the table.
     cols = thermo.sweep(cfg.method, cfg.grid, cfg.q_list, cfg.em_order, cfg.tol)
     rel = None
@@ -366,36 +389,39 @@ def _sweep_rows(cfg: RunConfig, include_terms: bool) -> tuple[list[tuple], list[
     columns = (cols.Z_direct, cols.Z_em, cols.F, cols.U, cols.C, rel)
     columns += (cols.terms,) if include_terms else ()
     mbars = cfg.grid.tolist()
+    # The key cells as text: each mbar formatted once per sweep, each q once.
+    mbar_cells = list(map(_cell, mbars))
     for j, q in enumerate(cfg.q_list):
         part = slice(j * len(mbars), (j + 1) * len(mbars))
         block = [itertools.repeat(None) if c is None else c[part].tolist() for c in columns]
-        rows.extend(zip(mbars, itertools.repeat(q), *block))
+        rows.extend(zip(mbar_cells, itertools.repeat(_cell(q)), *block))
     # A failed point keeps its mbar and q and blanks every other cell.
-    for i, err in enumerate(cols.errors):
-        if err is not None:
-            mbar, q = rows[i][:2]
-            rows[i] = (mbar, q) + blank
-            errors.append(f"mbar={mbar!r} q={q!r}: {err}")
-    return rows, errors
+    failed = [i for i, err in enumerate(cols.errors) if err is not None]
+    errors = []
+    for i in failed:
+        rows[i] = rows[i][:2] + blank
+        mbar, q = mbars[i % len(mbars)], cfg.q_list[i // len(mbars)]
+        errors.append(f"mbar={mbar!r} q={q!r}: {cols.errors[i]}")
+    best = None
+    if include_terms:
+        # Failed rows are skipped by index: their rel may be inf, not NaN.
+        live = np.delete(np.arange(len(rows)), failed)
+        if live.size:
+            best = int(live[np.argmax(rel[live])])  # argmax keeps the first of ties
+    return rows, errors, best
 
 
 def run_sweep(cfg: RunConfig) -> int:
     """The thermo and compare commands; compare adds the terms_direct column."""
     include_terms = cfg.command == "compare"
     header = SWEEP_HEADER + (("terms_direct",) if include_terms else ())
-    rows, errors = _sweep_rows(cfg, include_terms)
+    rows, errors, best = _sweep_rows(cfg, include_terms)
     write_table(cfg.output_path, header, rows, cfg.output_format)
     print(f"wrote {cfg.output_path} ({len(rows)} rows)")
 
-    if include_terms:
-        rel_at = header.index("rel_diff")
-        best = max((row for row in rows if row[rel_at] is not None),
-                   key=lambda row: row[rel_at], default=None)
-        if best is not None:
-            print(
-                f"max rel_diff {_cell(best[rel_at])} "
-                f"at mbar={_cell(best[0])} q={_cell(best[1])}"
-            )
+    if best is not None:
+        mbar, q = rows[best][:2]
+        print(f"max rel_diff {_cell(rows[best][header.index('rel_diff')])} at mbar={mbar} q={q}")
 
     for message in errors:
         _warn(message)

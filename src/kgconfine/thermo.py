@@ -618,10 +618,12 @@ def sweep(
         raise ConfigError(f"method must be 'direct', 'em' or 'both', got {method!r}")
     direct = _direct_columns(rows, tol, moments=1)
     em = _em_columns(rows, order)
+    errors = direct.errors
+    if em.errors.count(None) < len(em.errors):  # the closed form failed somewhere
+        errors = tuple(d if d is not None else e for d, e in zip(direct.errors, em.errors))
     return SweepColumns(
         Z_direct=direct.Z_direct, Z_em=em.Z_em, F=em.F, U=em.U, C=em.C,
-        terms=direct.terms, tail_bound=direct.tail_bound,
-        errors=tuple(d if d is not None else e for d, e in zip(direct.errors, em.errors)),
+        terms=direct.terms, tail_bound=direct.tail_bound, errors=errors,
     )
 
 

@@ -23,3 +23,29 @@ def test_every_traced_hook_names_a_callable(monkeypatch):
     tracer = _CheckingTracer()
     layers.install(tracer)
     assert tracer.hooks
+
+
+def test_write_table_rows_argument_counts_the_lines_written(tmp_path, monkeypatch):
+    # layers._table reports len() of write_table's third positional argument
+    # as cli.write_table.rows; it must equal the data lines of the table.
+    from kgconfine import cli
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+
+    calls = []
+    write_table = cli.write_table
+
+    def spy(*args, **kwargs):
+        out = write_table(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(cli, "write_table", spy)
+    path = tmp_path / "c.csv"
+    assert cli.main(["compare", "--q", "0.5,1", "--mbar-min", "0.1", "--mbar-max", "2",
+                     "--steps", "7", "--out", str(path)]) == 0
+    [(args, kwargs, out)] = calls
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(args[2]) == len(lines) - 1 == 14
+    assert layers._table(args, kwargs, out)["rows"] == 14

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kgconfine import cli, thermo
-from kgconfine.errors import ConfigError
+from kgconfine.errors import ConfigError, DomainError
 
 
 def read_csv(path):
@@ -217,6 +217,27 @@ def test_compare_reports_max_rel_diff(tmp_path, capsys):
         assert int(row["terms_direct"]) > 0
 
 
+@pytest.mark.parametrize("errors, expected", [
+    # Rows 0 and 2 tie for the largest rel_diff; row 1 failed with an
+    # overflowed Z_em, so its rel is inf, but a failed row is no candidate.
+    ((None, DomainError("Z_em overflow"), None), ["max rel_diff 0.5 at mbar=1 q=1"]),
+    # Every row failed: no summary line.
+    ((DomainError("a"),) * 3, []),
+])
+def test_compare_max_rel_diff_line(errors, expected, tmp_path, capsys, monkeypatch):
+    def sweep(method, mbar, q, order, tol):
+        z = np.full(3, 2.0)
+        return thermo.SweepColumns(Z_direct=z, Z_em=np.array([1.0, np.inf, 1.0]), F=z, U=z, C=z,
+                                   terms=np.ones(3, dtype=int), errors=errors)
+
+    monkeypatch.setattr(thermo, "sweep", sweep)
+    out = tmp_path / "cmp.csv"
+    rc = cli.main(["compare", "--q", "1", "--mbar-min", "1", "--mbar-max", "4", "--steps", "3",
+                   "--scale", "linear", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines()[1:] == expected
+
+
 def test_q_sweep_ordering(tmp_path):
     out = tmp_path / "thermo.csv"
     rc = cli.main([
@@ -245,17 +266,30 @@ def test_csv_cells_use_12_significant_digits(tmp_path):
 
 
 def test_write_table_cell_rule(tmp_path):
-    # None is an empty cell (JSON null), an int stays exact, and any other
-    # value is rounded to 12 significant digits.
-    header = ("int", "none", "one", "sum", "big")
-    row = (7, None, 1.0, 0.1 + 0.2, 1e150)
+    # None is an empty cell (JSON null), a str is text already formatted
+    # (JSON: the number it spells), an int stays exact, and any other value
+    # is rounded to 12 significant digits.
+    header = ("key", "int", "none", "one", "sum", "big")
+    row = ("1e-05", 7, None, 1.0, 0.1 + 0.2, 1e150)
     cli.write_table(str(tmp_path / "t.csv"), header, [row], "csv")
     cli.write_table(str(tmp_path / "t.json"), header, [row], "json")
-    assert (tmp_path / "t.csv").read_bytes() == b"int,none,one,sum,big\n7,,1,0.3,1e+150\n"
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"key,int,none,one,sum,big\n1e-05,7,,1,0.3,1e+150\n")
     assert (tmp_path / "t.json").read_bytes() == (
-        b'[\n  {\n    "int": 7,\n    "none": null,\n    "one": 1.0,\n'
+        b'[\n  {\n    "key": 1e-05,\n    "int": 7,\n    "none": null,\n    "one": 1.0,\n'
         b'    "sum": 0.3,\n    "big": 1e+150\n  }\n]\n'
     )
+
+
+def test_text_cells_are_verbatim_on_every_csv_path(tmp_path):
+    # One table format (every column one type), one format per row
+    # signature (a blank cell), and _cell itself (a bool) all write a str
+    # cell as it is.
+    out = tmp_path / "t.csv"
+    cli.write_table(str(out), ("k", "v"), [("0.5", 1.5), ("2", 2.0)], "csv")
+    assert out.read_bytes() == b"k,v\n0.5,1.5\n2,2\n"
+    cli.write_table(str(out), ("k", "v"), [("0.5", 1.5), ("0.5", None), ("2", True)], "csv")
+    assert out.read_bytes() == b"k,v\n0.5,1.5\n0.5,\n2,True\n"
 
 
 # Cell values of every type a table may hold: the float edge cases, ints
