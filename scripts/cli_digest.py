@@ -25,7 +25,10 @@ first), ``thermo.sweep`` columns over 9 q x 301 mbar x 4 tol for every
 method, and ``heun.evaluate`` and ``heun.adaptive_series`` over 400 random
 parameter sets x 9 points x 3 tol (value, term count and coefficients; the
 error estimate is left out), and ``heun.evaluate_on_grid`` on one grid of +-y
-points per parameter set of the same ensemble x 3 tol.
+points per parameter set of the same ensemble x 3 tol.  A last script writes
+``cli.write_table`` tables in csv and json from cells and row shapes no
+command emits: bools, numpy scalars, ints past 64 bits, edge floats, str
+keys, blank rows and a ragged row.
 """
 
 from __future__ import annotations
@@ -249,6 +252,22 @@ for _ in range(400):
             print(hashlib.sha256(heun.evaluate_on_grid(hp, ys, tol).tobytes()).hexdigest())
         except TruncationFailure as exc:
             print(str(exc), repr(exc.partial_sum), exc.n_terms)
+"""),
+    # One table with blank rows and a ragged row (a format per row signature)
+    # and one whose every column holds a single type (one format per table).
+    ("lib-cells", """
+import math, numpy as np
+from kgconfine import cli
+mixed = [("0.5", 1.5, 7, True), ("0.5", None, None, None),
+         ("1e-05", np.float64(0.1), np.int64(2**40), np.True_),
+         ("2", 2**100, -2**63 - 1, False), ("3", -0.0, math.nan, math.inf),
+         ("4", -math.inf, 5e-324, 0.1 + 0.2), ("5", 1.0)]
+uniform = [(str(k), np.float64(k / 3), np.int64(k * 10**15), k % 2 == 0, 2**70 + k, None,
+            np.False_, np.str_(k)) for k in range(5)]
+for name, rows in (("mixed", mixed), ("uniform", uniform)):
+    header = tuple("abcdefgh"[:len(rows[0])])
+    for fmt in ("csv", "json"):
+        cli.write_table(f"{name}.{fmt}", header, rows, fmt)
 """),
 ]
 

@@ -256,36 +256,35 @@ def resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     )
 
 
+_FIELDS: dict[type, str] = {}
+
+
+def _field(kind: type) -> str:
+    # The one cell rule, as the % field of a cell of this type: None is an
+    # empty cell ("%.0s" prints its str cut to no characters), a str is text
+    # this rule has already produced, an int stays exact, and any other value
+    # is rounded to 12 significant digits.  JSON tables reach it through
+    # _cell for every float and str cell, so the memo is a plain dict, which
+    # is faster there than functools.cache.
+    field = _FIELDS.get(kind)
+    if field is None:
+        field = "%.0s" if kind is type(None) else "%s" if issubclass(kind, (str, int)) else "%.12g"
+        _FIELDS[kind] = field
+    return field
+
+
 def _cell(value) -> str:
-    # The one cell rule: None is an empty cell, a str is text this rule has
-    # already produced, an int stays exact, and any other value is rounded
-    # to 12 significant digits.
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return "%.12g" % value
+    return _field(type(value)) % (value,)
 
 
 def _json_cell(value):
     return value if value is None or isinstance(value, int) else float(_cell(value))
 
 
-# The format field of each cell type whose text is ``_cell``'s: a None cell
-# is consumed by "%.0s", which prints its str cut to no characters.
-_CSV_FIELDS = {float: "%.12g", int: "%d", str: "%s", type(None): "%.0s"}
-
-
 @functools.cache
-def _csv_format(signature: tuple[type, ...]) -> str | None:
-    # The one-% format of a CSV row whose cells have these types, or None
-    # when a type (bool, a numpy scalar, ...) needs ``_cell`` itself.
-    try:
-        return ",".join([_CSV_FIELDS[t] for t in signature])
-    except KeyError:
-        return None
+def _csv_format(signature: tuple[type, ...]) -> str:
+    # The one-% format of a CSV row whose cells have these types.
+    return ",".join(map(_field, signature))
 
 
 def _table_format(rows: list[tuple]) -> str | None:
@@ -305,12 +304,10 @@ def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str)
 
     Each row is a tuple of cell values in ``header`` order; ``_cell`` gives
     every cell's text (JSON writes a str cell as the number it spells, and
-    keeps its ints and floats as numbers).  A CSV table whose rows have one
-    length and whose columns each hold one type is written with a single
-    ``%`` row format; any other table builds one format per cell-type
-    signature of a row.  Either format gives the same text as ``_cell``, and
-    a row with a cell of a type the formats do not map (a bool, a numpy
-    scalar) is joined from ``_cell`` itself.
+    keeps its ints and floats as numbers).  CSV rows are written with ``%``
+    formats built from the same rule: a single row format when the rows
+    have one length and each column holds one type, else one format per
+    cell-type signature of a row (a table with blank rows).
     """
     if fmt == "csv":
         lines = [",".join(header)]
@@ -318,9 +315,7 @@ def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str)
         if form is not None:
             lines += [form % row for row in rows]
         else:
-            for row in rows:
-                form = _csv_format(tuple(map(type, row)))
-                lines.append(",".join(map(_cell, row)) if form is None else form % row)
+            lines += [_csv_format(tuple(map(type, row))) % row for row in rows]
     else:
         records = [dict(zip(header, map(_json_cell, row))) for row in rows]
         lines = [json.dumps(records, indent=2)]

@@ -281,10 +281,23 @@ def test_write_table_cell_rule(tmp_path):
     )
 
 
+def test_cell_text_literals():
+    # The rule's text for each kind of cell, spelled out: an int is exact
+    # and a bool its name, a numpy scalar (np.int64, np.bool_ too) is
+    # rounded like a float, a str is kept, and None is empty.
+    cases = [
+        (True, "True"), (np.True_, "1"),
+        (np.int64(2**40), "1.09951162778e+12"), (np.float64(0.1), "0.1"),
+        (2**100, "1267650600228229401496703205376"), (-2**63 - 1, "-9223372036854775809"),
+        (-0.0, "-0"), (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+        (5e-324, "4.94065645841e-324"), (None, ""), (np.str_("x"), "x"), (0.1 + 0.2, "0.3"),
+    ]
+    assert [cli._cell(value) for value, _ in cases] == [text for _, text in cases]
+
+
 def test_text_cells_are_verbatim_on_every_csv_path(tmp_path):
-    # One table format (every column one type), one format per row
-    # signature (a blank cell), and _cell itself (a bool) all write a str
-    # cell as it is.
+    # One table format (every column one type) and one format per row
+    # signature (a blank cell, a bool) both write a str cell as it is.
     out = tmp_path / "t.csv"
     cli.write_table(str(out), ("k", "v"), [("0.5", 1.5), ("2", 2.0)], "csv")
     assert out.read_bytes() == b"k,v\n0.5,1.5\n2,2\n"
@@ -293,7 +306,7 @@ def test_text_cells_are_verbatim_on_every_csv_path(tmp_path):
 
 
 # Cell values of every type a table may hold: the float edge cases, ints
-# past 64 bits, and the types (bool, numpy scalars) that fall back to _cell.
+# past 64 bits, and the types (bool, numpy scalars) that no command emits.
 _CELL_KINDS = (
     st.floats(allow_subnormal=True)
     | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, -1e-300]),
