@@ -17,7 +17,8 @@ compare over mbar = 1e30..1e160 that fails in both of its q blocks, and the
 q = 0.5 em sweep over mbar = 1e153..1.9e154, where Z nears the float limit,
 and a 5 q x 3,000 mbar compare at the benchmark's sweep_dense scale),
 wavefunctions whose raw squares (``--a3 200``) or samples (``--a3 500``)
-overflow double precision, ``--config`` files, usage errors and ``--help``.
+overflow double precision, ``--config`` files, usage errors and the
+``--help`` text of the program and of every command.
 The library scripts print the bits of four ensembles: auto_grid plus the
 normalized profile for n = 0..150 on 24 potentials, the same profiles on one
 fixed grid per potential (so a change to ``auto_grid`` alone moves only the
@@ -28,7 +29,7 @@ error estimate is left out), and ``heun.evaluate_on_grid`` on one grid of +-y
 points per parameter set of the same ensemble x 3 tol.  A last script writes
 ``cli.write_table`` tables in csv and json from cells and row shapes no
 command emits: bools, numpy scalars, ints past 64 bits, edge floats, str
-keys, blank rows and a ragged row.
+keys and blank rows; a table with a ragged row prints its error instead.
 """
 
 from __future__ import annotations
@@ -148,7 +149,10 @@ for i, (command, text) in enumerate(BAD_CONFIGS):
 
 RUNS += [
     ("help", ["--help"], None),
+    ("help-spectrum", ["spectrum", "--help"], None),
     ("help-thermo", ["thermo", "--help"], None),
+    ("help-compare", ["compare", "--help"], None),
+    ("help-density", ["density", "--help"], None),
     ("help-wavefunction", ["wavefunction", "-h"], None),
 ]
 
@@ -253,21 +257,27 @@ for _ in range(400):
         except TruncationFailure as exc:
             print(str(exc), repr(exc.partial_sum), exc.n_terms)
 """),
-    # One table with blank rows and a ragged row (a format per row signature)
-    # and one whose every column holds a single type (one format per table).
+    # One table with blank rows (a format per row signature), one whose
+    # every column holds a single type (one format per table), and a ragged
+    # row, which is refused in either format before any file is written.
     ("lib-cells", """
 import math, numpy as np
 from kgconfine import cli
 mixed = [("0.5", 1.5, 7, True), ("0.5", None, None, None),
          ("1e-05", np.float64(0.1), np.int64(2**40), np.True_),
          ("2", 2**100, -2**63 - 1, False), ("3", -0.0, math.nan, math.inf),
-         ("4", -math.inf, 5e-324, 0.1 + 0.2), ("5", 1.0)]
+         ("4", -math.inf, 5e-324, 0.1 + 0.2)]
 uniform = [(str(k), np.float64(k / 3), np.int64(k * 10**15), k % 2 == 0, 2**70 + k, None,
             np.False_, np.str_(k)) for k in range(5)]
 for name, rows in (("mixed", mixed), ("uniform", uniform)):
     header = tuple("abcdefgh"[:len(rows[0])])
     for fmt in ("csv", "json"):
         cli.write_table(f"{name}.{fmt}", header, rows, fmt)
+for fmt in ("csv", "json"):
+    try:
+        cli.write_table(f"ragged.{fmt}", tuple("abcd"), mixed + [("5", 1.0)], fmt)
+    except ValueError as exc:
+        print(exc)
 """),
 ]
 

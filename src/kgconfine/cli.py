@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import os
 import sys
@@ -23,7 +22,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import spectrum as spec_mod
+# thermo is imported here although only the sweeps run it: deferring it
+# would just move its import into their first run, so the spectrum-type
+# commands pay for it too.  spectrum (which imports heun) and json are
+# imported by the functions that use them, so a CSV sweep never loads them.
 from . import thermo
 from .errors import ConfigError, KGConfineError
 from .params import PhysicalParams
@@ -184,14 +186,16 @@ def build_parser() -> argparse.ArgumentParser:
             "a1 + a2|x| + a3/|x|."
         ),
     )
+    # Every subcommand takes the same options, added once to a parent parser.
+    common = argparse.ArgumentParser(add_help=False)
+    for key, opt in _OPTIONS.items():
+        choices = opt.convert if isinstance(opt.convert, tuple) else None
+        common.add_argument(_flag(key), choices=choices, metavar=opt.metavar, help=opt.help)
+    common.add_argument("--config", metavar="PATH",
+                        help="flat key = value file mirroring the flag names")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, description in COMMANDS.items():
-        p = sub.add_parser(name, help=description)
-        for key, opt in _OPTIONS.items():
-            choices = opt.convert if isinstance(opt.convert, tuple) else None
-            p.add_argument(_flag(key), choices=choices, metavar=opt.metavar, help=opt.help)
-        p.add_argument("--config", metavar="PATH",
-                       help="flat key = value file mirroring the flag names")
+        sub.add_parser(name, help=description, parents=[common])
     return parser
 
 
@@ -288,11 +292,9 @@ def _csv_format(signature: tuple[type, ...]) -> str:
 
 
 def _table_format(rows: list[tuple]) -> str | None:
-    # The one-% format of every row of a table whose rows have one length
-    # and whose columns each hold one type; None for any other table.  The
-    # length check comes first because zip(*rows) stops at the shortest row.
-    if len(set(map(len, rows))) != 1:
-        return None
+    # The one-% format of every row of a table whose columns each hold one
+    # type; None for any other table.  write_table has checked that every
+    # row has the header's length (zip(*rows) stops at the shortest row).
     column_types = [set(map(type, column)) for column in zip(*rows)]
     if any(len(types) != 1 for types in column_types):
         return None
@@ -305,10 +307,15 @@ def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str)
     Each row is a tuple of cell values in ``header`` order; ``_cell`` gives
     every cell's text (JSON writes a str cell as the number it spells, and
     keeps its ints and floats as numbers).  CSV rows are written with ``%``
-    formats built from the same rule: a single row format when the rows
-    have one length and each column holds one type, else one format per
-    cell-type signature of a row (a table with blank rows).
+    formats built from the same rule: a single row format when each column
+    holds one type, else one format per cell-type signature of a row (a
+    table with blank rows).  A row whose length differs from the header's
+    raises ``ValueError`` before the file is opened, in either format.
     """
+    if set(map(len, rows)) - {len(header)}:
+        i = next(i for i, row in enumerate(rows) if len(row) != len(header))
+        raise ValueError(f"row {i} {rows[i]!r} has {len(rows[i])} cells; "
+                         f"the header has {len(header)}")
     if fmt == "csv":
         lines = [",".join(header)]
         form = _table_format(rows)
@@ -317,6 +324,8 @@ def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str)
         else:
             lines += [_csv_format(tuple(map(type, row))) % row for row in rows]
     else:
+        import json
+
         records = [dict(zip(header, map(_json_cell, row))) for row in rows]
         lines = [json.dumps(records, indent=2)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -324,6 +333,8 @@ def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str)
 
 
 def run_spectrum(cfg: RunConfig) -> int:
+    from . import spectrum as spec_mod
+
     header = ("n", "energy_pos", "energy_neg", "residual")
     rows = []
     for n in cfg.n_list:
@@ -335,6 +346,8 @@ def run_spectrum(cfg: RunConfig) -> int:
 
 
 def run_density(cfg: RunConfig) -> int:
+    from . import spectrum as spec_mod
+
     header = ("n", "energy", "rho_consistent", "rho_paper")
     rows = []
     for n in cfg.n_list:
@@ -347,6 +360,8 @@ def run_density(cfg: RunConfig) -> int:
 
 
 def run_wavefunction(cfg: RunConfig) -> int:
+    from . import spectrum as spec_mod
+
     failures = []
     root, ext = os.path.splitext(cfg.output_path)
     for n in cfg.n_list:

@@ -1,8 +1,12 @@
 """Command-line front end: parsing, config precedence, file formats."""
 
+import argparse
+import ast
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +55,29 @@ def test_parse_q_list_rejects(bad):
 
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_every_command_takes_one_option_set():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(cli.COMMANDS)
+    expected = [
+        (cli._flag(key), opt.convert if isinstance(opt.convert, tuple) else None, opt.metavar)
+        for key, opt in cli._OPTIONS.items()
+    ] + [("--config", None, "PATH")]
+    for sub in commands.choices.values():
+        options = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        assert [(a.option_strings[0], a.choices, a.metavar) for a in options] == expected
+        # Unset flags stay None, so a config-file value can fill them.
+        assert all(a.default is None for a in options)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_per_command_defaults(command):
+    parser = cli.build_parser()
+    cfg = cli.resolve_config(parser, parser.parse_args([command]))
+    assert cfg.n_list == ((0, 5, 10) if command == "wavefunction" else tuple(range(11)))
+    assert cfg.method == ("both" if command == "compare" else "em")
 
 
 # ----------------------------------------------------------- config files
@@ -316,24 +343,38 @@ _CELL_KINDS = (
     st.floats().map(np.float64),
     st.integers(-2**63, 2**63 - 1).map(np.int64),
 )
-_SIGNATURES = st.lists(st.sampled_from(_CELL_KINDS), max_size=9)
 
 
 @st.composite
 def _tables(draw):
-    # Rows drawn from a few cell-type signatures, mixed in one table.
-    signatures = draw(st.lists(_SIGNATURES, min_size=1, max_size=3))
+    # A header and rows drawn from a few cell-type signatures of its
+    # length, mixed in one table.
+    width = draw(st.integers(0, 9))
+    signature = st.lists(st.sampled_from(_CELL_KINDS), min_size=width, max_size=width)
+    signatures = draw(st.lists(signature, min_size=1, max_size=3))
     row = st.one_of([st.tuples(*kinds) for kinds in signatures])
-    return draw(st.lists(row, max_size=20))
+    return tuple(f"h{i}" for i in range(width)), draw(st.lists(row, max_size=20))
 
 
-@given(rows=_tables())
+@given(table=_tables())
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_csv_rows_agree_with_cell_rule(tmp_path, rows):
+def test_csv_rows_agree_with_cell_rule(tmp_path, table):
+    header, rows = table
     out = tmp_path / "t.csv"
-    cli.write_table(str(out), ("h",), rows, "csv")
-    expected = ["h"] + [",".join(map(cli._cell, row)) for row in rows]
+    cli.write_table(str(out), header, rows, "csv")
+    expected = [",".join(header)] + [",".join(map(cli._cell, row)) for row in rows]
     assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("ragged", [("2",), ("2", 2.0, 3.0)], ids=["short", "long"])
+def test_write_table_rejects_ragged_rows(tmp_path, fmt, ragged):
+    # The error names the first row whose length is not the header's, and
+    # no file is written in either format.
+    out = tmp_path / f"t.{fmt}"
+    with pytest.raises(ValueError, match=r"^row 1 "):
+        cli.write_table(str(out), ("k", "v"), [("1", 1.0), ragged, ("3",)], fmt)
+    assert not out.exists()
 
 
 def test_json_records(tmp_path):
@@ -365,6 +406,40 @@ def test_default_output_name(tmp_path, monkeypatch):
     rc = cli.main(["spectrum", "--n", "0", "--format", "json"])
     assert rc == 0
     assert (tmp_path / "spectrum.json").exists()
+
+
+_LAZY_MODULES = ("kgconfine.spectrum", "kgconfine.heun", "json")
+_SPECTRUM = ["kgconfine.spectrum", "kgconfine.heun"]
+
+# Run one command in a fresh interpreter; print which of the lazily
+# imported modules are loaded after importing cli and after the run.
+_IMPORT_PROBE = """
+import sys
+from kgconfine import cli
+before = [m for m in {lazy!r} if m in sys.modules]
+rc = cli.main({argv!r})
+print(repr((before, rc, [m for m in {lazy!r} if m in sys.modules])))
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["thermo", "--steps", "3"], []),
+    (["compare", "--steps", "3"], []),
+    (["thermo", "--steps", "3", "--format", "json"], ["json"]),
+    (["spectrum", "--n", "0..2"], _SPECTRUM),
+    (["density", "--n", "0..2"], _SPECTRUM),
+    (["wavefunction", "--n", "0"], _SPECTRUM),
+], ids=["thermo", "compare", "thermo-json", "spectrum", "density", "wavefunction"])
+def test_commands_import_only_what_they_run(argv, loads, tmp_path):
+    # A CSV sweep starts without spectrum, heun or json; every other
+    # command still imports what it needs.
+    code = _IMPORT_PROBE.format(lazy=_LAZY_MODULES, argv=argv + ["--out", "t.csv"])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    before, rc, after = ast.literal_eval(done.stdout.splitlines()[-1])
+    assert (before, rc, after) == ([], 0, loads)
 
 
 def test_reruns_are_byte_identical(tmp_path):
