@@ -26,7 +26,11 @@ first), ``thermo.sweep`` columns over 9 q x 301 mbar x 4 tol for every
 method, and ``heun.evaluate`` and ``heun.adaptive_series`` over 400 random
 parameter sets x 9 points x 3 tol (value, term count and coefficients; the
 error estimate is left out), and ``heun.evaluate_on_grid`` on one grid of +-y
-points per parameter set of the same ensemble x 3 tol.  A last script writes
+points per parameter set of the same ensemble x 3 tol.  ``lib-heads`` shows
+its stdout in the line instead of a hash: for the direct and both sweeps of
+the ``lib-sweep`` ensemble at each tol, the row count and the max and mean
+exact head (``terms``), so a change to the direct sum's stop rule shows its
+cost in the diff.  A last script writes
 ``cli.write_table`` tables in csv and json from cells and row shapes no
 command emits: bools, numpy scalars, ints past 64 bits, edge floats, str
 keys and blank rows; a table with a ragged row prints its error instead.
@@ -217,6 +221,16 @@ for method in ("direct", "em", "both"):
             print(method, tol, name, hashlib.sha256(data).hexdigest())
         print(method, tol, "errors", hashlib.sha256(repr(cols.errors).encode()).hexdigest())
 """),
+    ("lib-heads", """
+import numpy as np
+from kgconfine import thermo
+q = np.linspace(0.25, 2.25, 9)
+mbar = np.geomspace(0.01, 1e6, 301)
+for method in ("direct", "both"):
+    for tol in (1e-6, 1e-9, 1e-12, 1e-15):
+        terms = thermo.sweep(method, mbar, q, tol=tol).terms
+        print(f"{method} {tol}: {terms.size} rows, max {terms.max()}, mean {terms.mean():.2f}")
+"""),
     ("lib-heun", """
 import hashlib, numpy as np
 from kgconfine import heun
@@ -286,6 +300,10 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+# Runs whose line shows their stdout, one "; "-separated entry per line of it.
+SHOWN = {"lib-heads"}
+
+
 def digest(src: Path, name: str, python_args: list[str], config: str | None) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
@@ -301,8 +319,10 @@ def digest(src: Path, name: str, python_args: list[str], config: str | None) -> 
             for f in sorted(set(os.listdir(tmp)) - before)
         )
         stdout, stderr = (s.replace(tmp.encode(), b"{tmp}") for s in (proc.stdout, proc.stderr))
+    shown = (f"[{'; '.join(stdout.decode().splitlines())}]" if name in SHOWN
+             else _sha(stdout))
     return (f"{name} rc={proc.returncode} tables=[{tables}] "
-            f"stdout={_sha(stdout)} stderr={_sha(stderr)}")
+            f"stdout={shown} stderr={_sha(stderr)}")
 
 
 def main() -> None:

@@ -160,12 +160,11 @@ def _read_config_file(path: str) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        for sep in ("=", ":"):
-            if sep in line:
-                key, _, value = line.partition(sep)
-                break
-        else:
+        # The key ends at the first separator, so a value may hold either.
+        cut = min((i for i in map(line.find, "=:") if i >= 0), default=None)
+        if cut is None:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, value = line[:cut], line[cut + 1:]
         key = key.strip().lower().replace("-", "_")
         value = value.strip()
         if key not in _OPTIONS:

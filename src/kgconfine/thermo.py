@@ -9,8 +9,9 @@ sigma2).  The partition function is referenced to the ground state,
 so the direct sum starts at 1 and the internal energy U is the mean
 excitation energy <E - E_0>.  Two evaluation routes are kept deliberately
 separate.  The direct route sums an exact head of levels plus a tail with a
-rigorous bound (see ``partition_direct``), so its cost does not grow with
-mbar.  With y = (E - E_0)/(k_B T) it sums the moments
+rigorous bound (see ``partition_direct``): the Euler-MacLaurin tail is taken
+as soon as its remainder bound is at most tol times the sum, so its cost
+does not grow with mbar.  With y = (E - E_0)/(k_B T) it sums the moments
 M_k = sum_n y_n^k exp(-y_n): Z = M_0, U/eps = mbar M_1/M_0 and
 C/k_B = M_2/M_0 - (M_1/M_0)^2, each moment with its own bounded tail.  One
 kernel evaluates it for every (q, mbar) point of a sweep at once; ``sweep``
@@ -49,11 +50,9 @@ DIRECT_N_MAX = 10_000_000
 # temperatures, columns = levels); bounds its scratch memory whatever the
 # grid size.  A chunk of more levels than this runs one row at a time.
 _BLOCK = 1 << 16
-# The direct sum may switch to the Euler-MacLaurin tail at level N only when
-# N >= DIRECT_EM_MIN_N and the summand changes by a small factor per level,
-# b*sigma1/(2*E_N) <= DIRECT_EM_MAX_STEP; both keep the B8 remainder term tiny.
+# The first level at which the direct sum tests its tails: the length of its
+# first chunk.
 DIRECT_EM_MIN_N = 32
-DIRECT_EM_MAX_STEP = 0.125
 
 
 @dataclass(frozen=True)
@@ -279,10 +278,10 @@ def _direct_sums(
       for k = 0, from b v_{N-1} >= k for k >= 1), so the unsummed levels add
       up to less than its integral from N - 1, and that integral is at most
       ``tol`` times the partial sum: the moment is the exact partial sum;
-    * the summand is smooth on unit spacing (N >= 32 and
-      b*s1/(2*E_N) <= 1/8) and the bound on the Euler-MacLaurin remainder
+    * the Euler-MacLaurin tail is taken as soon as its remainder bound
       (``_em_tails``) is at most ``tol`` times the sum: the moment is the
       partial sum plus the tail from level N through the B6 correction.
+      Both bounds hold at every N, so this test runs after every chunk.
 
     Returns (sums, terms, bounds, converged): sums[k] is M_k/(k+1)! and
     bounds[k] the absolute bound that stopped it, both of shape
@@ -309,9 +308,8 @@ def _direct_sums(
             2.0 / (bl * bl * s1[ql]), np.exp(-z), z, bl * u[ql], bl * e0[ql], moments))
         ok = (row_bound <= tol * total) & (z >= ks)
         stop = ok.all(axis=0)
-        smooth = ~stop & (bl * s1[ql] <= 2.0 * DIRECT_EM_MAX_STEP * np.sqrt(s1 * n_done + s2)[ql])
-        if smooth.any():
-            em = np.flatnonzero(smooth)
+        em = np.flatnonzero(~stop)
+        if em.size:
             tail, em_bound = _em_tails(n_done, bl[em], ql[em], s1, s2, e0, moments)
             accept = ~ok[:, em] & (em_bound <= tol * (total[:, em] + tail))
             total[:, em] += np.where(accept, tail, 0.0)
@@ -375,12 +373,11 @@ def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
 
     * the integral bound on the unsummed levels is at most ``tol`` times the
       partial sum: Z is the exact partial sum;
-    * the summand is smooth on unit spacing (N >= 32 and
-      b*sigma1/(2*E_N) <= 1/8, b = 1/mbar) and the first omitted
-      Euler-MacLaurin term |B8/8! f^(7)(N)| is at most ``tol`` times Z: Z is
-      the partial sum plus the Euler-MacLaurin tail from level N through the
-      B6 correction.  The summand is completely monotone in n, so the tail's
-      remainder lies between 0 and that omitted term.
+    * the Euler-MacLaurin tail is taken as soon as its remainder bound is at
+      most ``tol`` times the sum: Z is the partial sum plus the tail from
+      level N through the B6 correction.  The summand is completely monotone
+      in n, so at every N the tail's remainder lies between 0 and the first
+      omitted term |B8/8! f^(7)(N)|, which is that bound.
 
     The cost therefore stops growing with mbar.  The returned point records
     ``terms``, the levels summed exactly, and ``tail_bound``, the absolute

@@ -90,11 +90,13 @@ def test_read_config_file_formats(tmp_path):
         "a2 = 1.0\n"
         "mbar-min: 0.5   # trailing comment\n"
         "\n"
-        "METHOD = direct\n",
+        "METHOD = direct\n"
+        "out: runs/q=0.5.csv\n",
         encoding="utf-8",
     )
     values = cli._read_config_file(str(cfg))
-    assert values == {"a2": "1.0", "mbar_min": "0.5", "method": "direct"}
+    assert values == {"a2": "1.0", "mbar_min": "0.5", "method": "direct",
+                      "out": "runs/q=0.5.csv"}
 
 
 def test_read_config_file_rejects_unknown_key(tmp_path):

@@ -143,24 +143,31 @@ def test_partition_direct_converges_at_high_mbar(mbar):
         assert math.isclose(point.Z, thermo.partition_em(mbar, q).Z, rel_tol=1e-12)
 
 
-def _first_em_mbar(q):
-    # Lowest mbar at which the summand is smooth enough for the direct sum to
-    # take the Euler-MacLaurin tail right after its first chunk.
-    s1, s2 = thermo.sigma_constants(q)
-    e_first = math.sqrt(s1 * thermo.DIRECT_EM_MIN_N + s2)
-    return s1 / (2.0 * thermo.DIRECT_EM_MAX_STEP * e_first)
+@pytest.mark.parametrize("tol, heads", [(1e-10, {32}), (1e-14, {32, 96})])
+def test_direct_head_budget(tol, heads):
+    # Heads run 32, 96, 224, ... levels.  Over q in [0.05, 20] and mbar in
+    # [0.01, 1e5] every point stops after the first or second chunk, on the
+    # integral bound or on an Euler-MacLaurin tail whose bound is within tol.
+    cols = thermo.sweep("direct", np.geomspace(0.01, 1e5, 301), np.geomspace(0.05, 20.0, 9),
+                        tol=tol)
+    assert all(err is None for err in cols.errors)
+    assert set(cols.terms.tolist()) <= heads
+    assert np.all(cols.tail_bound <= tol * cols.Z_direct)
 
 
-@pytest.mark.parametrize("mbar", [_first_em_mbar(1.0), 20.0, 100.0])
+@pytest.mark.parametrize("mbar", [0.3, 0.5, 20.0, 100.0])
 def test_thermal_functions_direct_heat_capacity_matches_moments(mbar):
     # The kernel's C sits on moment sums that end in the Euler-MacLaurin
-    # tail, from the first mbar where that tail is allowed; it must match
-    # the fluctuation identity from the brute-force moment sums.
+    # tail, taken after the first chunk of 32 levels even at mbar = 0.3 and
+    # 0.5, where the summand still falls by e^-0.40 and e^-0.24 per level at
+    # level 32; it must match the fluctuation identity from the brute-force
+    # moment sums, which share no code with the kernel.
     q = 1.0
     _, m1, m2 = thermo.excitation_moments(mbar, q, 1e-12)
     c_fluct = (m2 - m1 * m1) / (mbar * mbar)
-    c_fd = thermo.thermal_functions("direct", mbar, q).C
-    assert math.isclose(c_fd, c_fluct, rel_tol=1e-5)
+    point = thermo.thermal_functions("direct", mbar, q)
+    assert point.terms == thermo.DIRECT_EM_MIN_N
+    assert math.isclose(point.C, c_fluct, rel_tol=1e-5)
 
 
 # ----------------------------------------------- scalar reference loop
@@ -225,10 +232,9 @@ def _ref_partition_direct(mbar, q, tol):
         n_done = hi
         if _ref_tail_integral(b, s1, s2, n_done - 1) < tol * total:
             return total, n_done
-        if b * s1 <= 2.0 * thermo.DIRECT_EM_MAX_STEP * math.sqrt(s1 * n_done + s2):
-            tail, bound = _ref_em_tail(b, s1, s2, n_done)
-            if bound < tol * (total + tail):
-                return total + tail, n_done
+        tail, bound = _ref_em_tail(b, s1, s2, n_done)
+        if bound < tol * (total + tail):
+            return total + tail, n_done
         chunk = min(chunk * 2, 1 << 20)
     raise TruncationFailure("reference sum did not converge", total, thermo.DIRECT_N_MAX)
 
@@ -302,11 +308,13 @@ def test_one_kernel_call_per_cli_sweep(monkeypatch, tmp_path):
 
 # ----------------------------------------------- moment sums at 30 digits
 # Points (mbar, q) whose moment sums, at tol = 1e-12, stop on the integral
-# bound (the first two), on the Euler-MacLaurin tail (the next four, two of
-# them after a 96-level head) or on a mix of both (the last: the integral
-# for k = 0, the tail for k >= 1).
+# bound (the first), on a mix of both (the second: the integral for k = 0,
+# the tail for k >= 1) or on the Euler-MacLaurin tail (the rest, (1.0, 1.0)
+# and (0.2357, 5.0) after a 96-level head, the others after 32 levels).  At
+# (0.5, 1.0) the summand still falls by e^-0.24 per level at level 32, where
+# the tail is taken.
 MOMENT_POINTS = ((0.05, 1.0), (0.3, 0.5), (1.0, 1.0), (3.0, 0.05), (50.0, 0.4),
-                 (300.0, 1.6), (0.2357, 5.0))
+                 (300.0, 1.6), (0.2357, 5.0), (0.5, 1.0))
 
 
 @functools.cache
@@ -394,10 +402,11 @@ def test_moment_bounds_cover_their_errors(tol):
     assert all(margin[1.0, 1.0, k] > 10.0 for k in (1, 2))
 
 
-# Rows (mbar, q) of one Euler-MacLaurin tail call from level EM_TAIL_N; the
-# summand is smooth there on every row (b*sigma1/(2E_N) <= 1/8).
+# Rows (mbar, q) of one Euler-MacLaurin tail call from level EM_TAIL_N.  The
+# summand's step b*sigma1/(2E_N) is at most 0.09 on the first four rows and
+# 0.17 on the last.
 EM_TAIL_N = 64
-EM_TAIL_ROWS = ((2.0, 0.4), (1.0, 1.0), (20.0, 1.0), (300.0, 1.6))
+EM_TAIL_ROWS = ((2.0, 0.4), (1.0, 1.0), (20.0, 1.0), (300.0, 1.6), (0.5, 1.0))
 
 
 def test_em_tails_match_30_digit_truncation():
@@ -409,8 +418,6 @@ def test_em_tails_match_30_digit_truncation():
     which = np.array([qs.index(q) for _, q in EM_TAIL_ROWS])
     b = np.array([1.0 / mbar for mbar, _ in EM_TAIL_ROWS])
     n = EM_TAIL_N
-    assert np.all(b * s1[which] <= 2.0 * thermo.DIRECT_EM_MAX_STEP
-                  * np.sqrt(s1[which] * n + s2[which]))
     tails, bounds = thermo._em_tails(n, b, which, s1, s2, np.sqrt(s2), 3)
     with mp.workdps(30):
         for row, i in enumerate(which.tolist()):
