@@ -22,7 +22,7 @@ overflow double precision, ``--config`` files, usage errors and the
 The library scripts print the bits of four ensembles: auto_grid plus the
 normalized profile for n = 0..150 on 24 potentials, the same profiles on one
 fixed grid per potential (so a change to ``auto_grid`` alone moves only the
-first), ``thermo.sweep`` columns over 9 q x 301 mbar x 4 tol for every
+first), ``thermo.sweep`` columns over 9 q x 301 mbar x 5 tol for every
 method, and ``heun.evaluate`` and ``heun.adaptive_series`` over 400 random
 parameter sets x 9 points x 3 tol (value, term count and coefficients; the
 error estimate is left out), and ``heun.evaluate_on_grid`` on one grid of +-y
@@ -213,7 +213,7 @@ from kgconfine import thermo
 q = np.linspace(0.25, 2.25, 9)
 mbar = np.geomspace(0.01, 1e6, 301)
 for method in ("direct", "em", "both"):
-    for tol in (1e-6, 1e-9, 1e-12, 1e-15):
+    for tol in (1e-6, 1e-9, 1e-12, 1e-15, 1e-20):
         cols = thermo.sweep(method, mbar, q, tol=tol)
         for name in ("Z_direct", "Z_em", "F", "U", "C", "terms", "tail_bound"):
             col = getattr(cols, name)
@@ -227,7 +227,7 @@ from kgconfine import thermo
 q = np.linspace(0.25, 2.25, 9)
 mbar = np.geomspace(0.01, 1e6, 301)
 for method in ("direct", "both"):
-    for tol in (1e-6, 1e-9, 1e-12, 1e-15):
+    for tol in (1e-6, 1e-9, 1e-12, 1e-15, 1e-20):
         terms = thermo.sweep(method, mbar, q, tol=tol).terms
         print(f"{method} {tol}: {terms.size} rows, max {terms.max()}, mean {terms.mean():.2f}")
 """),

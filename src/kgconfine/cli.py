@@ -459,7 +459,8 @@ def main(argv: list[str] | None = None) -> int:
         _warn(str(exc))
         return 1
     except OSError as exc:
-        _warn(f"i/o failure on {getattr(exc, 'filename', cfg.output_path)}: {exc}")
+        # A failed write or close carries no file name, only a failed open does.
+        _warn(f"i/o failure on {exc.filename or cfg.output_path}: {exc}")
         return 1
 
 

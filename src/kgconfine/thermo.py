@@ -66,7 +66,9 @@ class ThermoPoint:
     U: float | None = None
     C: float | None = None
     terms: int | None = None  # levels summed exactly by the direct route
-    tail_bound: float | None = None  # absolute bound on the direct route's error
+    # Bound on the direct route's truncation error only, not on the float64 rounding
+    # of its head (~terms 2^-53 Z), so below tol ~ 1e-14 not on the total error.
+    tail_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -147,24 +149,30 @@ def _exp_series(c: np.ndarray) -> np.ndarray:
     return E
 
 
-def _moment_integrals(pref, fx, z, bu, be0, moments: int) -> list:
-    """integral_n^inf (b v)^k exp(-b v) dn / (k+1)! for every k < moments, at
-    a level n where z = b v(n), fx = exp(-z), bu = b E(n), be0 = b E_0 and
-    pref = 2/(b^2 sigma1).
+def _moment_integrals(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int):
+    """integral_n^inf (b v)^k exp(-b v) dn / (k+1)! at level n for every k <
+    moments and every row (as in ``_direct_sums``): (z, fx, integrals), with
+    z = b v(n), fx = exp(-z) and the integrals of shape (moments, rows).
 
     With dn = (2E/sigma1) dE and y = b v the integral is
-    pref * [Gamma(k+2, z) + b E_0 Gamma(k+1, z)], and for integer m
-    Gamma(m+1, z) = m! e^{-z} e_m(z) with e_m(z) = sum_{j<=m} z^j/j!, so the
-    scaled integral is pref * fx * (e_{k+1} + b E_0 e_k/(k+1)), a sum of
-    positive terms.  The k = 0 integral is written pref * fx * (1 + bE).
+    pref * [Gamma(k+2, z) + b E_0 Gamma(k+1, z)], pref = 2/(b^2 sigma1), and
+    for integer m Gamma(m+1, z) = m! e^{-z} e_m(z) with e_m(z) =
+    sum_{j<=m} z^j/j!, so the scaled integral is
+    pref * fx * (e_{k+1} + b E_0 e_k/(k+1)), a sum of positive terms.  The
+    k = 0 integral is written pref * fx * (1 + b E(n)).
     """
-    out = [pref * fx * (1.0 + bu)]
+    root = np.sqrt(s1 * n + s2)
+    z = b * (root - e0)[which]
+    fx = np.exp(-z)
+    pref = 2.0 / (b * b * s1[which])
+    be0 = b * e0[which]
+    out = [pref * fx * (1.0 + b * root[which])]
     e_prev, e, term = 1.0, 1.0 + z, z
     for k in range(1, moments):
         term = term * z / (k + 1)
         e_prev, e = e, e + term
         out.append(pref * fx * (e + be0 * e_prev / (k + 1)))
-    return out
+    return z, fx, np.array(out)
 
 
 def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int):
@@ -200,11 +208,8 @@ def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int
       e^{-(1 - theta) z} |E'_7|.  It holds for every theta in (0, 1);
       theta = k/(12 + z) keeps it near its smallest.
     """
-    x = s1 * n + s2
-    root = np.sqrt(x)
-    dy = b * _root_series(s1, x)[:, which]
-    z = b * (root - e0)[which]
-    fx = np.exp(-z)
+    z, fx, integrals = _moment_integrals(n, b, which, s1, s2, e0, moments)
+    dy = b * _root_series(s1, s1 * n + s2)[:, which]
     # theta_0 = 0 gives the tail's own series, theta_k (k >= 1) the series of
     # the k-th bound: one recurrence serves them all.
     k = np.arange(moments)[:, None]
@@ -218,11 +223,9 @@ def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int
     series = np.array(series)
     inv = np.array([1.0 / math.factorial(j + 1) for j in range(moments)])[:, None]
     corrections = sum(BERNOULLI[i] / (2 * i) * series[:, 2 * i - 1] for i in (1, 2, 3))
-    integrals = _moment_integrals(
-        2.0 / (b * b * s1[which]), fx, z, b * root[which], b * e0[which], moments)
     # Scaled term by term, as (integral + f/2) - corrections: another grouping
     # moves the last bits of the tails and of every direct sum built on them.
-    tails = np.array(integrals) + 0.5 * (fx * series[:, 0]) * inv - fx * corrections * inv
+    tails = integrals + 0.5 * (fx * series[:, 0]) * inv - fx * corrections * inv
     # k = 0: the omitted term, half the Cauchy estimate's value at theta = 0.
     bounds = (np.where(k == 0, 1.0, 2.0) / (k + 1) * abs(BERNOULLI[4]) / 8 * theta**-k
               * ((1.0 + theta) / (1.0 - theta)) ** 8
@@ -232,30 +235,24 @@ def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int
 
 def _add_levels(sums: np.ndarray, b: np.ndarray, which: np.ndarray, live: np.ndarray,
                 s1, s2, e0, lo: int, hi: int) -> None:
-    # Add levels lo..hi-1 to the moment sums of every live row.  The rows of
-    # one q are consecutive; the level ladder v of each q with live rows is
-    # computed once, for groups of q whose ladders fill about _BLOCK
-    # elements, and the rows' exp(-b*v) go in blocks of at most _BLOCK.
+    # Add levels lo..hi-1 to the moment sums of every live row, in blocks of
+    # live rows with at most _BLOCK exp(-b*v) elements.  ``which`` is
+    # non-decreasing, so a block's rows of one q are consecutive: the block
+    # computes the level ladder of each of its q once, and its row r reads ladder at[r].
     levels = np.arange(lo, hi, dtype=float)
-    q_live = which[live]
-    first = np.flatnonzero(np.r_[True, q_live[1:] != q_live[:-1]])  # first live row of each q
     step = max(1, _BLOCK // levels.size)
-    for g in range(0, first.size, step):
-        qs = q_live[first[g:g + step]]
-        v = np.sqrt(s1[qs, None] * levels + s2[qs, None]) - e0[qs, None]
-        end = first[g + step] if g + step < first.size else live.size
-        rows = live[first[g]:end]
-        at = np.searchsorted(qs, q_live[first[g]:end])
-        for i in range(0, rows.size, step):
-            block = rows[i:i + step]
-            y = v[at[i:i + step]]
-            y *= b[block, None]
-            w = np.negative(y)
-            np.exp(w, out=w)
-            sums[0, block] += np.sum(w, axis=1)
-            for k in range(1, sums.shape[0]):
-                w *= y
-                sums[k, block] += np.sum(w, axis=1) / math.factorial(k + 1)
+    for i in range(0, live.size, step):
+        block = live[i:i + step]
+        new = np.r_[True, which[block[1:]] != which[block[:-1]]]  # first row of each q
+        qs, at = which[block[new]], np.cumsum(new) - 1
+        y = (np.sqrt(s1[qs, None] * levels + s2[qs, None]) - e0[qs, None])[at]
+        y *= b[block, None]
+        w = np.negative(y)
+        np.exp(w, out=w)
+        sums[0, block] += np.sum(w, axis=1)
+        for k in range(1, sums.shape[0]):
+            w *= y
+            sums[k, block] += np.sum(w, axis=1) / math.factorial(k + 1)
 
 
 @np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite Z
@@ -271,8 +268,9 @@ def _direct_sums(
     U and C.  The kernel keeps M_k/(k+1)!, which tends to Z from below at
     high temperature, so no moment overflows before Z does.  Every row
     follows the chunk schedule of 32, 64, 128, ... levels.  After each round
-    a row's moment k passes the first of these tests that it meets, and the
-    row stops once every moment has passed:
+    both tests run over every live row (one ``_em_tails`` call), a row's
+    moment k passes the first of them that it meets, and the row stops once
+    every moment has passed:
 
     * the summand (b v)^k exp(-b v) decreases from level N - 1 on (always
       for k = 0, from b v_{N-1} >= k for k >= 1), so the unsummed levels add
@@ -302,20 +300,13 @@ def _direct_sums(
         n_done = hi
         bl, ql = b[live], which[live]
         total = sums[:, live]
-        u = np.sqrt(s1 * (n_done - 1) + s2)
-        z = bl * (u - e0)[ql]
-        row_bound = np.array(_moment_integrals(
-            2.0 / (bl * bl * s1[ql]), np.exp(-z), z, bl * u[ql], bl * e0[ql], moments))
+        z, _, row_bound = _moment_integrals(n_done - 1, bl, ql, s1, s2, e0, moments)
         ok = (row_bound <= tol * total) & (z >= ks)
-        stop = ok.all(axis=0)
-        em = np.flatnonzero(~stop)
-        if em.size:
-            tail, em_bound = _em_tails(n_done, bl[em], ql[em], s1, s2, e0, moments)
-            accept = ~ok[:, em] & (em_bound <= tol * (total[:, em] + tail))
-            total[:, em] += np.where(accept, tail, 0.0)
-            row_bound[:, em] = np.where(accept, em_bound, row_bound[:, em])
-            ok[:, em] |= accept
-            stop = ok.all(axis=0)
+        tail, em_bound = _em_tails(n_done, bl, ql, s1, s2, e0, moments)
+        accept = ~ok & (em_bound <= tol * (total + tail))
+        total += np.where(accept, tail, 0.0)
+        row_bound = np.where(accept, em_bound, row_bound)
+        stop = (ok | accept).all(axis=0)
         done = live[stop]
         sums[:, done] = total[:, stop]
         terms[done] = n_done
@@ -381,9 +372,12 @@ def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
 
     The cost therefore stops growing with mbar.  The returned point records
     ``terms``, the levels summed exactly, and ``tail_bound``, the absolute
-    bound that stopped the sum.  A head that would exceed DIRECT_N_MAX levels
-    raises TruncationFailure, and a Z that overflows raises DomainError.  This
-    is a one-point call into the columns that ``sweep`` computes over a grid.
+    bound that stopped the sum.  That bounds the truncation error only: the
+    float64 rounding of the head, about N 2^-53 Z, is not included, so below
+    tol ~ 1e-14 it is not a bound on the total error.  A head that would
+    exceed DIRECT_N_MAX levels raises TruncationFailure, and a Z that
+    overflows raises DomainError.  This is a one-point call into the columns
+    that ``sweep`` computes over a grid.
     """
     return _one_point("direct", mbar, q, thermal=False, tol=tol)
 

@@ -495,6 +495,16 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     assert str(out) in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_failure_names_the_output_path(capsys):
+    # Opening /dev/full succeeds and the write fails, with no file name on
+    # the error.
+    rc = cli.main(["thermo", "--steps", "3", "--out", "/dev/full"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "i/o failure on /dev/full: [Errno 28]" in err
+
+
 def test_sweep_point_failure_exits_1(tmp_path, capsys):
     # A tolerance no Euler-MacLaurin tail can meet sends the direct sum's
     # head past its level cap: every point fails, the sweep still writes a

@@ -306,6 +306,25 @@ def test_one_kernel_call_per_cli_sweep(monkeypatch, tmp_path):
         assert math.isnan(cols.Z_direct[i]) and math.isnan(cols.C[i])
 
 
+def test_rounds_over_several_blocks_match_one_block(monkeypatch):
+    # With _BLOCK = 96 a 32-level round runs 3 rows per block, and a longer
+    # one a row at a time.  The grid's heads are 32 and 96 levels, and its
+    # blocks split a q or hold two; the columns must not depend on how the
+    # rows are blocked.
+    mbar, q = np.geomspace(0.05, 50.0, 7), [0.3, 1.0, 4.0]
+
+    def bits(method):
+        cols = thermo.sweep(method, mbar, q, tol=1e-14)
+        names = ("Z_direct", "F", "U", "C", "terms", "tail_bound")
+        return [getattr(cols, name).tobytes() for name in names] + [repr(cols.errors)]
+
+    assert set(thermo.sweep("direct", mbar, q, tol=1e-14).terms.tolist()) == {32, 96}
+    one_block = {method: bits(method) for method in ("direct", "both")}
+    monkeypatch.setattr(thermo, "_BLOCK", 96)
+    for method, want in one_block.items():
+        assert bits(method) == want, method
+
+
 # ----------------------------------------------- moment sums at 30 digits
 # Points (mbar, q) whose moment sums, at tol = 1e-12, stop on the integral
 # bound (the first), on a mix of both (the second: the integral for k = 0,
