@@ -24,8 +24,8 @@ normalized profile for n = 0..150 on 24 potentials, the same profiles on one
 fixed grid per potential (so a change to ``auto_grid`` alone moves only the
 first), ``thermo.sweep`` columns over 9 q x 301 mbar x 5 tol for every
 method, and ``heun.evaluate`` and ``heun.adaptive_series`` over 400 random
-parameter sets x 9 points x 3 tol (value, term count and coefficients; the
-error estimate is left out), and ``heun.evaluate_on_grid`` on one grid of +-y
+parameter sets x 9 points x 3 tol (value, error estimate, term count and
+coefficients), and ``heun.evaluate_on_grid`` on one grid of +-y
 points per parameter set of the same ensemble x 3 tol.  ``lib-heads`` shows
 its stdout in the line instead of a hash: for the direct and both sweeps of
 the ``lib-sweep`` ensemble at each tol, the row count and the max and mean
@@ -248,7 +248,8 @@ for _ in range(400):
             try:
                 ev = heun.evaluate(hp, y, tol)
                 coeffs = heun.adaptive_series(hp, y, tol).coeffs
-                print(repr(ev.value), ev.n_terms, hashlib.sha256(coeffs.tobytes()).hexdigest())
+                print(repr(ev.value), repr(ev.error_estimate), ev.n_terms,
+                      hashlib.sha256(coeffs.tobytes()).hexdigest())
             except TruncationFailure as exc:
                 print(str(exc), repr(exc.partial_sum), exc.n_terms)
 """),

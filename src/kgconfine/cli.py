@@ -153,7 +153,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):

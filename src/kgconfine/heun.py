@@ -14,6 +14,10 @@ with a_{-1} = 0 and a_0 = 1; the k = 0 row reduces to (1+c1) a_1 = K a_0.
 The recurrence degenerates when 1 + c1 hits a non-positive integer, which is
 rejected up front as SingularParameter.
 
+``_terms`` is the one implementation of the recurrence, yielding the terms
+t_k = a_k y^k.  The adaptive routes sum them in one pass, and a grid reuses
+the terms summed at its largest |y|.
+
 When c3 - c1 - 2 = 2n for a non-negative integer n, the a_{n-1} coupling in
 the a_{n+2} row vanishes, so the series *can* terminate as a degree-n
 polynomial; actual termination additionally needs a_{n+1} = 0, which pins c4.
@@ -24,9 +28,10 @@ coefficients actually did.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -89,8 +94,8 @@ class Evaluation(NamedTuple):
     n_terms: int
 
 
-def _coefficients(hp: HeunParams, n_terms: int, y: float = 1.0) -> np.ndarray:
-    """Terms t_k = a_k y^k for k = 0..n_terms; at y = 1 the coefficients a_k.
+def _terms(hp: HeunParams, y: float) -> Iterator[float]:
+    """Terms t_k = a_k y^k for k = 0, 1, 2, ...; at y = 1 the coefficients a_k.
 
     Multiplying the a_{k+1} row by y^{k+1} gives the recurrence for the terms
     themselves, which stays in floating range even where the bare power y^k
@@ -98,14 +103,19 @@ def _coefficients(hp: HeunParams, n_terms: int, y: float = 1.0) -> np.ndarray:
     """
     # The recurrence runs on Python floats, which round exactly as float64
     # array elements do and cost less per step.
-    a = [1.0]
-    if n_terms > 0:
-        K, c1, c2, c3 = hp.K, hp.c1, hp.c2, hp.c3
-        a.append(K / (1.0 + c1) * y)
-        for k in range(1, n_terms):
-            a.append(((c2 * k + K) * y * a[k] + (2.0 * k + c1 - c3) * y * y * a[k - 1])
-                     / ((k + 1.0) * (k + 1.0 + c1)))
-    return np.array(a)
+    yield 1.0
+    K, c1, c2, c3 = hp.K, hp.c1, hp.c2, hp.c3
+    prev, cur = 1.0, K / (1.0 + c1) * y
+    yield cur
+    for k in itertools.count(1):
+        prev, cur = cur, ((c2 * k + K) * y * cur + (2.0 * k + c1 - c3) * y * y * prev) / (
+            (k + 1.0) * (k + 1.0 + c1))
+        yield cur
+
+
+def _coefficients(hp: HeunParams, n_terms: int, y: float = 1.0) -> np.ndarray:
+    """The first n_terms + 1 terms t_0..t_{n_terms} of ``_terms``."""
+    return np.array(list(itertools.islice(_terms(hp, y), n_terms + 1)))
 
 
 def _detect_termination(coeffs: np.ndarray) -> bool:
@@ -154,51 +164,40 @@ def evaluate_series(sol: SeriesSolution, ys):
     return _polyval(sol.coeffs, ys)
 
 
-def _adaptive_core(hp: HeunParams, y: float, tol: float) -> tuple[int, float, float]:
-    """Adaptive truncation at ``y``: (last index n, partial sum, error bound).
+def _adaptive_core(hp: HeunParams, y: float, tol: float) -> tuple[float, float, np.ndarray]:
+    """Adaptive truncation at ``y``: (partial sum, error bound, terms t_0..t_n).
 
-    The terms t_k = a_k y^k come from ``_coefficients`` in blocks of doubling
-    length; their running sums (``np.cumsum`` adds in order) are scanned for
-    the first overflow or the first of three consecutive terms below
-    tol * |partial sum|.  The bound is the first neglected term |t_{n+1}|
-    plus the recursive-summation bound gamma_n * sum |t_k| (Higham, Accuracy
-    and Stability of Numerical Algorithms, sec. 4.2).
+    One pass over ``_terms`` adds each term to a running sum, in order, and
+    from k = 2 on stops at the first overflow of the sum or at the third
+    consecutive term below tol * |partial sum|.  The bound is the first
+    neglected term |t_{n+1}| plus the recursive-summation bound
+    gamma_n * sum |t_k| (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 4.2).  At y = 0 the terms are 1 and 0.
     """
     if tol <= 0.0 or not math.isfinite(tol):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     if not math.isfinite(y):
         raise DomainError(f"y must be finite, got {y!r}")
     if y == 0.0:
-        return 1, 1.0, 0.0
-    m = 64
-    while True:
-        m = min(m, N_MAX + 1)
-        t = _coefficients(hp, m, y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            partial = np.cumsum(t)
-        # Candidates are 2 <= j < m, so that t_{j+1} is at hand when j stops.
-        s = partial[:m]
-        quiet = np.abs(t[:m]) < tol * np.maximum(np.abs(s), 1e-300)
-        quiet[:2] = False
-        settled = np.convolve(quiet, np.ones(_CONSECUTIVE, dtype=int))[:m] == _CONSECUTIVE
-        overflow = ~np.isfinite(s)
-        overflow[:2] = False
-        stop = np.nonzero(overflow | settled)[0]
-        if stop.size:
-            n = int(stop[0])
-            if overflow[n]:
-                raise TruncationFailure(
-                    f"series overflowed at term {n} for y={y!r}", float(partial[n]), n
-                )
-            gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-            rounding = gamma * float(np.sum(np.abs(t[: n + 1])))
-            return n, float(partial[n]), abs(float(t[n + 1])) + rounding
-        if m > N_MAX:
+        return 1.0, 0.0, np.array([1.0, 0.0])
+    terms = _terms(hp, y)
+    summed, partial, quiet = [], 0.0, 0
+    for n, t in enumerate(terms):
+        summed.append(t)
+        partial += t
+        if n >= 2:
+            if not math.isfinite(partial):
+                raise TruncationFailure(f"series overflowed at term {n} for y={y!r}", partial, n)
+            quiet = quiet + 1 if abs(t) < tol * max(abs(partial), 1e-300) else 0
+            if quiet == _CONSECUTIVE:
+                break
+        if n == N_MAX:
             raise TruncationFailure(
-                f"series did not settle within {N_MAX} terms for y={y!r}",
-                float(partial[N_MAX]), N_MAX,
+                f"series did not settle within {N_MAX} terms for y={y!r}", partial, N_MAX
             )
-        m *= 2
+    summed = np.array(summed)
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    return partial, abs(next(terms)) + gamma * float(np.sum(np.abs(summed))), summed
 
 
 def adaptive_series(hp: HeunParams, y: float, tol: float) -> SeriesSolution:
@@ -209,7 +208,7 @@ def adaptive_series(hp: HeunParams, y: float, tol: float) -> SeriesSolution:
     the factorial decay of the coefficients takes over).  Failure to settle
     within N_MAX terms raises TruncationFailure.
     """
-    n, _, _ = _adaptive_core(hp, y, tol)
+    n = _adaptive_core(hp, y, tol)[2].size - 1
     coeffs = _coefficients(hp, n)
     coeffs.setflags(write=False)
     return SeriesSolution(coeffs, _detect_termination(coeffs))
@@ -226,8 +225,8 @@ def evaluate(hp: HeunParams, y: float, tol: float = 1e-12) -> Evaluation:
         if tol <= 0.0 or not math.isfinite(tol):
             raise DomainError(f"tol must be positive and finite, got {tol!r}")
         return Evaluation(1.0, 0.0, 1)
-    n, partial, bound = _adaptive_core(hp, y, tol)
-    return Evaluation(partial, bound, n + 1)
+    partial, bound, terms = _adaptive_core(hp, y, tol)
+    return Evaluation(partial, bound, terms.size)
 
 
 def evaluate_on_grid(hp: HeunParams, ys: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -235,8 +234,8 @@ def evaluate_on_grid(hp: HeunParams, ys: np.ndarray, tol: float = 1e-12) -> np.n
 
     One truncation, chosen adaptively at the largest |y| (y_ref), serves the
     whole grid: term magnitudes are monotone in |y|, so the cut is valid at
-    every smaller point.  The terms t_k = a_k y_ref^k are Horner-evaluated at
-    y / y_ref, where |y / y_ref| <= 1, so coefficients a_k that underflow
+    every smaller point.  The terms t_k = a_k y_ref^k summed there are
+    Horner-evaluated at y / y_ref, where |y / y_ref| <= 1, so coefficients a_k that underflow
     while their terms do not (as at large |y|) lose nothing.
     """
     ys = np.asarray(ys, dtype=float)
@@ -245,8 +244,7 @@ def evaluate_on_grid(hp: HeunParams, ys: np.ndarray, tol: float = 1e-12) -> np.n
     y_ref = float(np.max(np.abs(ys)))
     if y_ref == 0.0:
         return np.ones_like(ys)
-    n, _, _ = _adaptive_core(hp, y_ref, tol)
-    return _polyval(_coefficients(hp, n, y_ref), ys / y_ref)
+    return _polyval(_adaptive_core(hp, y_ref, tol)[2], ys / y_ref)
 
 
 def _polyval(coeffs: np.ndarray, y):

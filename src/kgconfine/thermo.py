@@ -316,22 +316,6 @@ def _direct_sums(
     return sums, terms, bounds, terms > 0
 
 
-def _truncation_failure(mbar: float, q: float, partial_sum: float) -> TruncationFailure:
-    return TruncationFailure(
-        f"direct sum did not converge within {DIRECT_N_MAX} terms "
-        f"(mbar={mbar!r}, q={q!r})",
-        partial_sum,
-        DIRECT_N_MAX,
-    )
-
-
-def _not_finite(mbar: float, q: float) -> DomainError:
-    return DomainError(
-        f"thermal functions are not finite at mbar={mbar!r}, q={q!r} "
-        "(floating-point overflow)"
-    )
-
-
 class _Rows(NamedTuple):
     """Sweep points in q-major order: point i is (mbar[i], qs[which[i]])."""
 
@@ -352,7 +336,10 @@ def _flag_not_finite(errors: list, rows: _Rows, *columns: np.ndarray) -> None:
     finite = np.logical_and.reduce([np.isfinite(c) for c in columns])
     for i in np.flatnonzero(~finite):
         if errors[i] is None:
-            errors[i] = _not_finite(float(rows.mbar[i]), rows.q(i))
+            errors[i] = DomainError(
+                f"thermal functions are not finite at mbar={float(rows.mbar[i])!r}, "
+                f"q={rows.q(i)!r} (floating-point overflow)"
+            )
 
 
 def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
@@ -504,7 +491,11 @@ def _direct_columns(rows: _Rows, tol: float, moments: int) -> SweepColumns:
         1.0 / mbar, rows.which, *rows.constants(), tol, moments)
     errors = [None] * mbar.size
     for i in np.flatnonzero(~converged):
-        errors[i] = _truncation_failure(float(mbar[i]), rows.q(i), float(sums[0, i]))
+        errors[i] = TruncationFailure(
+            f"direct sum did not converge within {DIRECT_N_MAX} terms "
+            f"(mbar={float(mbar[i])!r}, q={rows.q(i)!r})",
+            float(sums[0, i]), DIRECT_N_MAX,
+        )
     z = np.where(converged, sums[0], np.nan)
     if moments == 1:
         _flag_not_finite(errors, rows, z)

@@ -118,6 +118,15 @@ def test_read_config_file_missing(tmp_path):
         cli._read_config_file(str(tmp_path / "absent.cfg"))
 
 
+def test_non_utf8_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"q = 1\xff\n")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["thermo", "--config", str(cfg)])
+    assert err.value.code == 2
+    assert f"cannot read config file {cfg}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
 def test_flag_beats_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("a2 = 4.0\na3 = 0.0\n", encoding="utf-8")

@@ -6,6 +6,7 @@ so the regular solution is u(xi) = 1 + xi.
 """
 
 import decimal
+import itertools
 import math
 
 import numpy as np
@@ -202,6 +203,38 @@ def test_overflow_reports_truncation_failure():
         heun.evaluate(hp, 50.0, tol=1e-12)
     assert err.value.n_terms > 0
     assert hasattr(err.value, "partial_sum")
+
+
+def test_adaptive_cap_reports_the_partial_sum(monkeypatch):
+    # Uncapped, this series settles after 217 terms.
+    hp = heun.HeunParams(c1=0.3, c2=-1.2, c3=4.4, c4=0.7)
+    assert heun.evaluate(hp, 6.0, 1e-14).n_terms == 217
+    monkeypatch.setattr(heun, "N_MAX", 40)
+    with pytest.raises(TruncationFailure) as err:
+        heun.evaluate(hp, 6.0, 1e-14)
+    assert str(err.value) == "series did not settle within 40 terms for y=6.0"
+    assert err.value.n_terms == 40
+    partials = list(itertools.accumulate(heun._coefficients(hp, 40, 6.0).tolist()))
+    assert err.value.partial_sum == partials[-1]
+
+
+@pytest.mark.parametrize("c", [(0.3, -1.2, 4.4, 0.7), (1.0, 0.5, 2.0, 1.5), (-0.5, 3.0, -2.0, 4.0)])
+@pytest.mark.parametrize("y", [-0.7, 0.3, 2.7, 6.0])
+@pytest.mark.parametrize("tol", [1e-6, 1e-14])
+def test_adaptive_stop_rule(c, y, tol):
+    # The sum stops at the first n >= 2 ending three quiet terms in a row,
+    # |t_k| < tol * max(|s_k|, 1e-300) with s_k the in-order partial sum.
+    hp = heun.HeunParams(*c)
+    ev = heun.evaluate(hp, y, tol)
+    n = ev.n_terms - 1
+    t = heun._coefficients(hp, n + 1, y).tolist()
+    partials = list(itertools.accumulate(t[: n + 1]))
+    quiet = [k >= 2 and abs(t[k]) < tol * max(abs(partials[k]), 1e-300) for k in range(n + 1)]
+    assert all(quiet[n - 2:])
+    assert not any(all(quiet[k - 2: k + 1]) for k in range(2, n))
+    assert ev.value == partials[n]
+    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+    assert ev.error_estimate == abs(t[n + 1]) + gamma * float(np.sum(np.abs(t[: n + 1])))
 
 
 def test_polynomial_degree_examples():
