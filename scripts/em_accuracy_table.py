@@ -8,7 +8,6 @@ column never loses to order-1 by more than noise on the sampled grid.
 
 import argparse
 import itertools
-import math
 
 import numpy as np
 
@@ -28,14 +27,18 @@ def main() -> None:
 
     print(f"{'q':>5} {'mbar':>9} {'Z_direct':>16} {'rel_err_o1':>12} {'rel_err_o2':>12}")
     worse = 0
-    # One batched direct sum over every (q, mbar) point, q-major.
-    cols = thermo.sweep("both", grid, q_values, tol=1e-13)
-    points = itertools.product(q_values, grid.tolist())
-    for (q, mbar), z, err in zip(points, cols.Z_direct.tolist(), cols.errors):
-        if math.isnan(z):
+    # One batched direct sum and one closed-form column per order over every
+    # (q, mbar) point, q-major.
+    direct = thermo.sweep("both", grid, q_values, tol=1e-13)
+    em1, em2 = (thermo.sweep("em", grid, q_values, order) for order in (1, 2))
+    for err in direct.errors + em1.errors + em2.errors:
+        if err is not None:
             raise err
-        e1 = abs(thermo.partition_em(mbar, q, 1).Z - z) / z
-        e2 = abs(thermo.partition_em(mbar, q, 2).Z - z) / z
+    points = itertools.product(q_values, grid.tolist())
+    columns = (direct.Z_direct.tolist(), em1.Z_em.tolist(), em2.Z_em.tolist())
+    for (q, mbar), z, z1, z2 in zip(points, *columns):
+        e1 = abs(z1 - z) / z
+        e2 = abs(z2 - z) / z
         if e2 > e1 * 1.01:
             worse += 1
         print(f"{q:>5g} {mbar:>9.4g} {z:>16.10g} {e1:>12.3e} {e2:>12.3e}")

@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Subcommands: spectrum, wavefunction, thermo, compare, density.  Option
-precedence is flags > config file > built-in defaults; the config file is a
-flat key-value document (``key = value`` lines, ``#`` comments) mirroring the
-flag names.  Output tables are CSV or JSON with 12 significant digits, LF
-line endings, and UTF-8 encoding; identical configurations produce
-byte-identical files.  Exit status is 0 only when every requested point was
-computed, 2 for usage errors, 1 when some points failed.
+Commands: spectrum, wavefunction, thermo, compare, density.  One parser
+reads the command and the one option set that every command takes; options
+may come before or after the command.  Option precedence is flags > config
+file > built-in defaults; the config file is a flat key-value document
+(``key = value`` lines, ``#`` comments) mirroring the flag names.  Output
+tables are CSV or JSON with 12 significant digits, LF line endings, and
+UTF-8 encoding; identical configurations produce byte-identical files.  Exit
+status is 0 only when every requested point was computed, 2 for usage
+errors, 1 when some points failed.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 # commands pay for it too.  spectrum (which imports heun) and json are
 # imported by the functions that use them, so a CSV sweep never loads them.
 from . import thermo
-from .errors import ConfigError, KGConfineError
-from .params import PhysicalParams
+from .errors import ConfigError, DomainError, KGConfineError
+from .params import PhysicalParams, sigma_constants
 
 PROG = "kgconfine"
 
@@ -100,8 +102,10 @@ def parse_q_list(text: str) -> tuple[float, ...]:
             value = float(part)
         except ValueError:
             raise ConfigError(f"malformed entry {part!r} in q list") from None
-        if not (value > 0.0) or not math.isfinite(value):
-            raise ConfigError(f"q values must be positive, got {part!r}")
+        try:
+            sigma_constants(value)  # the levels' domain rule for q
+        except DomainError as exc:
+            raise ConfigError(f"invalid q {part!r}: {exc}") from None
         values.append(value)
     return tuple(values)
 
@@ -180,21 +184,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
         description=(
-            "Bound-state spectrum, eigenfunctions and thermodynamics of a "
-            "1-d Klein-Gordon particle in the scalar potential "
-            "a1 + a2|x| + a3/|x|."
+            "Bound-state spectrum, eigenfunctions and thermodynamics of a\n"
+            "1-d Klein-Gordon particle in the scalar potential a1 + a2|x| + a3/|x|."
         ),
+        epilog="commands:\n" + "".join(f"  {name:<14}{text}\n" for name, text in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    # Every subcommand takes the same options, added once to a parent parser.
-    common = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands listed below")
     for key, opt in _OPTIONS.items():
         choices = opt.convert if isinstance(opt.convert, tuple) else None
-        common.add_argument(_flag(key), choices=choices, metavar=opt.metavar, help=opt.help)
-    common.add_argument("--config", metavar="PATH",
+        parser.add_argument(_flag(key), choices=choices, metavar=opt.metavar, help=opt.help)
+    parser.add_argument("--config", metavar="PATH",
                         help="flat key = value file mirroring the flag names")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, description in COMMANDS.items():
-        sub.add_parser(name, help=description, parents=[common])
     return parser
 
 

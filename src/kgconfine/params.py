@@ -103,8 +103,17 @@ def _reduction(params: PhysicalParams, energy: float | None = None) -> _Reductio
 
 
 def sigma_constants(q: float) -> tuple[float, float]:
-    """(sigma1, sigma2) with sigma1 = 2/q, sigma2 = 2 + (1 + sqrt(1+4q^2))/q."""
+    """(sigma1, sigma2) with sigma1 = 2/q, sigma2 = 2 + (1 + sqrt(1+4q^2))/q.
+
+    Raises DomainError unless q is positive and finite and both constants
+    are finite.
+    """
     if not (q > 0.0) or not math.isfinite(q):
         raise DomainError(f"q must be positive and finite, got {q!r}")
     root = math.sqrt(1.0 + 4.0 * q * q)
-    return 2.0 / q, 2.0 + (1.0 + root) / q
+    s1, s2 = 2.0 / q, 2.0 + (1.0 + root) / q
+    if not (math.isfinite(s1) and math.isfinite(s2)):
+        # sqrt(1 + 4q^2) overflows past q ~ 6.7e153, 2/q below q ~ 1.1e-308.
+        raise DomainError(f"q={q!r} puts the level constants past the float range "
+                          f"(sigma1={s1!r}, sigma2={s2!r})")
+    return s1, s2

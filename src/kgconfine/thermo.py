@@ -27,7 +27,11 @@ The closed-form route is the Euler-MacLaurin truncation from n = 0
 whose last term is dropped at order 1.  At large mbar Z ~ q*mbar^2,
 U ~ 2*mbar and C -> 2.  Reported units: energies per eps, heat capacity per
 k_B.  A value that overflows (Z does past mbar ~ 1e154) is a DomainError,
-not an inf or NaN.
+not an inf or NaN.  Inputs rejected with DomainError: mbar that is not
+positive and finite or whose reciprocal overflows (mbar below ~5.6e-309),
+q whose level constants sigma1, sigma2 are not finite (q not positive and
+finite, q below ~1.1e-308 or above ~6.7e153), and tol that is not positive
+and finite.
 """
 
 from __future__ import annotations
@@ -98,6 +102,8 @@ def _check_order(order: int) -> None:
 def _check_point(mbar: float, q: float, tol: float) -> None:
     if not (mbar > 0.0) or not math.isfinite(mbar):
         raise DomainError(f"mbar must be positive and finite, got {mbar!r}")
+    if not math.isfinite(1.0 / mbar):  # below mbar ~ 5.6e-309
+        raise DomainError(f"1/mbar overflows at mbar={mbar!r}")
     if not (tol > 0.0) or not math.isfinite(tol):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     sigma_constants(q)  # validates q
@@ -172,7 +178,10 @@ def _moment_integrals(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, mome
         term = term * z / (k + 1)
         e_prev, e = e, e + term
         out.append(pref * fx * (e + be0 * e_prev / (k + 1)))
-    return z, fx, np.array(out)
+    integrals = np.array(out)
+    # Where e^{-z} underflows the integral is 0, though e_k(z) may overflow.
+    integrals[:, fx == 0.0] = 0.0
+    return z, fx, integrals
 
 
 def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int):
@@ -247,6 +256,7 @@ def _add_levels(sums: np.ndarray, b: np.ndarray, which: np.ndarray, live: np.nda
         qs, at = which[block[new]], np.cumsum(new) - 1
         y = (np.sqrt(s1[qs, None] * levels + s2[qs, None]) - e0[qs, None])[at]
         y *= b[block, None]
+        np.minimum(y, 1e300, out=y)  # e^{-y} is 0 here anyway; w *= y stays 0, not 0*inf
         w = np.negative(y)
         np.exp(w, out=w)
         sums[0, block] += np.sum(w, axis=1)

@@ -47,7 +47,7 @@ def test_parse_q_list_forms():
     assert cli.parse_q_list(" 2 ") == (2.0,)
 
 
-@pytest.mark.parametrize("bad", ["abc", "0", "-1", "", "inf", "1,"])
+@pytest.mark.parametrize("bad", ["abc", "0", "-1", "", "inf", "1,", "1e200", "1e-310"])
 def test_parse_q_list_rejects(bad):
     with pytest.raises(ConfigError):
         cli.parse_q_list(bad)
@@ -58,18 +58,39 @@ def test_parser_is_built_once():
 
 
 def test_every_command_takes_one_option_set():
+    # One parser: help, the command, every option in _OPTIONS order, --config.
     parser = cli.build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(commands.choices) == list(cli.COMMANDS)
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    help_action, command, *options = parser._actions
+    assert isinstance(help_action, argparse._HelpAction)
+    assert (command.dest, command.option_strings) == ("command", [])
+    assert list(command.choices) == list(cli.COMMANDS)
     expected = [
         (cli._flag(key), opt.convert if isinstance(opt.convert, tuple) else None, opt.metavar)
         for key, opt in cli._OPTIONS.items()
     ] + [("--config", None, "PATH")]
-    for sub in commands.choices.values():
-        options = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
-        assert [(a.option_strings[0], a.choices, a.metavar) for a in options] == expected
-        # Unset flags stay None, so a config-file value can fill them.
-        assert all(a.default is None for a in options)
+    assert [(a.option_strings[0], a.choices, a.metavar) for a in options] == expected
+    # Unset flags stay None, so a config-file value can fill them.
+    assert all(a.default is None for a in options)
+
+
+def test_options_may_come_before_the_command(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    options = ["--q", "1", "--mbar-min", "0.5", "--steps", "5", "--method", "direct"]
+    assert cli.main([*options, "thermo", "--out", "before.csv"]) == 0
+    assert cli.main(["thermo", *options, "--out", "after.csv"]) == 0
+    assert (tmp_path / "before.csv").read_bytes() == (tmp_path / "after.csv").read_bytes()
+
+
+def test_help_names_every_command_and_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--help"])
+    assert err.value.code == 0
+    text = capsys.readouterr().out
+    for word in [*cli.COMMANDS, *map(cli._flag, cli._OPTIONS), "--config"]:
+        assert word in text
+    for name, description in cli.COMMANDS.items():
+        assert f"{name}  " in text and description in text
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
@@ -483,6 +504,7 @@ def test_reruns_are_byte_identical(tmp_path):
     ["thermo", "--config", "tol = nan"],
     ["spectrum", "--config", "n = 2..x"],
     ["compare", "--config", "method = em"],
+    ["thermo", "--q", "1e200"],  # its level constants overflow
 ])
 def test_usage_errors_exit_2(argv, tmp_path):
     if "--config" in argv:

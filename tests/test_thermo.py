@@ -42,9 +42,12 @@ def test_sigma_constants_large_q_limit():
 
 
 def test_sigma_constants_rejects_nonpositive():
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    # Past q ~ 6.7e153 sqrt(1 + 4q^2) overflows, below q ~ 1.1e-308 2/q does.
+    for bad in (0.0, -1.0, math.inf, math.nan, 7e153, 1e200, 1e-308, 5e-324):
         with pytest.raises(DomainError):
             thermo.sigma_constants(bad)
+    for edge in (6e153, 1.2e-308):
+        assert all(map(math.isfinite, thermo.sigma_constants(edge)))
 
 
 def test_closed_integral_examples():
@@ -512,7 +515,7 @@ def test_q_array_sweep_matches_per_q_calls():
 
 
 def test_sweep_rejects_bad_input():
-    for grid in ([], [[1.0, 2.0]], [1.0, 0.0], [1.0, math.inf], [math.nan]):
+    for grid in ([], [[1.0, 2.0]], [1.0, 0.0], [1.0, math.inf], [math.nan], [1e-310, 1.0]):
         with pytest.raises(DomainError):
             thermo.sweep("em", grid, 1.0)
     with pytest.raises(DomainError):
@@ -586,8 +589,33 @@ def test_em_route_overflows_where_the_direct_route_does():
     assert z == pytest.approx(thermo.partition_direct(1.5e154, 0.5).Z, rel=1e-12)
 
 
+@pytest.mark.parametrize("mbar", [1e-120, 6e-309])
+@pytest.mark.parametrize("q", [1e-6, 1.0, 1e12])
+def test_direct_route_at_vanishing_temperature(mbar, q):
+    # Every excited weight underflows to 0 while b*v and z^k/k! overflow:
+    # the first chunk gives Z = 1 and U = C = 0, with no 0*inf on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = thermo.thermal_functions("direct", mbar, q)
+    assert (point.Z, point.U, point.C, point.terms) == (1.0, 0.0, 0.0, 32)
+
+
+@pytest.mark.parametrize("q", [1e-6, 1.0, 1e12])
+def test_direct_sweep_from_the_smallest_mbar(q):
+    # From the smallest mbar whose reciprocal is finite up to overflow, no
+    # row runs to DIRECT_N_MAX: the cold rows stop at their first chunk and
+    # only the rows whose Z overflows fail.
+    grid = np.geomspace(5.6e-309, 1e300, 40)
+    cols = thermo.sweep("direct", grid, q)
+    cold = grid < 1e-100
+    assert (cols.Z_direct[cold] == 1.0).all() and (cols.terms[cold] == 32).all()
+    for mbar, err in zip(grid, cols.errors):
+        assert err is None or ("not finite" in str(err) and mbar > 1e140)
+
+
 def test_partition_direct_domain():
-    for bad in ((0.0, 1.0, 1e-9), (1.0, 0.0, 1e-9), (1.0, 1.0, 0.0)):
+    # 1/mbar overflows below mbar ~ 5.6e-309.
+    for bad in ((0.0, 1.0, 1e-9), (1.0, 0.0, 1e-9), (1.0, 1.0, 0.0), (1e-310, 1.0, 1e-9)):
         with pytest.raises(DomainError):
             thermo.partition_direct(*bad)
 
