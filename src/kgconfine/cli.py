@@ -30,7 +30,7 @@ import numpy as np
 # imported by the functions that use them, so a CSV sweep never loads them.
 from . import thermo
 from .errors import ConfigError, DomainError, KGConfineError
-from .params import PhysicalParams, sigma_constants
+from .params import PhysicalParams
 
 PROG = "kgconfine"
 
@@ -103,7 +103,7 @@ def parse_q_list(text: str) -> tuple[float, ...]:
         except ValueError:
             raise ConfigError(f"malformed entry {part!r} in q list") from None
         try:
-            sigma_constants(value)  # the levels' domain rule for q
+            thermo._check_q(value)  # the levels' domain rule for q
         except DomainError as exc:
             raise ConfigError(f"invalid q {part!r}: {exc}") from None
         values.append(value)
@@ -235,6 +235,8 @@ def resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     lo, hi, steps = values["mbar_min"], values["mbar_max"], values["steps"]
     if not (lo > 0.0 and hi > lo):
         parser.error(f"need 0 < mbar-min < mbar-max, got {lo!r}, {hi!r}")
+    if not math.isfinite(1.0 / lo):  # below ~5.6e-309, as thermo rejects it
+        parser.error(f"1/mbar-min overflows at {lo!r}")
     if steps < 2:
         parser.error(f"--steps must be >= 2, got {steps}")
     if command == "compare" and values["method"] != "both":

@@ -28,10 +28,11 @@ whose last term is dropped at order 1.  At large mbar Z ~ q*mbar^2,
 U ~ 2*mbar and C -> 2.  Reported units: energies per eps, heat capacity per
 k_B.  A value that overflows (Z does past mbar ~ 1e154) is a DomainError,
 not an inf or NaN.  Inputs rejected with DomainError: mbar that is not
-positive and finite or whose reciprocal overflows (mbar below ~5.6e-309),
-q whose level constants sigma1, sigma2 are not finite (q not positive and
-finite, q below ~1.1e-308 or above ~6.7e153), and tol that is not positive
-and finite.
+positive and finite or whose reciprocal overflows (mbar below ~5.6e-309);
+q that is not positive and finite, whose level constants sigma1, sigma2
+are not finite (q above ~6.7e153), or for which sigma1*n + sigma2 overflows
+at a level n <= DIRECT_N_MAX + 1 that a direct sum may reach (q below
+~1.1e-301); and tol that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -106,7 +107,17 @@ def _check_point(mbar: float, q: float, tol: float) -> None:
         raise DomainError(f"1/mbar overflows at mbar={mbar!r}")
     if not (tol > 0.0) or not math.isfinite(tol):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    sigma_constants(q)  # validates q
+    _check_q(q)
+
+
+def _check_q(q: float) -> None:
+    # The levels' domain rule for q: finite sigma1 and sigma2, and a finite
+    # sigma1*n + sigma2 up to the last level a direct sum reaches, so no
+    # level energy that the kernel forms is inf.
+    s1, s2 = sigma_constants(q)
+    if not math.isfinite(s1 * (DIRECT_N_MAX + 1) + s2):  # q below ~1.1e-301
+        raise DomainError(f"q={q!r} puts the energy of level {DIRECT_N_MAX + 1} "
+                          "past the float range")
 
 
 def closed_integral(beta1: float, beta2: float, beta3: float) -> float:

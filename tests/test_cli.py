@@ -47,7 +47,7 @@ def test_parse_q_list_forms():
     assert cli.parse_q_list(" 2 ") == (2.0,)
 
 
-@pytest.mark.parametrize("bad", ["abc", "0", "-1", "", "inf", "1,", "1e200", "1e-310"])
+@pytest.mark.parametrize("bad", ["abc", "0", "-1", "", "inf", "1,", "1e200", "1e-310", "2e-307"])
 def test_parse_q_list_rejects(bad):
     with pytest.raises(ConfigError):
         cli.parse_q_list(bad)
@@ -505,6 +505,8 @@ def test_reruns_are_byte_identical(tmp_path):
     ["spectrum", "--config", "n = 2..x"],
     ["compare", "--config", "method = em"],
     ["thermo", "--q", "1e200"],  # its level constants overflow
+    ["thermo", "--q", "2e-307"],  # its energy overflows below the level cap
+    ["thermo", "--mbar-min", "1e-310", "--mbar-max", "10"],  # 1/mbar-min overflows
 ])
 def test_usage_errors_exit_2(argv, tmp_path):
     if "--config" in argv:

@@ -613,6 +613,19 @@ def test_direct_sweep_from_the_smallest_mbar(q):
         assert err is None or ("not finite" in str(err) and mbar > 1e140)
 
 
+@pytest.mark.parametrize("q", [2e-307, 1e-301])
+def test_q_whose_level_energies_overflow_is_rejected(q):
+    # sigma1 and sigma2 are finite, but sigma1*n + sigma2 overflows below
+    # the level cap; no route may sum such levels as if their weight were 0.
+    assert all(map(math.isfinite, thermo.sigma_constants(q)))
+    with pytest.raises(DomainError):
+        thermo.thermal_functions("direct", 1e160, q)
+    with pytest.raises(DomainError):
+        thermo.sweep("direct", [1.0, 1e160], q)
+    point = thermo.thermal_functions("direct", 1.0, 1.2e-301)  # just inside
+    assert (point.Z, point.U, point.C) == (1.0, 0.0, 0.0)
+
+
 def test_partition_direct_domain():
     # 1/mbar overflows below mbar ~ 5.6e-309.
     for bad in ((0.0, 1.0, 1e-9), (1.0, 0.0, 1e-9), (1.0, 1.0, 0.0), (1e-310, 1.0, 1e-9)):
