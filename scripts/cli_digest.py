@@ -34,6 +34,12 @@ cost in the diff.  A last script writes
 ``cli.write_table`` tables in csv and json from cells and row shapes no
 command emits: bools, numpy scalars, ints past 64 bits, edge floats, str
 keys and blank rows; a table with a ragged row prints its error instead.
+Since every run has a fresh directory, two runs check that an existing table
+is rewritten: ``lib-overwrite`` writes a 40-step ``thermo`` table and then
+a 3-step one to the same ``--out`` and hashes the final file, whose hash must
+equal that of the 3-step table ``thermo-steps-3`` writes to a new file; and
+``thermo-dev-null`` sends a table to ``--out /dev/null``, which cannot be
+truncated.
 """
 
 from __future__ import annotations
@@ -109,6 +115,10 @@ RUNS += [
     ("config-compare", ["compare", "--config", "{tmp}/run.cfg"],
      "q = 1\nmbar-min = 1\nmbar-max = 3\nsteps = 3\nout = {tmp}/c.csv\n"),
     ("compare-dense-csv", ["compare", *DENSE, "--out", "{tmp}/c.csv"], None),
+    # The fresh table that lib-overwrite's final file must equal.
+    ("thermo-steps-3", ["thermo", "--steps", "3", "--out", "{tmp}/t.csv"], None),
+    # A table sent where it cannot be truncated: no file, exit 0.
+    ("thermo-dev-null", ["thermo", "--steps", "3", "--out", "/dev/null"], None),
 ]
 
 USAGE_ERRORS = [
@@ -220,6 +230,13 @@ for method in ("direct", "em", "both"):
             data = b"None" if col is None else col.tobytes()
             print(method, tol, name, hashlib.sha256(data).hexdigest())
         print(method, tol, "errors", hashlib.sha256(repr(cols.errors).encode()).hexdigest())
+"""),
+    # A 40-step thermo table, then a 3-step one to the same --out: the file
+    # is rewritten in place, and its hash is that of the 3-step table alone.
+    ("lib-overwrite", """
+from kgconfine import cli
+for steps in ("40", "3"):
+    print(cli.main(["thermo", "--steps", steps, "--out", "t.csv"]))
 """),
     ("lib-heads", """
 import numpy as np

@@ -313,7 +313,9 @@ def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str)
     formats built from the same rule: a single row format when each column
     holds one type, else one format per cell-type signature of a row (a
     table with blank rows).  A row whose length differs from the header's
-    raises ``ValueError`` before the file is opened, in either format.
+    raises ``ValueError`` before the file is opened, in either format.  An existing
+    file is rewritten in place and cut to the new length, so a write that fails
+    partway leaves a mix of old and new text, not a truncated file.
     """
     if set(map(len, rows)) - {len(header)}:
         i = next(i for i, row in enumerate(rows) if len(row) != len(header))
@@ -331,8 +333,14 @@ def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str)
 
         records = [dict(zip(header, map(_json_cell, row))) for row in rows]
         lines = [json.dumps(records, indent=2)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines + [""]))  # one copy of the text, final newline included
+    text = "\n".join(lines + [""])  # one copy of the text, final newline included
+    # No O_TRUNC: truncating on open frees the file's blocks only to allocate them again.
+    with open(path, "w", encoding="utf-8", newline="",
+              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        cut = os.fstat(fh.fileno()).st_size > len(text)  # len(text) <= its UTF-8 length
+        fh.write(text)
+        if cut:  # only a longer old file; a pipe or a device cannot be truncated
+            fh.truncate()
 
 
 def run_spectrum(cfg: RunConfig) -> int:

@@ -33,8 +33,10 @@ class PhysicalParams:
     """Potential coefficients plus rest energy, all in one energy unit.
 
     ``mass`` is the rest energy m*c^2.  a2 must be positive (the linear term
-    provides confinement) and a3 must be non-negative; a1 is an unconstrained
-    energy offset.
+    provides confinement) and a3 must be non-negative; a1 is an energy offset.
+    The reduction's squares must be finite: 1 + 4 (Q a3)^2, (m c^2 + a1)^2
+    and A3^2 = 4 (Q/a2) (m c^2 + a1)^2 (the reduction squares with float
+    powers, which raise OverflowError where a product would give inf).
     """
 
     a1: float
@@ -58,6 +60,15 @@ class PhysicalParams:
             raise DomainError(f"a3 must be non-negative, got {self.a3!r}")
         if self.mass < 0.0:
             raise DomainError(f"mass must be non-negative, got {self.mass!r}")
+        q = self.Q * self.a3
+        if not math.isfinite(1.0 + 4.0 * q * q):  # past q ~ 6.7e153 sqrt(1 + 4q^2) is inf
+            raise DomainError(f"q = Q*a3 = {q!r} (a3={self.a3!r}, hbar_c={self.hbar_c!r}) "
+                              "puts sqrt(1 + 4 q^2) past the float range")
+        shift = self.mass + self.a1
+        a3_coef = 2.0 * math.sqrt(self.Q / self.a2) * shift  # |A3|
+        if not (math.isfinite(shift * shift) and math.isfinite(a3_coef * a3_coef)):
+            raise DomainError(f"mass + a1 = {shift!r} puts (m c^2 + a1)^2 or "
+                              "A3^2 = 4 (Q/a2) (m c^2 + a1)^2 past the float range")
 
     @property
     def Q(self) -> float:

@@ -142,12 +142,18 @@ _HALF_BINOMIALS = np.cumprod([(1.5 - j) / j for j in range(1, 8)])
 # Entry (m, j) indexes row m - j of a series padded with a zero row 8, which
 # it picks above the diagonal: the Toeplitz matrix of a truncated product.
 _PRODUCT = np.array([[m - j if j <= m else 8 for j in range(8)] for m in range(8)])
+# Per-call constants of the kernel, as columns: the orders j = 1..7, the
+# moments k = 0..2, 1/(k+1)! and the bound's prefactor of each moment.
+_ORDERS = np.arange(1, 8)[:, None]
+_K = np.arange(3)[:, None]
+_INV_FACTORIAL = 1.0 / np.array([1.0, 2.0, 6.0])[:, None]
+_BOUND_PREFACTOR = np.where(_K == 0, 1.0, 2.0) / (_K + 1) * abs(BERNOULLI[4]) / 8
 
 
 def _root_series(s1, x: np.ndarray) -> np.ndarray:
     """Taylor coefficients sqrt(x) C(1/2, j) (s1/x)^j of sqrt(x + s1 e) in e
     for orders j = 1..7 at every x; shape (7, x.size)."""
-    return np.sqrt(x) * _HALF_BINOMIALS[:, None] * (s1 / x) ** np.arange(1, 8)[:, None]
+    return np.sqrt(x) * _HALF_BINOMIALS[:, None] * (s1 / x) ** _ORDERS
 
 
 def _exp_series(c: np.ndarray) -> np.ndarray:
@@ -158,11 +164,12 @@ def _exp_series(c: np.ndarray) -> np.ndarray:
     recurrence j E_j = sum_{i<=j} i c_i E_{j-i} with E_0 = 1 (Griewank and
     Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13).
     """
-    ic = np.arange(1.0, 8.0)[:, None] * c
+    ic = _ORDERS * c
     E = np.empty((8, c.shape[1]))
     E[0] = 1.0
     for j in range(1, 8):
-        E[j] = np.einsum("ir,ir->r", ic[:j], E[j - 1::-1]) / j
+        np.einsum("ir,ir->r", ic[:j], E[j - 1::-1], out=E[j])
+        E[j] /= j
     return E
 
 
@@ -190,8 +197,8 @@ def _moment_integrals(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, mome
         e_prev, e = e, e + term
         out.append(pref * fx * (e + be0 * e_prev / (k + 1)))
     integrals = np.array(out)
-    # Where e^{-z} underflows the integral is 0, though e_k(z) may overflow.
-    integrals[:, fx == 0.0] = 0.0
+    if not fx.all():  # where e^{-z} underflows the integral is 0, though e_k(z) may overflow
+        integrals[:, fx == 0.0] = 0.0
     return z, fx, integrals
 
 
@@ -229,25 +236,25 @@ def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int
       theta = k/(12 + z) keeps it near its smallest.
     """
     z, fx, integrals = _moment_integrals(n, b, which, s1, s2, e0, moments)
-    dy = b * _root_series(s1, s1 * n + s2)[:, which]
+    dy = b * _root_series(s1, s1 * n + s2).take(which, axis=1)
     # theta_0 = 0 gives the tail's own series, theta_k (k >= 1) the series of
     # the k-th bound: one recurrence serves them all.
-    k = np.arange(moments)[:, None]
+    k = _K[:moments]
     theta = k / (12.0 + z)
     E = _exp_series((dy[:, None] * (theta - 1.0)).reshape(7, -1)).reshape(8, moments, -1)
-    series = [E[:, 0]]  # Y^k E, each of shape (8, rows)
+    series = np.empty((moments, 8, z.size))  # Y^k E
+    series[0] = E[:, 0]
     if moments > 1:
         Y = np.concatenate([z[None], dy, np.zeros((1, z.size))])[_PRODUCT]
-        for _ in range(1, moments):
-            series.append(np.einsum("mjr,jr->mr", Y, series[-1]))
-    series = np.array(series)
-    inv = np.array([1.0 / math.factorial(j + 1) for j in range(moments)])[:, None]
+        for i in range(1, moments):
+            np.einsum("mjr,jr->mr", Y, series[i - 1], out=series[i])
+    inv = _INV_FACTORIAL[:moments]
     corrections = sum(BERNOULLI[i] / (2 * i) * series[:, 2 * i - 1] for i in (1, 2, 3))
     # Scaled term by term, as (integral + f/2) - corrections: another grouping
     # moves the last bits of the tails and of every direct sum built on them.
     tails = integrals + 0.5 * (fx * series[:, 0]) * inv - fx * corrections * inv
     # k = 0: the omitted term, half the Cauchy estimate's value at theta = 0.
-    bounds = (np.where(k == 0, 1.0, 2.0) / (k + 1) * abs(BERNOULLI[4]) / 8 * theta**-k
+    bounds = (_BOUND_PREFACTOR[:moments] * theta**-k
               * ((1.0 + theta) / (1.0 - theta)) ** 8
               * np.exp(-(1.0 - theta) * z) * np.abs(E[7]))
     return tails, bounds
@@ -263,17 +270,20 @@ def _add_levels(sums: np.ndarray, b: np.ndarray, which: np.ndarray, live: np.nda
     step = max(1, _BLOCK // levels.size)
     for i in range(0, live.size, step):
         block = live[i:i + step]
-        new = np.r_[True, which[block[1:]] != which[block[:-1]]]  # first row of each q
-        qs, at = which[block[new]], np.cumsum(new) - 1
+        wb = which[block]
+        new = np.concatenate(([True], wb[1:] != wb[:-1]))  # first row of each q
+        qs, at = wb[new], np.cumsum(new) - 1
         y = (np.sqrt(s1[qs, None] * levels + s2[qs, None]) - e0[qs, None])[at]
         y *= b[block, None]
         np.minimum(y, 1e300, out=y)  # e^{-y} is 0 here anyway; w *= y stays 0, not 0*inf
         w = np.negative(y)
         np.exp(w, out=w)
-        sums[0, block] += np.sum(w, axis=1)
+        add = np.empty((sums.shape[0], block.size))
+        add[0] = np.sum(w, axis=1)
         for k in range(1, sums.shape[0]):
             w *= y
-            sums[k, block] += np.sum(w, axis=1) / math.factorial(k + 1)
+            add[k] = np.sum(w, axis=1) / math.factorial(k + 1)
+        sums[:, block] += add
 
 
 @np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite Z
@@ -311,7 +321,7 @@ def _direct_sums(
     sums = np.zeros((moments, b.size))
     bounds = np.zeros((moments, b.size))
     terms = np.zeros(b.size, dtype=np.int64)
-    ks = np.arange(moments)[:, None]
+    ks = _K[:moments]
     live = np.arange(b.size)
     n_done = 0
     chunk = DIRECT_EM_MIN_N  # so every Euler-MacLaurin check has N >= DIRECT_EM_MIN_N
@@ -319,13 +329,13 @@ def _direct_sums(
         hi = min(n_done + chunk, DIRECT_N_MAX + 1)
         _add_levels(sums, b, which, live, s1, s2, e0, n_done, hi)
         n_done = hi
-        bl, ql = b[live], which[live]
-        total = sums[:, live]
+        every = live.size == b.size  # then no copies
+        bl, ql, partial = (b, which, sums) if every else (b[live], which[live], sums[:, live])
         z, _, row_bound = _moment_integrals(n_done - 1, bl, ql, s1, s2, e0, moments)
-        ok = (row_bound <= tol * total) & (z >= ks)
+        ok = (row_bound <= tol * partial) & (z >= ks)
         tail, em_bound = _em_tails(n_done, bl, ql, s1, s2, e0, moments)
-        accept = ~ok & (em_bound <= tol * (total + tail))
-        total += np.where(accept, tail, 0.0)
+        accept = ~ok & (em_bound <= tol * (partial + tail))
+        total = partial + np.where(accept, tail, 0.0)
         row_bound = np.where(accept, em_bound, row_bound)
         stop = (ok | accept).all(axis=0)
         done = live[stop]
@@ -609,9 +619,10 @@ def sweep(
     if q_grid.ndim > 1 or q_grid.size == 0:
         raise DomainError(f"q must be a number or a non-empty 1-d array, got shape {q_grid.shape}")
     qs = tuple(q_grid.reshape(-1).tolist())
-    for value in qs:
-        for extreme in (mbar.min(), mbar.max()):
-            _check_point(float(extreme), value, tol)
+    _check_point(float(mbar.min()), qs[0], tol)  # the first error is that of checking
+    _check_point(float(mbar.max()), qs[0], tol)  # both extremes and tol at every q
+    for value in qs[1:]:
+        _check_q(value)
     rows = _Rows(np.tile(mbar, len(qs)), np.repeat(np.arange(len(qs)), mbar.size), qs)
     if method == "direct":
         return _direct_columns(rows, tol, moments=3)

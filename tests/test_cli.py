@@ -507,6 +507,13 @@ def test_reruns_are_byte_identical(tmp_path):
     ["thermo", "--q", "1e200"],  # its level constants overflow
     ["thermo", "--q", "2e-307"],  # its energy overflows below the level cap
     ["thermo", "--mbar-min", "1e-310", "--mbar-max", "10"],  # 1/mbar-min overflows
+    ["spectrum", "--a3", "1e200", "--n", "0..2"],  # sqrt(1 + 4 (Q a3)^2) overflows
+    ["density", "--a3", "1e200", "--n", "0..2"],
+    ["wavefunction", "--a3", "1e200", "--n", "0"],
+    ["spectrum", "--a3", "1", "--hbar-c", "1e-320"],  # Q = 1/hbar_c overflows
+    ["spectrum", "--mass", "1e200", "--n", "0..2"],  # (m c^2 + a1)^2 overflows
+    ["density", "--a1", "-1e200", "--n", "0..2"],
+    ["wavefunction", "--mass", "1e150", "--a2", "1e-10", "--n", "0"],  # A3^2 overflows
 ])
 def test_usage_errors_exit_2(argv, tmp_path):
     if "--config" in argv:
@@ -536,6 +543,38 @@ def test_write_failure_names_the_output_path(capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "i/o failure on /dev/full: [Errno 28]" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_shorter_table_replaces_a_longer_file(tmp_path, fmt):
+    # The table is rewritten in place: what is left past its end is cut.
+    header, row = ("k", "v"), ("0.5", 1.5)
+    out, fresh = tmp_path / f"t.{fmt}", tmp_path / f"fresh.{fmt}"
+    out.write_bytes(b"x" * 10_000)
+    cli.write_table(str(out), header, [row] * 50, fmt)
+    cli.write_table(str(out), header, [row] * 2, fmt)
+    cli.write_table(str(fresh), header, [row] * 2, fmt)
+    assert out.read_bytes() == fresh.read_bytes()
+    cli.write_table(str(out), header, [row] * 3, fmt)  # and a longer one over a shorter
+    cli.write_table(str(fresh), header, [row] * 3, fmt)
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_tables_go_to_dev_null_and_pipes(tmp_path):
+    # Neither /dev/null nor a pipe can be truncated; writing to them must not try.
+    if os.path.exists("/dev/null"):
+        assert cli.main(["thermo", "--steps", "3", "--out", "/dev/null"]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "kgconfine", "thermo", "--method", "direct", "--steps", "3",
+         "--out", "/dev/stdout"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == ",".join(cli.SWEEP_HEADER)
+    assert len(lines) == 1 + 9 + 1  # header, 3 mbar x 3 q, and the "wrote" line
+    assert lines[-1] == "wrote /dev/stdout (9 rows)"
 
 
 def test_sweep_point_failure_exits_1(tmp_path, capsys):

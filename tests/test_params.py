@@ -34,6 +34,24 @@ def test_rejects_nonfinite_and_bad_hbar_c():
         PhysicalParams(a1=0.0, a2=1.0, a3=1.0, mass=1.0, hbar_c=0.0)
 
 
+def test_rejects_a3_mass_and_a1_whose_reduction_overflows():
+    # sqrt(1 + 4 (Q a3)^2) is inf past Q a3 ~ 6.7e153; a Python float power
+    # in the reduction would raise OverflowError instead of a DomainError.
+    for a3, hbar_c in ((7e153, 1.0), (1e200, 1.0), (1.0, 1e-300), (0.0, 1e-320)):
+        with pytest.raises(DomainError, match="past the float range"):
+            PhysicalParams(a1=0.0, a2=1.0, a3=a3, mass=1.0, hbar_c=hbar_c)
+    p = PhysicalParams(a1=0.0, a2=1.0, a3=6e153, mass=1.0)
+    assert math.isfinite(_reduction(p).root)
+    # Likewise (m c^2 + a1)^2 past |m c^2 + a1| ~ 1.3e154, and A3^2 = 4 (Q/a2)
+    # (m c^2 + a1)^2, which a small a2 puts past the float range first.
+    for a1, a2, mass in ((0.0, 1.0, 1e200), (-1e200, 1.0, 0.5), (1.4e154, 1.0, 0.0),
+                         (0.0, 1e-10, 1e150), (0.0, 1e-320, 1.0)):
+        with pytest.raises(DomainError, match="past the float range"):
+            PhysicalParams(a1=a1, a2=a2, a3=1.0, mass=mass)
+    r = _reduction(PhysicalParams(a1=0.0, a2=1e10, a3=1.0, mass=1.3e154), 1.0)
+    assert math.isfinite(r.eps1) and math.isfinite(r.A3**2)
+
+
 def test_a1_may_be_negative():
     p = PhysicalParams(a1=-3.0, a2=1.0, a3=1.0, mass=1.0)
     assert p.a1 == -3.0
