@@ -313,9 +313,9 @@ def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str)
     formats built from the same rule: a single row format when each column
     holds one type, else one format per cell-type signature of a row (a
     table with blank rows).  A row whose length differs from the header's
-    raises ``ValueError`` before the file is opened, in either format.  An existing
-    file is rewritten in place and cut to the new length, so a write that fails
-    partway leaves a mix of old and new text, not a truncated file.
+    raises ``ValueError`` before the file is opened, in either format.  An
+    existing file is rewritten in place and cut to the new length, so a write
+    that fails partway leaves a mix of old and new text, not a truncated file.
     """
     if set(map(len, rows)) - {len(header)}:
         i = next(i for i, row in enumerate(rows) if len(row) != len(header))
