@@ -11,6 +11,13 @@ byte for byte the same on the matrix:
     python3 scripts/cli_digest.py --src /path/to/other/checkout/src > old.txt
     diff old.txt new.txt
 
+or in one command, which runs each entry of the matrix on both trees and
+prints only the entries whose lines differ (the name, then the other tree's
+line and this one's, each without the name) and a count of them; it exits 1
+when any line differs:
+
+    python3 scripts/cli_digest.py --against /path/to/other/checkout/src
+
 The matrix covers all five commands in csv and json, direct/em/both sweeps
 (including the failing ``--tol 1e-300`` and mbar = 1e150..1e300 sweeps, a
 compare over mbar = 1e30..1e160 that fails in both of its q blocks, and the
@@ -343,17 +350,32 @@ def digest(src: Path, name: str, python_args: list[str], config: str | None) -> 
             f"stdout={shown} stderr={_sha(stderr)}")
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="source tree whose kgconfine package runs (default: this checkout's)")
+    ap.add_argument("--against", type=Path, metavar="OTHER_SRC",
+                    help="also run the matrix on this source tree; print only the lines "
+                         "that differ and their count, and exit 1 if any does")
     args = ap.parse_args()
     src = args.src.resolve()
-    for name, argv, config in RUNS:
-        print(digest(src, name, ["-m", "kgconfine", *argv], config), flush=True)
-    for name, code in LIBRARY:
-        print(digest(src, name, ["-c", code], None), flush=True)
+    jobs = [(name, ["-m", "kgconfine", *argv], config) for name, argv, config in RUNS]
+    jobs += [(name, ["-c", code], None) for name, code in LIBRARY]
+    if args.against is None:
+        for job in jobs:
+            print(digest(src, *job), flush=True)
+        return 0
+    other = args.against.resolve()
+    differ = 0
+    for name, python_args, config in jobs:
+        theirs, ours = (digest(tree, name, python_args, config) for tree in (other, src))
+        if theirs != ours:
+            differ += 1
+            print(f"{name}\n  {other}: {theirs[len(name) + 1:]}\n"
+                  f"  {src}: {ours[len(name) + 1:]}", flush=True)
+    print(f"{differ} of {len(jobs)} lines differ")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

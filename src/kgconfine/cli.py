@@ -19,7 +19,6 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,20 +43,6 @@ COMMANDS = {
 
 # Column order of thermal sweep tables.
 SWEEP_HEADER = ("mbar", "q", "Z_direct", "Z_em", "F", "U", "C", "rel_diff")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    physical: PhysicalParams
-    grid: np.ndarray | None  # the mbar sweep; None for commands that do not sweep
-    q_list: tuple[float, ...]
-    n_list: tuple[int, ...]
-    method: str
-    em_order: int
-    output_format: str
-    output_path: str
-    tol: float
 
 
 def _warn(message: str) -> None:
@@ -200,7 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
+def resolve_config(parser: argparse.ArgumentParser,
+                   args: argparse.Namespace) -> argparse.Namespace:
+    """The run's settings: ``command``, each ``_OPTIONS`` key's converted value
+    under the key (an empty ``out`` becomes ``<command>.<format>``), ``physical``
+    and ``grid`` (the mbar sweep; None for commands that do not sweep)."""
     command = args.command
     file_values: dict[str, str] = {}
     if args.config is not None:
@@ -210,7 +199,7 @@ def resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             parser.error(str(exc))
 
     # Flag, else config file, else built-in default.
-    values = {}
+    cfg = argparse.Namespace(command=command)
     for key, opt in _OPTIONS.items():
         text = getattr(args, key)
         if text is None:
@@ -220,47 +209,37 @@ def resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             if isinstance(opt.convert, tuple):
                 if text not in opt.convert:
                     raise ValueError(text)
-                values[key] = text
+                setattr(cfg, key, text)
             else:
-                values[key] = opt.convert(text)
+                setattr(cfg, key, opt.convert(text))
         except ConfigError as exc:
             parser.error(str(exc))
         except ValueError:
             parser.error(f"invalid value for {_flag(key)}: {text!r}")
 
     try:
-        physical = PhysicalParams(**{k: values[k] for k in ("a1", "a2", "a3", "mass", "hbar_c")})
+        cfg.physical = PhysicalParams(cfg.a1, cfg.a2, cfg.a3, cfg.mass, cfg.hbar_c)
     except KGConfineError as exc:
         parser.error(str(exc))
-    lo, hi, steps = values["mbar_min"], values["mbar_max"], values["steps"]
+    lo, hi, steps = cfg.mbar_min, cfg.mbar_max, cfg.steps
     if not (lo > 0.0 and hi > lo):
         parser.error(f"need 0 < mbar-min < mbar-max, got {lo!r}, {hi!r}")
     if not math.isfinite(1.0 / lo):  # below ~5.6e-309, as thermo rejects it
         parser.error(f"1/mbar-min overflows at {lo!r}")
     if steps < 2:
         parser.error(f"--steps must be >= 2, got {steps}")
-    if command == "compare" and values["method"] != "both":
+    if command == "compare" and cfg.method != "both":
         parser.error("compare requires --method both")
-    if values["em_order"] not in (1, 2):
-        parser.error(f"--em-order must be 1 or 2, got {values['em_order']}")
-    if values["tol"] <= 0.0:
-        parser.error(f"--tol must be positive, got {values['tol']!r}")
+    if cfg.em_order not in (1, 2):
+        parser.error(f"--em-order must be 1 or 2, got {cfg.em_order}")
+    if cfg.tol <= 0.0:
+        parser.error(f"--tol must be positive, got {cfg.tol!r}")
 
-    grid = None
+    cfg.out = cfg.out or f"{command}.{cfg.format}"
+    cfg.grid = None
     if command in ("thermo", "compare"):
-        grid = (np.geomspace if values["scale"] == "log" else np.linspace)(lo, hi, steps)
-    return RunConfig(
-        command=command,
-        physical=physical,
-        grid=grid,
-        q_list=values["q"],
-        n_list=values["n"],
-        method=values["method"],
-        em_order=values["em_order"],
-        output_format=values["format"],
-        output_path=values["out"] or f"{command}.{values['format']}",
-        tol=values["tol"],
-    )
+        cfg.grid = (np.geomspace if cfg.scale == "log" else np.linspace)(lo, hi, steps)
+    return cfg
 
 
 _FIELDS: dict[type, str] = {}
@@ -343,40 +322,43 @@ def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str)
             fh.truncate()
 
 
-def run_spectrum(cfg: RunConfig) -> int:
+def run_spectrum(cfg: argparse.Namespace) -> int:
     from . import spectrum as spec_mod
 
     header = ("n", "energy_pos", "energy_neg", "residual")
     rows = []
-    for n in cfg.n_list:
+    for n in cfg.n:
         e = spec_mod.energy(n, cfg.physical)
         rows.append((n, e, -e, spec_mod.quantization_residual(e, n, cfg.physical)))
-    write_table(cfg.output_path, header, rows, cfg.output_format)
-    print(f"wrote {cfg.output_path} ({len(rows)} rows)")
+    write_table(cfg.out, header, rows, cfg.format)
+    print(f"wrote {cfg.out} ({len(rows)} rows)")
     return 0
 
 
-def run_density(cfg: RunConfig) -> int:
+def run_density(cfg: argparse.Namespace) -> int:
     from . import spectrum as spec_mod
 
     header = ("n", "energy", "rho_consistent", "rho_paper")
     rows = []
-    for n in cfg.n_list:
+    for n in cfg.n:
         e = spec_mod.energy(n, cfg.physical)
         rows.append((n, e, spec_mod.level_density_consistent(e, cfg.physical),
                      spec_mod.level_density_paper(e, cfg.physical)))
-    write_table(cfg.output_path, header, rows, cfg.output_format)
-    print(f"wrote {cfg.output_path} ({len(rows)} rows)")
+    write_table(cfg.out, header, rows, cfg.format)
+    print(f"wrote {cfg.out} ({len(rows)} rows)")
     return 0
 
 
-def run_wavefunction(cfg: RunConfig) -> int:
+def run_wavefunction(cfg: argparse.Namespace) -> int:
     from . import spectrum as spec_mod
 
     failures = []
-    root, ext = os.path.splitext(cfg.output_path)
-    for n in cfg.n_list:
-        path = f"{root}_n{n}{ext}"
+    # A device or a FIFO (it exists, but is no file and no directory) takes
+    # every profile as given; any other path gets one file per n.
+    shared = os.path.exists(cfg.out) and not (os.path.isfile(cfg.out) or os.path.isdir(cfg.out))
+    root, ext = os.path.splitext(cfg.out)
+    for n in cfg.n:
+        path = cfg.out if shared else f"{root}_n{n}{ext}"
         try:
             grid = spec_mod.auto_grid(n, cfg.physical)
             sample = spec_mod.wavefunction(n, cfg.physical, grid, normalize=True)
@@ -384,17 +366,18 @@ def run_wavefunction(cfg: RunConfig) -> int:
             failures.append(f"n={n}: {exc}")
             continue
         rows = list(zip(sample.grid.tolist(), sample.values.tolist()))
-        write_table(path, ("y", "psi"), rows, cfg.output_format)
+        write_table(path, ("y", "psi"), rows, cfg.format)
         print(f"wrote {path} ({len(rows)} rows, normalized={sample.normalized})")
     for message in failures:
         _warn(message)
     if failures:
-        _warn(f"{len(failures)} of {len(cfg.n_list)} profiles failed")
+        _warn(f"{len(failures)} of {len(cfg.n)} profiles failed")
         return 1
     return 0
 
 
-def _sweep_rows(cfg: RunConfig, include_terms: bool) -> tuple[list[tuple], list[str], int | None]:
+def _sweep_rows(cfg: argparse.Namespace,
+                include_terms: bool) -> tuple[list[tuple], list[str], int | None]:
     # The table rows of a sweep, a message per failed point, and, with
     # include_terms, the index of the first row with the largest rel_diff
     # among the points computed (None when every point failed).  The
@@ -402,7 +385,7 @@ def _sweep_rows(cfg: RunConfig, include_terms: bool) -> tuple[list[tuple], list[
     blank = (None,) * (len(SWEEP_HEADER) - 2 + include_terms)
     rows: list[tuple] = []
     # One sweep over every q; its columns are q-major, like the table.
-    cols = thermo.sweep(cfg.method, cfg.grid, cfg.q_list, cfg.em_order, cfg.tol)
+    cols = thermo.sweep(cfg.method, cfg.grid, cfg.q, cfg.em_order, cfg.tol)
     rel = None
     if cols.Z_direct is not None and cols.Z_em is not None:
         with np.errstate(invalid="ignore"):  # inf - inf on a failed point
@@ -412,7 +395,7 @@ def _sweep_rows(cfg: RunConfig, include_terms: bool) -> tuple[list[tuple], list[
     mbars = cfg.grid.tolist()
     # The key cells as text: each mbar formatted once per sweep, each q once.
     mbar_cells = list(map(_cell, mbars))
-    for j, q in enumerate(cfg.q_list):
+    for j, q in enumerate(cfg.q):
         part = slice(j * len(mbars), (j + 1) * len(mbars))
         block = [itertools.repeat(None) if c is None else c[part].tolist() for c in columns]
         rows.extend(zip(mbar_cells, itertools.repeat(_cell(q)), *block))
@@ -421,7 +404,7 @@ def _sweep_rows(cfg: RunConfig, include_terms: bool) -> tuple[list[tuple], list[
     errors = []
     for i in failed:
         rows[i] = rows[i][:2] + blank
-        mbar, q = mbars[i % len(mbars)], cfg.q_list[i // len(mbars)]
+        mbar, q = mbars[i % len(mbars)], cfg.q[i // len(mbars)]
         errors.append(f"mbar={mbar!r} q={q!r}: {cols.errors[i]}")
     best = None
     if include_terms:
@@ -432,13 +415,13 @@ def _sweep_rows(cfg: RunConfig, include_terms: bool) -> tuple[list[tuple], list[
     return rows, errors, best
 
 
-def run_sweep(cfg: RunConfig) -> int:
+def run_sweep(cfg: argparse.Namespace) -> int:
     """The thermo and compare commands; compare adds the terms_direct column."""
     include_terms = cfg.command == "compare"
     header = SWEEP_HEADER + (("terms_direct",) if include_terms else ())
     rows, errors, best = _sweep_rows(cfg, include_terms)
-    write_table(cfg.output_path, header, rows, cfg.output_format)
-    print(f"wrote {cfg.output_path} ({len(rows)} rows)")
+    write_table(cfg.out, header, rows, cfg.format)
+    print(f"wrote {cfg.out} ({len(rows)} rows)")
 
     if best is not None:
         mbar, q = rows[best][:2]
@@ -472,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         # A failed write or close carries no file name, only a failed open does.
-        _warn(f"i/o failure on {exc.filename or cfg.output_path}: {exc}")
+        _warn(f"i/o failure on {exc.filename or cfg.out}: {exc}")
         return 1
 
 

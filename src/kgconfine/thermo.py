@@ -125,13 +125,17 @@ def closed_integral(beta1: float, beta2: float, beta3: float) -> float:
 
     integral_0^inf exp(-beta1*sqrt(beta2*n + beta3)) dn
         = (2/(beta1^2 beta2)) * exp(-beta1*sqrt(beta3)) * (1 + beta1*sqrt(beta3)).
+
+    beta1 and beta2 must be positive and beta3 non-negative, all finite;
+    anything else raises ``DomainError``.
     """
-    if not (beta1 > 0.0 and beta2 > 0.0):
+    # Chained comparisons, so that NaN fails them too.
+    if not (0.0 < beta1 < math.inf and 0.0 < beta2 < math.inf):
         raise DomainError(
-            f"beta1 and beta2 must be positive, got {beta1!r}, {beta2!r}"
+            f"beta1 and beta2 must be positive and finite, got {beta1!r}, {beta2!r}"
         )
-    if beta3 < 0.0:
-        raise DomainError(f"beta3 must be non-negative, got {beta3!r}")
+    if not 0.0 <= beta3 < math.inf:
+        raise DomainError(f"beta3 must be non-negative and finite, got {beta3!r}")
     root = math.sqrt(beta3)
     return (2.0 / (beta1**2 * beta2)) * math.exp(-beta1 * root) * (1.0 + beta1 * root)
 
@@ -435,7 +439,8 @@ def euler_maclaurin_sum(
         sum f(n) = f(0)/2 + integral - sum_{i<=order} B_{2i}/(2i)! * f^(2i-1)(0)
 
     The odd derivatives at 0 must be supplied via ``derivatives``
-    (``partition_summand`` gives them exactly for the level sum).
+    (``partition_summand`` gives them exactly for the level sum).  A
+    non-finite integral or derivative raises ``DomainError``.
     """
     _check_order(order)
     if not math.isfinite(integral):
@@ -446,6 +451,8 @@ def euler_maclaurin_sum(
     for m in odd:
         if m not in derivatives:
             raise ConfigError(f"missing derivative of order {m}")
+        if not math.isfinite(derivatives[m]):
+            raise DomainError(f"derivative of order {m} must be finite, got {derivatives[m]!r}")
 
     total = 0.5 * f(0.0) + integral
     for i, m in enumerate(odd, start=1):

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kgconfine import cli, thermo
 from kgconfine.errors import ConfigError, DomainError
+from kgconfine.params import PhysicalParams
 
 
 def read_csv(path):
@@ -97,8 +98,40 @@ def test_help_names_every_command_and_flag(capsys):
 def test_per_command_defaults(command):
     parser = cli.build_parser()
     cfg = cli.resolve_config(parser, parser.parse_args([command]))
-    assert cfg.n_list == ((0, 5, 10) if command == "wavefunction" else tuple(range(11)))
+    assert cfg.n == ((0, 5, 10) if command == "wavefunction" else tuple(range(11)))
     assert cfg.method == ("both" if command == "compare" else "em")
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_resolved_options_keep_their_keys(command, tmp_path):
+    # Each option is read under its _OPTIONS key, converted: here from a flag
+    # (n, tol, mbar_max), from the config file (q, em_order, format) or from
+    # its built-in default (the rest).
+    config = tmp_path / "run.cfg"
+    config.write_text("q = 0.7,1.1\nem-order = 1\nformat = json\n", encoding="utf-8")
+    parser = cli.build_parser()
+    argv = [command, "--config", str(config), "--n", "0..2", "--tol", "1e-8", "--mbar-max", "5"]
+    cfg = cli.resolve_config(parser, parser.parse_args(argv))
+    expected = {
+        "a1": 0.1, "a2": 0.1, "a3": 0.1, "mass": 0.5, "hbar_c": 1.0,
+        "q": (0.7, 1.1), "n": (0, 1, 2), "mbar_min": 0.1, "mbar_max": 5.0, "steps": 200,
+        "scale": "log", "method": "both" if command == "compare" else "em", "em_order": 1,
+        "tol": 1e-8, "format": "json", "out": f"{command}.json",
+    }
+    assert list(expected) == list(cli._OPTIONS)
+    resolved = {key: getattr(cfg, key) for key in cli._OPTIONS}
+    assert resolved == expected
+    assert {k: type(v) for k, v in resolved.items()} == {k: type(v) for k, v in expected.items()}
+    assert [type(q) for q in cfg.q] == [float, float] and [type(n) for n in cfg.n] == [int] * 3
+    assert cfg.command == command
+    assert cfg.physical == PhysicalParams(a1=0.1, a2=0.1, a3=0.1, mass=0.5)
+    if command in ("thermo", "compare"):
+        np.testing.assert_array_equal(cfg.grid, np.geomspace(0.1, 5.0, 200))
+    else:
+        assert cfg.grid is None
+    # A given --out is kept as it is.
+    cfg = cli.resolve_config(parser, parser.parse_args([*argv, "--out", "x.csv"]))
+    assert cfg.out == "x.csv"
 
 
 # ----------------------------------------------------------- config files
@@ -217,6 +250,16 @@ def test_wavefunction_per_n_files(tmp_path, capsys):
         # decaying tail: last sample tiny relative to the peak
         assert abs(psi[-1]) < 1e-6 * np.max(np.abs(psi))
         assert y[0] == 0.0 and np.all(np.diff(y) > 0)
+
+
+def test_wavefunction_writes_every_profile_to_a_device(monkeypatch, capsys):
+    # A path that exists but is neither a file nor a directory takes every
+    # profile as given, with no per-n name beside it.
+    paths = []
+    monkeypatch.setattr(cli, "write_table", lambda path, *args: paths.append(path))
+    assert cli.main(["wavefunction", "--n", "0,1", "--out", os.devnull]) == 0
+    assert paths == [os.devnull] * 2
+    assert capsys.readouterr().out.count(f"wrote {os.devnull} ") == 2
 
 
 def test_wavefunction_overflow_fails_loudly(tmp_path, capsys):

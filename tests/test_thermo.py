@@ -65,6 +65,11 @@ def test_closed_integral_domain():
         thermo.closed_integral(1.0, -1.0, 1.0)
     with pytest.raises(DomainError):
         thermo.closed_integral(1.0, 1.0, -0.5)
+    # Non-finite inputs: 0 * inf would give NaN, and beta2 = inf a plain 0.
+    for args in ((1.0, 1.0, math.inf), (math.inf, 1.0, 1.0), (1.0, 1.0, math.nan),
+                 (1.0, math.inf, 1.0), (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            thermo.closed_integral(*args)
 
 
 def test_closed_integral_against_quadrature():
@@ -722,6 +727,10 @@ def test_euler_maclaurin_missing_derivative():
     with pytest.raises(ConfigError):
         thermo.euler_maclaurin_sum(lambda n: math.exp(-n), 1.0,
                                    1, None)
+    # A non-finite derivative would give a NaN or infinite sum.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            thermo.euler_maclaurin_sum(lambda n: math.exp(-n), 1.0, 1, {1: bad})
 
 
 def test_partition_summand_derivatives_match_finite_differences():
