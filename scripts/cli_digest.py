@@ -24,8 +24,9 @@ compare over mbar = 1e30..1e160 that fails in both of its q blocks, and the
 q = 0.5 em sweep over mbar = 1e153..1.9e154, where Z nears the float limit,
 and a 5 q x 3,000 mbar compare at the benchmark's sweep_dense scale),
 wavefunctions whose raw squares (``--a3 200``) or samples (``--a3 500``)
-overflow double precision, ``--config`` files, usage errors and the
-``--help`` text of the program and of every command.
+overflow double precision, ``--config`` files, usage errors, a negative
+flag value in exponent form (``--a1 -1e-3``, whose table must equal that of
+``--a1=-0.001``) and the ``--help`` text of the program and of every command.
 The library scripts print the bits of four ensembles: auto_grid plus the
 normalized profile for n = 0..150 on 24 potentials, the same profiles on one
 fixed grid per potential (so a change to ``auto_grid`` alone moves only the
@@ -35,12 +36,13 @@ parameter sets x 9 points x 3 tol (value, error estimate, term count and
 coefficients), and ``heun.evaluate_on_grid`` on one grid of +-y
 points per parameter set of the same ensemble x 3 tol.  ``lib-heads`` shows
 its stdout in the line instead of a hash: for the direct and both sweeps of
-the ``lib-sweep`` ensemble at each tol, the row count and the max and mean
-exact head (``terms``), so a change to the direct sum's stop rule shows its
-cost in the diff.  A last script writes
-``cli.write_table`` tables in csv and json from cells and row shapes no
-command emits: bools, numpy scalars, ints past 64 bits, edge floats, str
-keys and blank rows; a table with a ragged row prints its error instead.
+the ``lib-sweep`` ensemble at each tol, the row count, the max and mean
+exact head (``terms``) and the max of ``tail_bound / Z_direct``, so a change
+to the direct sum's stop rule shows its cost and its accuracy in the diff.
+A last script writes ``cli.write_table`` tables in csv and json from cells
+and row shapes no command emits: bools, numpy scalars, ints past 64 bits,
+edge floats, str keys and blank rows; a table with a ragged row prints its
+error instead.
 Since every run has a fresh directory, two runs check that an existing table
 is rewritten: ``lib-overwrite`` writes a 40-step ``thermo`` table and then
 a 3-step one to the same ``--out`` and hashes the final file, whose hash must
@@ -126,6 +128,10 @@ RUNS += [
     ("thermo-steps-3", ["thermo", "--steps", "3", "--out", "{tmp}/t.csv"], None),
     # A table sent where it cannot be truncated: no file, exit 0.
     ("thermo-dev-null", ["thermo", "--steps", "3", "--out", "/dev/null"], None),
+    # A negative value in exponent form, which argparse alone reads as an
+    # option, and the same value joined to its flag: the same table.
+    ("spectrum-a1-exponent", ["spectrum", "--a1", "-1e-3", "--out", "{tmp}/s.csv"], None),
+    ("spectrum-a1-joined", ["spectrum", "--a1=-0.001", "--out", "{tmp}/s.csv"], None),
 ]
 
 USAGE_ERRORS = [
@@ -150,6 +156,7 @@ USAGE_ERRORS = [
     ["density", "--bogus", "1"],
     [],
     ["thermo", "--config", "{tmp}/absent.cfg"],
+    ["density", "--a1", "-1e200", "--n", "0..2"],
 ]
 for i, argv in enumerate(USAGE_ERRORS):
     RUNS.append((f"usage-{i}", argv, None))
@@ -252,8 +259,10 @@ q = np.linspace(0.25, 2.25, 9)
 mbar = np.geomspace(0.01, 1e6, 301)
 for method in ("direct", "both"):
     for tol in (1e-6, 1e-9, 1e-12, 1e-15, 1e-20):
-        terms = thermo.sweep(method, mbar, q, tol=tol).terms
-        print(f"{method} {tol}: {terms.size} rows, max {terms.max()}, mean {terms.mean():.2f}")
+        cols = thermo.sweep(method, mbar, q, tol=tol)
+        terms, ratio = cols.terms, np.nanmax(cols.tail_bound / cols.Z_direct)
+        print(f"{method} {tol}: {terms.size} rows, max {terms.max()}, mean {terms.mean():.2f}, "
+              f"max tail_bound/Z {ratio:.1e}")
 """),
     ("lib-heun", """
 import hashlib, numpy as np

@@ -138,6 +138,37 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+def _takes_value(token: str) -> bool:
+    # Every long flag but --help (or the "--" that ends the options) takes a
+    # value; argparse also accepts a flag's unique prefix.
+    return token.startswith("--") and "=" not in token and not "--help".startswith(token)
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative number that follows a value flag joined to it.
+
+    argparse reads a token that starts with "-" as an option unless it
+    matches its negative-number pattern, which has no exponent form, so
+    ``--a1 -1e-3`` would leave --a1 without a value.  ``--a1=-1e-3`` is read
+    as it stands, so that is the form such a value is given in.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and token.startswith("-") and _takes_value(out[-1]) and _is_float(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -446,7 +477,7 @@ _RUNNERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     cfg = resolve_config(parser, args)
     try:
         return _RUNNERS[cfg.command](cfg)

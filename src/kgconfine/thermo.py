@@ -8,15 +8,16 @@ sigma2).  The partition function is referenced to the ground state,
 
 so the direct sum starts at 1 and the internal energy U is the mean
 excitation energy <E - E_0>.  Two evaluation routes are kept deliberately
-separate.  The direct route sums an exact head of levels plus a tail with a
-rigorous bound (see ``partition_direct``): the Euler-MacLaurin tail is taken
-as soon as its remainder bound is at most tol times the sum, so its cost
-does not grow with mbar.  With y = (E - E_0)/(k_B T) it sums the moments
-M_k = sum_n y_n^k exp(-y_n): Z = M_0, U/eps = mbar M_1/M_0 and
-C/k_B = M_2/M_0 - (M_1/M_0)^2, each moment with its own bounded tail.  One
-kernel evaluates it for every (q, mbar) point of a sweep at once; ``sweep``
-runs a whole grid of one or more q through it, and ``partition_direct``
-(Z alone) and ``thermal_functions`` are one-point calls into the same code.
+separate.  The direct route sums an exact head of levels plus an
+Euler-MacLaurin tail with a rigorous bound (see ``partition_direct``): it
+has one stop rule, the tail's remainder bound at most tol times the sum,
+and always keeps the tail, so its cost does not grow with mbar.  With
+y = (E - E_0)/(k_B T) it sums the moments M_k = sum_n y_n^k exp(-y_n):
+Z = M_0, U/eps = mbar M_1/M_0 and C/k_B = M_2/M_0 - (M_1/M_0)^2, each
+moment with its own bounded tail.  One kernel evaluates it for every
+(q, mbar) point of a sweep at once; ``sweep`` runs a whole grid of one or
+more q through it, and ``partition_direct`` (Z alone) and
+``thermal_functions`` are one-point calls into the same code.
 The closed-form route is the Euler-MacLaurin truncation from n = 0
 
     Z(mbar) = 1/2 + (2 mbar^2/sigma1) (1 + sqrt(sigma2)/mbar)
@@ -127,7 +128,8 @@ def closed_integral(beta1: float, beta2: float, beta3: float) -> float:
         = (2/(beta1^2 beta2)) * exp(-beta1*sqrt(beta3)) * (1 + beta1*sqrt(beta3)).
 
     beta1 and beta2 must be positive and beta3 non-negative, all finite;
-    anything else raises ``DomainError``.
+    anything else raises ``DomainError``.  A value below the float range is
+    0.0, and one past it raises ``DomainError``.
     """
     # Chained comparisons, so that NaN fails them too.
     if not (0.0 < beta1 < math.inf and 0.0 < beta2 < math.inf):
@@ -136,8 +138,22 @@ def closed_integral(beta1: float, beta2: float, beta3: float) -> float:
         )
     if not 0.0 <= beta3 < math.inf:
         raise DomainError(f"beta3 must be non-negative and finite, got {beta3!r}")
-    root = math.sqrt(beta3)
-    return (2.0 / (beta1**2 * beta2)) * math.exp(-beta1 * root) * (1.0 + beta1 * root)
+    x = beta1 * math.sqrt(beta3)
+    try:
+        value = (2.0 / (beta1**2 * beta2)) * math.exp(-x) * (1.0 + x)
+    except (OverflowError, ZeroDivisionError):  # beta1**2 or beta1**2 beta2 left the range
+        value = 0.0
+    if 0.0 < value < math.inf:
+        return value
+    # A factor left the float range: take the value from its logarithm.
+    if x == math.inf:
+        return 0.0
+    try:
+        return math.exp(math.log(2.0) - 2.0 * math.log(beta1) - math.log(beta2)
+                        + math.log1p(x) - x)
+    except OverflowError:
+        raise DomainError(f"closed integral at ({beta1!r}, {beta2!r}, {beta3!r}) is "
+                          "past the float range") from None
 
 
 # C(1/2, j) for j = 1..7, the Taylor coefficients of sqrt(1 + e); all are
@@ -187,7 +203,8 @@ def _moment_integrals(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, mome
     for integer m Gamma(m+1, z) = m! e^{-z} e_m(z) with e_m(z) =
     sum_{j<=m} z^j/j!, so the scaled integral is
     pref * fx * (e_{k+1} + b E_0 e_k/(k+1)), a sum of positive terms.  The
-    k = 0 integral is written pref * fx * (1 + b E(n)).
+    k = 0 integral is written pref * fx * (1 + b E(n)).  Where fx
+    underflows, e_k(z) may overflow; ``_em_tails`` zeroes those rows.
     """
     root = np.sqrt(s1 * n + s2)
     z = b * (root - e0)[which]
@@ -200,10 +217,7 @@ def _moment_integrals(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, mome
         term = term * z / (k + 1)
         e_prev, e = e, e + term
         out.append(pref * fx * (e + be0 * e_prev / (k + 1)))
-    integrals = np.array(out)
-    if not fx.all():  # where e^{-z} underflows the integral is 0, though e_k(z) may overflow
-        integrals[:, fx == 0.0] = 0.0
-    return z, fx, integrals
+    return z, fx, np.array(out)
 
 
 def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int):
@@ -238,6 +252,9 @@ def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int
       2|B8|/8 (1/(k+1)) theta^-k ((1 + theta)/(1 - theta))^8
       e^{-(1 - theta) z} |E'_7|.  It holds for every theta in (0, 1);
       theta = k/(12 + z) keeps it near its smallest.
+
+    Where e^{-z} underflows to 0 the tail and its bound are 0, though z^k
+    and the series may overflow there.
     """
     z, fx, integrals = _moment_integrals(n, b, which, s1, s2, e0, moments)
     dy = b * _root_series(s1, s1 * n + s2).take(which, axis=1)
@@ -261,6 +278,8 @@ def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int
     bounds = (_BOUND_PREFACTOR[:moments] * theta**-k
               * ((1.0 + theta) / (1.0 - theta)) ** 8
               * np.exp(-(1.0 - theta) * z) * np.abs(E[7]))
+    if not fx.all():  # e^{-z} underflows somewhere: see the docstring's last paragraph
+        tails[:, fx == 0.0] = bounds[:, fx == 0.0] = 0.0
     return tails, bounds
 
 
@@ -303,18 +322,12 @@ def _direct_sums(
     U and C.  The kernel keeps M_k/(k+1)!, which tends to Z from below at
     high temperature, so no moment overflows before Z does.  Every row
     follows the chunk schedule of 32, 64, 128, ... levels.  After each round
-    both tests run over every live row (one ``_em_tails`` call), a row's
-    moment k passes the first of them that it meets, and the row stops once
-    every moment has passed:
-
-    * the summand (b v)^k exp(-b v) decreases from level N - 1 on (always
-      for k = 0, from b v_{N-1} >= k for k >= 1), so the unsummed levels add
-      up to less than its integral from N - 1, and that integral is at most
-      ``tol`` times the partial sum: the moment is the exact partial sum;
-    * the Euler-MacLaurin tail is taken as soon as its remainder bound
-      (``_em_tails``) is at most ``tol`` times the sum: the moment is the
-      partial sum plus the tail from level N through the B6 correction.
-      Both bounds hold at every N, so this test runs after every chunk.
+    with N levels summed, one ``_em_tails`` call gives every live row each
+    moment's Euler-MacLaurin tail from level N through the B6 correction and
+    the bound on its remainder.  The row stops once every moment's bound is
+    at most ``tol`` times its partial sum plus tail, and each moment is then
+    that sum: the tail is always kept.  The bounds hold at every N, so the
+    test runs after every chunk.
 
     Returns (sums, terms, bounds, converged): sums[k] is M_k/(k+1)! and
     bounds[k] the absolute bound that stopped it, both of shape
@@ -325,7 +338,6 @@ def _direct_sums(
     sums = np.zeros((moments, b.size))
     bounds = np.zeros((moments, b.size))
     terms = np.zeros(b.size, dtype=np.int64)
-    ks = _K[:moments]
     live = np.arange(b.size)
     n_done = 0
     chunk = DIRECT_EM_MIN_N  # so every Euler-MacLaurin check has N >= DIRECT_EM_MIN_N
@@ -335,17 +347,13 @@ def _direct_sums(
         n_done = hi
         every = live.size == b.size  # then no copies
         bl, ql, partial = (b, which, sums) if every else (b[live], which[live], sums[:, live])
-        z, _, row_bound = _moment_integrals(n_done - 1, bl, ql, s1, s2, e0, moments)
-        ok = (row_bound <= tol * partial) & (z >= ks)
-        tail, em_bound = _em_tails(n_done, bl, ql, s1, s2, e0, moments)
-        accept = ~ok & (em_bound <= tol * (partial + tail))
-        total = partial + np.where(accept, tail, 0.0)
-        row_bound = np.where(accept, em_bound, row_bound)
-        stop = (ok | accept).all(axis=0)
+        tail, bound = _em_tails(n_done, bl, ql, s1, s2, e0, moments)
+        total = partial + tail
+        stop = (bound <= tol * total).all(axis=0)
         done = live[stop]
         sums[:, done] = total[:, stop]
         terms[done] = n_done
-        bounds[:, done] = row_bound[:, stop]
+        bounds[:, done] = bound[:, stop]
         live = live[~stop]
         chunk = min(chunk * 2, 1 << 20)
     return sums, terms, bounds, terms > 0
@@ -381,16 +389,12 @@ def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
     """Ground-state-referenced partition function: exact head + bounded tail.
 
     Levels are summed exactly in growing chunks (the first holds 32 levels).
-    After each chunk, with N levels summed, the sum stops at the first test
-    that passes:
-
-    * the integral bound on the unsummed levels is at most ``tol`` times the
-      partial sum: Z is the exact partial sum;
-    * the Euler-MacLaurin tail is taken as soon as its remainder bound is at
-      most ``tol`` times the sum: Z is the partial sum plus the tail from
-      level N through the B6 correction.  The summand is completely monotone
-      in n, so at every N the tail's remainder lies between 0 and the first
-      omitted term |B8/8! f^(7)(N)|, which is that bound.
+    After each chunk, with N levels summed, the Euler-MacLaurin tail from
+    level N through the B6 correction is formed, and the sum stops as soon
+    as the tail's remainder bound is at most ``tol`` times the partial sum
+    plus tail: Z is that sum.  The summand is completely monotone in n, so
+    at every N the tail's remainder lies between 0 and the first omitted
+    term |B8/8! f^(7)(N)|, which is that bound.
 
     The cost therefore stops growing with mbar.  The returned point records
     ``terms``, the levels summed exactly, and ``tail_bound``, the absolute
@@ -650,16 +654,21 @@ def sweep(
 
 def _exp_moment_tail(b: float, z: float, m: int) -> float:
     # integral_z^inf v^m exp(-b v) dv for integer m >= 0, via the finite sum
-    # (m!/b^{m+1}) e^{-bz} sum_{j<=m} (bz)^j/j!.
+    # (m!/b^{m+1}) e^{-bz} sum_{j<=m} (bz)^j/j!; 0 where e^{-bz} underflows,
+    # though b^{m+1} and the sum may overflow there.
+    w = math.exp(-b * z)
+    if w == 0.0:
+        return 0.0
     acc = 0.0
     term = 1.0
     for j in range(m + 1):
         if j > 0:
             term *= b * z / j
         acc += term
-    return math.factorial(m) / b ** (m + 1) * math.exp(-b * z) * acc
+    return math.factorial(m) / b ** (m + 1) * w * acc
 
 
+@np.errstate(over="ignore")  # b*v overflows only where its weight exp(-b*v) is 0
 def excitation_moments(
     mbar: float, q: float, tol: float = 1e-12
 ) -> tuple[float, float, float]:

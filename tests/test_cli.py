@@ -558,7 +558,8 @@ def test_reruns_are_byte_identical(tmp_path):
     ["density", "--a1", "-1e200", "--n", "0..2"],
     ["wavefunction", "--mass", "1e150", "--a2", "1e-10", "--n", "0"],  # A3^2 overflows
 ])
-def test_usage_errors_exit_2(argv, tmp_path):
+def test_usage_errors_exit_2(argv, tmp_path, capsys):
+    message = USAGE_MESSAGES.get(tuple(argv), "")
     if "--config" in argv:
         at = argv.index("--config") + 1
         cfg = tmp_path / "run.cfg"
@@ -567,6 +568,27 @@ def test_usage_errors_exit_2(argv, tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+# The check a usage error must reach, where a negative value in exponent form
+# could stop it earlier, as an argparse error.
+USAGE_MESSAGES = {
+    ("thermo", "--tol", "-1e-9"): "--tol must be positive",
+    ("density", "--a1", "-1e200", "--n", "0..2"): "past the float range",
+}
+
+
+def test_negative_value_in_exponent_form(tmp_path):
+    # argparse alone reads "-1e-3" as an option; the value is the number,
+    # before the command or after it.
+    tables = []
+    for argv in (["spectrum", "--a1", "-1e-3"], ["--a1", "-1e-3", "spectrum"],
+                 ["spectrum", "--a1=-0.001"]):
+        out = tmp_path / f"{len(tables)}.csv"
+        assert cli.main([*argv, "--n", "0..3", "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1] == tables[2]
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):
