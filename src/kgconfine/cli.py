@@ -52,6 +52,16 @@ def _warn(message: str) -> None:
     print(text, file=sys.stderr)
 
 
+def _report_failures(messages: list[str], total: int, noun: str) -> int:
+    # Warn each failure, then how many of the total failed; the exit status.
+    if not messages:
+        return 0
+    for message in messages:
+        _warn(message)
+    _warn(f"{len(messages)} of {total} {noun} failed")
+    return 1
+
+
 def parse_n_list(text: str) -> tuple[int, ...]:
     """Parse quantum-number lists like ``0..3``, ``0,5,10`` or ``0..2,7``."""
     values: list[int] = []
@@ -399,12 +409,7 @@ def run_wavefunction(cfg: argparse.Namespace) -> int:
         rows = list(zip(sample.grid.tolist(), sample.values.tolist()))
         write_table(path, ("y", "psi"), rows, cfg.format)
         print(f"wrote {path} ({len(rows)} rows, normalized={sample.normalized})")
-    for message in failures:
-        _warn(message)
-    if failures:
-        _warn(f"{len(failures)} of {len(cfg.n)} profiles failed")
-        return 1
-    return 0
+    return _report_failures(failures, len(cfg.n), "profiles")
 
 
 def _sweep_rows(cfg: argparse.Namespace,
@@ -458,12 +463,7 @@ def run_sweep(cfg: argparse.Namespace) -> int:
         mbar, q = rows[best][:2]
         print(f"max rel_diff {_cell(rows[best][header.index('rel_diff')])} at mbar={mbar} q={q}")
 
-    for message in errors:
-        _warn(message)
-    if errors:
-        _warn(f"{len(errors)} of {len(rows)} sweep points failed")
-        return 1
-    return 0
+    return _report_failures(errors, len(rows), "sweep points")
 
 
 _RUNNERS = {

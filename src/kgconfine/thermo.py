@@ -193,33 +193,6 @@ def _exp_series(c: np.ndarray) -> np.ndarray:
     return E
 
 
-def _moment_integrals(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int):
-    """integral_n^inf (b v)^k exp(-b v) dn / (k+1)! at level n for every k <
-    moments and every row (as in ``_direct_sums``): (z, fx, integrals), with
-    z = b v(n), fx = exp(-z) and the integrals of shape (moments, rows).
-
-    With dn = (2E/sigma1) dE and y = b v the integral is
-    pref * [Gamma(k+2, z) + b E_0 Gamma(k+1, z)], pref = 2/(b^2 sigma1), and
-    for integer m Gamma(m+1, z) = m! e^{-z} e_m(z) with e_m(z) =
-    sum_{j<=m} z^j/j!, so the scaled integral is
-    pref * fx * (e_{k+1} + b E_0 e_k/(k+1)), a sum of positive terms.  The
-    k = 0 integral is written pref * fx * (1 + b E(n)).  Where fx
-    underflows, e_k(z) may overflow; ``_em_tails`` zeroes those rows.
-    """
-    root = np.sqrt(s1 * n + s2)
-    z = b * (root - e0)[which]
-    fx = np.exp(-z)
-    pref = 2.0 / (b * b * s1[which])
-    be0 = b * e0[which]
-    out = [pref * fx * (1.0 + b * root[which])]
-    e_prev, e, term = 1.0, 1.0 + z, z
-    for k in range(1, moments):
-        term = term * z / (k + 1)
-        e_prev, e = e, e + term
-        out.append(pref * fx * (e + be0 * e_prev / (k + 1)))
-    return z, fx, np.array(out)
-
-
 def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int):
     """Euler-MacLaurin value of sum_{n' >= n} g_k(n'), g_k = y^k e^{-y}/(k+1)!,
     y = b v, through the B6 correction, for every row and k < moments, and a
@@ -253,11 +226,29 @@ def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int
       e^{-(1 - theta) z} |E'_7|.  It holds for every theta in (0, 1);
       theta = k/(12 + z) keeps it near its smallest.
 
-    Where e^{-z} underflows to 0 the tail and its bound are 0, though z^k
-    and the series may overflow there.
+    The integral term integral_n^inf g_k dn is, with dn = (2E/sigma1) dE,
+    pref * [Gamma(k+2, z) + b E_0 Gamma(k+1, z)]/(k+1)!, pref =
+    2/(b^2 sigma1), and for integer m Gamma(m+1, z) = m! e^{-z} e_m(z) with
+    e_m(z) = sum_{j<=m} z^j/j!, so it is pref * e^{-z} (e_{k+1} +
+    b E_0 e_k/(k+1)), a sum of positive terms; the k = 0 one is written
+    pref * e^{-z} (1 + b E(n)).
+
+    Where e^{-z} underflows to 0 the tail and its bound are 0, though z^k,
+    e_k(z) and the series may overflow there.
     """
-    z, fx, integrals = _moment_integrals(n, b, which, s1, s2, e0, moments)
-    dy = b * _root_series(s1, s1 * n + s2).take(which, axis=1)
+    x = s1 * n + s2
+    root = np.sqrt(x)
+    z = b * (root - e0)[which]
+    fx = np.exp(-z)
+    pref = 2.0 / (b * b * s1[which])
+    be0 = b * e0[which]
+    integrals = [pref * fx * (1.0 + b * root[which])]
+    e_prev, e, term = 1.0, 1.0 + z, z
+    for k in range(1, moments):
+        term = term * z / (k + 1)
+        e_prev, e = e, e + term
+        integrals.append(pref * fx * (e + be0 * e_prev / (k + 1)))
+    dy = b * _root_series(s1, x).take(which, axis=1)
     # theta_0 = 0 gives the tail's own series, theta_k (k >= 1) the series of
     # the k-th bound: one recurrence serves them all.
     k = _K[:moments]
@@ -273,7 +264,7 @@ def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int
     corrections = sum(BERNOULLI[i] / (2 * i) * series[:, 2 * i - 1] for i in (1, 2, 3))
     # Scaled term by term, as (integral + f/2) - corrections: another grouping
     # moves the last bits of the tails and of every direct sum built on them.
-    tails = integrals + 0.5 * (fx * series[:, 0]) * inv - fx * corrections * inv
+    tails = np.array(integrals) + 0.5 * (fx * series[:, 0]) * inv - fx * corrections * inv
     # k = 0: the omitted term, half the Cauchy estimate's value at theta = 0.
     bounds = (_BOUND_PREFACTOR[:moments] * theta**-k
               * ((1.0 + theta) / (1.0 - theta)) ** 8
@@ -312,7 +303,7 @@ def _add_levels(sums: np.ndarray, b: np.ndarray, which: np.ndarray, live: np.nda
 @np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite Z
 def _direct_sums(
     b: np.ndarray, which: np.ndarray, s1: np.ndarray, s2: np.ndarray, tol: float, moments: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The direct-sum kernel: M_k = sum_n (b v_n)^k exp(-b v_n) for k < moments
     and every row, with v_n = (E_n - E_0)/eps.
 
@@ -329,10 +320,10 @@ def _direct_sums(
     that sum: the tail is always kept.  The bounds hold at every N, so the
     test runs after every chunk.
 
-    Returns (sums, terms, bounds, converged): sums[k] is M_k/(k+1)! and
-    bounds[k] the absolute bound that stopped it, both of shape
-    (moments, rows).  A row that ran past DIRECT_N_MAX levels holds its
-    partial sums and has converged False.
+    Returns (sums, terms, bounds): sums[k] is M_k/(k+1)! and bounds[k] the
+    absolute bound that stopped it, both of shape (moments, rows), and
+    terms the levels each row summed exactly.  A row that ran past
+    DIRECT_N_MAX levels holds its partial sums and has terms 0.
     """
     e0 = np.sqrt(s2)
     sums = np.zeros((moments, b.size))
@@ -356,7 +347,7 @@ def _direct_sums(
         bounds[:, done] = bound[:, stop]
         live = live[~stop]
         chunk = min(chunk * 2, 1 << 20)
-    return sums, terms, bounds, terms > 0
+    return sums, terms, bounds
 
 
 class _Rows(NamedTuple):
@@ -529,8 +520,8 @@ def _direct_columns(rows: _Rows, tol: float, moments: int) -> SweepColumns:
     # Direct-sum Z at every point from one kernel call; with moments = 3 also
     # F, U = mbar*M1/M0 and C = M2/M0 - (M1/M0)^2 from the same sums.
     mbar = rows.mbar
-    sums, terms, bounds, converged = _direct_sums(
-        1.0 / mbar, rows.which, *rows.constants(), tol, moments)
+    sums, terms, bounds = _direct_sums(1.0 / mbar, rows.which, *rows.constants(), tol, moments)
+    converged = terms > 0
     errors = [None] * mbar.size
     for i in np.flatnonzero(~converged):
         errors[i] = TruncationFailure(
@@ -652,10 +643,12 @@ def sweep(
     )
 
 
-def _exp_moment_tail(b: float, z: float, m: int) -> float:
-    # integral_z^inf v^m exp(-b v) dv for integer m >= 0, via the finite sum
-    # (m!/b^{m+1}) e^{-bz} sum_{j<=m} (bz)^j/j!; 0 where e^{-bz} underflows,
-    # though b^{m+1} and the sum may overflow there.
+def _exp_moment_tail(scale: float, b: float, z: float, m: int) -> float:
+    # scale times integral_z^inf v^m exp(-b v) dv for integer m >= 0, via the
+    # finite sum (scale m!/b^{m+1}) e^{-bz} sum_{j<=m} (bz)^j/j!; 0 where
+    # e^{-bz} underflows, though the sum may overflow there.  The prefactor
+    # divides by b once per power, as b^{m+1} may leave the float range
+    # where scale/b^{m+1} does not.
     w = math.exp(-b * z)
     if w == 0.0:
         return 0.0
@@ -665,7 +658,10 @@ def _exp_moment_tail(b: float, z: float, m: int) -> float:
         if j > 0:
             term *= b * z / j
         acc += term
-    return math.factorial(m) / b ** (m + 1) * w * acc
+    pref = scale * math.factorial(m)
+    for _ in range(m + 1):
+        pref /= b
+    return pref * w * acc
 
 
 @np.errstate(over="ignore")  # b*v overflows only where its weight exp(-b*v) is 0
@@ -704,9 +700,8 @@ def excitation_moments(
             ok = True
             for k in range(3):
                 # sum_{n>=n_done} v^k w <= (2/s1) * int_{v0}^inf v^k (v+e0) e^{-bv} dv
-                bound = (2.0 / s1) * (
-                    _exp_moment_tail(b, v0, k + 1) + e0 * _exp_moment_tail(b, v0, k)
-                )
+                bound = (_exp_moment_tail(2.0 / s1, b, v0, k + 1)
+                         + e0 * _exp_moment_tail(2.0 / s1, b, v0, k))
                 ref = sums[k] if sums[k] > 0.0 else 1.0
                 if bound >= tol * ref:
                     ok = False

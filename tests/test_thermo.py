@@ -394,11 +394,11 @@ def _kernel(mbar, q, tol):
     # (M_k, bounds on their errors, converged) from one kernel row; the
     # kernel holds M_k/(k+1)!.
     s1, s2 = thermo.sigma_constants(q)
-    sums, _, bounds, converged = thermo._direct_sums(
+    sums, terms, bounds = thermo._direct_sums(
         np.array([1.0 / mbar]), np.zeros(1, dtype=np.intp),
         np.array([s1]), np.array([s2]), tol, 3)
     scale = np.array([1.0, 2.0, 6.0])
-    return sums[:, 0] * scale, bounds[:, 0] * scale, converged[0]
+    return sums[:, 0] * scale, bounds[:, 0] * scale, terms[0] > 0
 
 
 @pytest.mark.parametrize("mbar,q,tol", [
@@ -854,6 +854,17 @@ def test_excitation_moments_against_brute_force():
     assert math.isclose(z, z_ref, rel_tol=1e-12)
     assert math.isclose(m1, m1_ref, rel_tol=1e-12)
     assert math.isclose(m2, m2_ref, rel_tol=1e-12)
+
+
+def test_excitation_moments_where_b_cubed_underflows():
+    # b = 1e-150, so b^3 underflows to 0 once the tail bounds run, while
+    # (2/sigma1)/b^3 = 1e150 is in range: the loop must agree with the kernel.
+    mbar, q = 1e150, 1e-300
+    z, m1, m2 = thermo.excitation_moments(mbar, q)
+    point = thermo.thermal_functions("direct", mbar, q)
+    assert math.isclose(z, point.Z, rel_tol=1e-10)
+    assert math.isclose(m1, point.U, rel_tol=1e-10)
+    assert math.isclose((m2 - m1 * m1) / (mbar * mbar), point.C, rel_tol=1e-10)
 
 
 def test_fluctuation_identity_spot_check():
