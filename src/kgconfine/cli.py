@@ -324,28 +324,50 @@ def _table_format(rows: list[tuple]) -> str | None:
     return _csv_format(tuple(types.pop() for types in column_types))
 
 
+class _Columns:
+    # A table's rows as a view over its columns: row i is the i-th cell of
+    # every column, or blank[i] in full (a failed sweep point's row).  Each
+    # column is a list of cells of one type, that of its first cell, as
+    # ndarray.tolist() gives; len() is the number of rows, at least one.
+    def __init__(self, columns: list[list], blank: dict[int, tuple]):
+        self.columns, self.blank = columns, blank
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        rows = zip(*self.columns)
+        return (self.blank.get(i, row) for i, row in enumerate(rows)) if self.blank else rows
+
+
 def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str) -> None:
     """Write ``rows`` as CSV or as a JSON list of records.
 
     Each row is a tuple of cell values in ``header`` order; ``_cell`` gives
     every cell's text (JSON writes a str cell as the number it spells, and
     keeps its ints and floats as numbers).  CSV rows are written with ``%``
-    formats built from the same rule: a single row format when each column
-    holds one type, else one format per cell-type signature of a row (a
-    table with blank rows).  A row whose length differs from the header's
-    raises ``ValueError`` before the file is opened, in either format.  An
-    existing file is rewritten in place and cut to the new length, so a write
-    that fails partway leaves a mix of old and new text, not a truncated file.
+    formats built from the same rule.  A ``_Columns`` view gets one row
+    format from its column types, and its blank rows their own; a table
+    whose columns each hold one type gets a single row format; any other
+    table one format per cell-type signature of a row.  A row whose length
+    differs from the header's raises ``ValueError`` before the file is
+    opened, in either format.  An existing file is rewritten in place and
+    cut to the new length, so a write that fails partway leaves a mix of
+    old and new text, not a truncated file.
     """
-    if set(map(len, rows)) - {len(header)}:
-        i = next(i for i, row in enumerate(rows) if len(row) != len(header))
-        raise ValueError(f"row {i} {rows[i]!r} has {len(rows[i])} cells; "
-                         f"the header has {len(header)}")
+    typed = isinstance(rows, _Columns)
+    if ({len(rows.columns)} if typed else set(map(len, rows))) - {len(header)}:
+        i, row = next((i, row) for i, row in enumerate(rows) if len(row) != len(header))
+        raise ValueError(f"row {i} {row!r} has {len(row)} cells; the header has {len(header)}")
     if fmt == "csv":
         lines = [",".join(header)]
-        form = _table_format(rows)
-        if form is not None:
-            lines += [form % row for row in rows]
+        if typed:
+            form = _csv_format(tuple(type(column[0]) for column in rows.columns))
+            lines += map(form.__mod__, zip(*rows.columns))
+            for i, row in rows.blank.items():
+                lines[i + 1] = _csv_format(tuple(map(type, row))) % row
+        elif (form := _table_format(rows)) is not None:
+            lines += map(form.__mod__, rows)
         else:
             lines += [_csv_format(tuple(map(type, row))) % row for row in rows]
     else:
@@ -406,49 +428,49 @@ def run_wavefunction(cfg: argparse.Namespace) -> int:
         except KGConfineError as exc:
             failures.append(f"n={n}: {exc}")
             continue
-        rows = list(zip(sample.grid.tolist(), sample.values.tolist()))
+        rows = _Columns([sample.grid.tolist(), sample.values.tolist()], {})
         write_table(path, ("y", "psi"), rows, cfg.format)
         print(f"wrote {path} ({len(rows)} rows, normalized={sample.normalized})")
     return _report_failures(failures, len(cfg.n), "profiles")
 
 
 def _sweep_rows(cfg: argparse.Namespace,
-                include_terms: bool) -> tuple[list[tuple], list[str], int | None]:
-    # The table rows of a sweep, a message per failed point, and, with
-    # include_terms, the index of the first row with the largest rel_diff
-    # among the points computed (None when every point failed).  The
-    # sweep's columns are dropped on return, before the table is written.
-    blank = (None,) * (len(SWEEP_HEADER) - 2 + include_terms)
-    rows: list[tuple] = []
+                include_terms: bool) -> tuple[_Columns, list[str], int | None]:
+    # The table rows of a sweep as a view over its columns, a message per
+    # failed point, and, with include_terms, the index of the first row with
+    # the largest rel_diff among the points computed (None when every point
+    # failed).  The view holds the columns as lists; the sweep's arrays are
+    # dropped on return, before the table is written.
     # One sweep over every q; its columns are q-major, like the table.
     cols = thermo.sweep(cfg.method, cfg.grid, cfg.q, cfg.em_order, cfg.tol)
     rel = None
     if cols.Z_direct is not None and cols.Z_em is not None:
         with np.errstate(invalid="ignore"):  # inf - inf on a failed point
             rel = np.abs(cols.Z_direct - cols.Z_em) / cols.Z_direct
-    columns = (cols.Z_direct, cols.Z_em, cols.F, cols.U, cols.C, rel)
-    columns += (cols.terms,) if include_terms else ()
+    arrays = (cols.Z_direct, cols.Z_em, cols.F, cols.U, cols.C, rel)
+    arrays += (cols.terms,) if include_terms else ()
     mbars = cfg.grid.tolist()
+    size = len(mbars) * len(cfg.q)
     # The key cells as text: each mbar formatted once per sweep, each q once.
-    mbar_cells = list(map(_cell, mbars))
-    for j, q in enumerate(cfg.q):
-        part = slice(j * len(mbars), (j + 1) * len(mbars))
-        block = [itertools.repeat(None) if c is None else c[part].tolist() for c in columns]
-        rows.extend(zip(mbar_cells, itertools.repeat(_cell(q)), *block))
+    mbar_cells = list(map(_field(float).__mod__, mbars))
+    q_cells = map(_field(float).__mod__, cfg.q)
+    columns = [mbar_cells * len(cfg.q),
+               list(itertools.chain.from_iterable([cell] * len(mbars) for cell in q_cells))]
+    columns += [[None] * size if a is None else a.tolist() for a in arrays]
     # A failed point keeps its mbar and q and blanks every other cell.
-    failed = [i for i, err in enumerate(cols.errors) if err is not None]
-    errors = []
-    for i in failed:
-        rows[i] = rows[i][:2] + blank
-        mbar, q = mbars[i % len(mbars)], cfg.q[i // len(mbars)]
-        errors.append(f"mbar={mbar!r} q={q!r}: {cols.errors[i]}")
+    failed = ([i for i, err in enumerate(cols.errors) if err is not None]
+              if cols.errors.count(None) < size else [])  # no walk when none failed
+    blank = (None,) * (len(columns) - 2)
+    view = _Columns(columns, {i: (columns[0][i], columns[1][i]) + blank for i in failed})
+    errors = [f"mbar={mbars[i % len(mbars)]!r} q={cfg.q[i // len(mbars)]!r}: {cols.errors[i]}"
+              for i in failed]
     best = None
     if include_terms:
         # Failed rows are skipped by index: their rel may be inf, not NaN.
-        live = np.delete(np.arange(len(rows)), failed)
+        live = np.delete(np.arange(size), failed)
         if live.size:
             best = int(live[np.argmax(rel[live])])  # argmax keeps the first of ties
-    return rows, errors, best
+    return view, errors, best
 
 
 def run_sweep(cfg: argparse.Namespace) -> int:
@@ -460,8 +482,8 @@ def run_sweep(cfg: argparse.Namespace) -> int:
     print(f"wrote {cfg.out} ({len(rows)} rows)")
 
     if best is not None:
-        mbar, q = rows[best][:2]
-        print(f"max rel_diff {_cell(rows[best][header.index('rel_diff')])} at mbar={mbar} q={q}")
+        mbar, q, rel = (rows.columns[header.index(key)][best] for key in ("mbar", "q", "rel_diff"))
+        print(f"max rel_diff {_cell(rel)} at mbar={mbar} q={q}")
 
     return _report_failures(errors, len(rows), "sweep points")
 

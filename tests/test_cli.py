@@ -717,6 +717,52 @@ def test_non_finite_sweep_points_fail(tmp_path, capsys):
     assert err[3] == "kgconfine: warning: 3 of 4 sweep points failed"
 
 
+# (argv, exit status): sweeps of every method with no failed point and
+# with failed points (the closed form fails at 4 of the 5 mbar of each q
+# block of the low grid; the direct sum at 2 of 3 points of FAILING_SWEEP),
+# and one profile table.
+LOW_GRID = ["--q", "0.5,1", "--mbar-min", "1e-3", "--mbar-max", "0.1", "--steps", "5"]
+OK_GRID = ["--q", "0.5,1.5", "--mbar-min", "0.1", "--mbar-max", "10", "--steps", "7"]
+_VIEW_RUNS = [
+    pytest.param(["thermo", "--method", "direct"] + OK_GRID, 0, id="direct"),
+    pytest.param(["thermo", "--method", "em"] + OK_GRID, 0, id="em"),
+    pytest.param(["thermo", "--method", "both"] + OK_GRID, 0, id="both"),
+    pytest.param(["compare"] + OK_GRID, 0, id="compare"),
+    pytest.param(["thermo", "--method", "direct"] + FAILING_SWEEP, 1, id="direct-failing"),
+    pytest.param(["thermo", "--method", "em"] + LOW_GRID, 1, id="em-failing"),
+    pytest.param(["thermo", "--method", "both"] + LOW_GRID, 1, id="both-failing"),
+    pytest.param(["compare"] + LOW_GRID, 1, id="compare-failing"),
+    pytest.param(["wavefunction", "--n", "0,3"], 0, id="wavefunction"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, status", _VIEW_RUNS)
+def test_column_view_writes_the_bytes_of_its_row_tuples(argv, status, fmt, tmp_path,
+                                                         monkeypatch, capsys):
+    # A command's table, written from its column view, equals the table
+    # that write_table's generic path (the type pass over row tuples) writes
+    # from the same rows, byte for byte.
+    calls = []
+    write_table = cli.write_table
+
+    def spy(path, header, rows, fmt):
+        write_table(path, header, rows, fmt)
+        calls.append((path, header, rows))
+
+    monkeypatch.setattr(cli, "write_table", spy)
+    assert cli.main(argv + ["--format", fmt, "--out", str(tmp_path / f"t.{fmt}")]) == status
+    assert calls
+    for path, header, rows in calls:
+        assert isinstance(rows, cli._Columns)
+        plain = tmp_path / f"plain.{fmt}"
+        tuples = [tuple(row) for row in rows]
+        write_table(str(plain), header, tuples, fmt)
+        assert len(tuples) == len(rows)
+        assert plain.read_bytes() == open(path, "rb").read()
+    assert status == 0 or any(rows.blank for _, _, rows in calls)
+
+
 @pytest.mark.parametrize("command", ["thermo", "compare"])
 def test_sweep_failures_in_several_q_blocks(command, tmp_path, capsys):
     # Above mbar ~ 1e154 the sums overflow at both q, so failed points fall
