@@ -2,7 +2,7 @@
 """Run the benchmark on two checkouts in alternating pairs and compare them.
 
     python3 scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT \\
-        [--workload W ...] [--pairs 10] [--seed 1] [--seconds 20] [--setup]
+        [--workload W ...] [--pairs 10] [--seed 1] [--seconds 20]
 
 Each run is the ``command`` of CHANGE_ROOT/BENCHMARK.json (``python3
 perfbench/run.py``) plus ``--workload W --seed S --seconds T``, started with
@@ -21,12 +21,6 @@ exceeds the parent's interquartile range.  This only reports: it applies no
 bound.  The exit status is 1 when a run exits non-zero (the remaining runs
 are skipped), reports ``correct: false``, or reports an ``attempted`` or
 ``failed`` count that differs from the workload's first run; else 0.
-
-With ``--setup`` each run is instead a ``python3 -c`` that imports the
-checkout's own ``perfbench/run.py`` and prints ``measure_setup`` of the
-workload at the seed (the median set-up time of fresh interpreters), in the
-same alternating pairs; only the ``setup_s`` line is printed per workload,
-and ``--seconds`` is unused.  The exit status is 1 when a run exits non-zero.
 """
 
 from __future__ import annotations
@@ -41,14 +35,6 @@ from typing import Callable
 
 # (checkout root, workload, seed, seconds) -> (exit code, stdout, stderr)
 Runner = Callable[[Path, str, int, float], tuple[int, str, str]]
-
-# Prints the set-up time of one workload as the checkout's benchmark measures it.
-SETUP_CODE = """\
-import sys
-sys.path.insert(0, "perfbench")
-import run
-print(repr(run.measure_setup(run.make_workload({workload!r}, {seed!r}))))
-"""
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -94,12 +80,6 @@ def run_benchmark(command: list[str]) -> Runner:
     return run
 
 
-def run_setup(root: Path, workload: str, seed: int, seconds: float) -> tuple[int, str, str]:
-    code = SETUP_CODE.format(workload=workload, seed=seed)
-    done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True)
-    return done.returncode, done.stdout, done.stderr
-
-
 def main(argv: list[str] | None = None, runner: Runner | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, metavar="PARENT_ROOT")
@@ -108,18 +88,15 @@ def main(argv: list[str] | None = None, runner: Runner | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--setup", action="store_true",
-                        help="compare measure_setup only, in fresh interpreters")
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    runner = runner or (run_setup if args.setup else run_benchmark(bench["command"]))
+    runner = runner or run_benchmark(bench["command"])
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    metrics = [m for m in bench["end_to_end"] if not args.setup or m["name"] == "setup_s"]
     trees = {"parent": args.parent, "change": args.change}
 
     status = 0
     for workload in workloads:
-        values = {tree: {m["name"]: [] for m in metrics} for tree in trees}
+        values = {tree: {m["name"]: [] for m in bench["end_to_end"]} for tree in trees}
         first = None
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -129,11 +106,7 @@ def main(argv: list[str] | None = None, runner: Runner | None = None) -> int:
                     print(f"{workload} pair {pair + 1}: {tree} run exited {code}\n{err}",
                           file=sys.stderr)
                     return 1
-                last = out.strip().splitlines()[-1]
-                if args.setup:
-                    values[tree]["setup_s"].append(float(last))
-                    continue
-                result = json.loads(last)
+                result = json.loads(out.strip().splitlines()[-1])
                 counts = (result["attempted"], result["failed"])
                 first = first or counts
                 if not result["correct"]:
@@ -147,10 +120,8 @@ def main(argv: list[str] | None = None, runner: Runner | None = None) -> int:
                     status = 1
                 for name, series in values[tree].items():
                     series.append(result["metrics"][name]["value"])
-        if not args.setup:
-            print(f"{workload}: {args.pairs} pairs, failed {first[1]} of {first[0]} "
-                  "in the first run")
-        for metric in metrics:
+        print(f"{workload}: {args.pairs} pairs, failed {first[1]} of {first[0]} in the first run")
+        for metric in bench["end_to_end"]:
             name = metric["name"]
             summary = compare(values["parent"][name], values["change"][name], metric["better"])
             print(format_line(workload, name, summary))

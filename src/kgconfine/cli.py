@@ -19,7 +19,7 @@ import itertools
 import math
 import os
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -314,16 +314,6 @@ def _csv_format(signature: tuple[type, ...]) -> str:
     return ",".join(map(_field, signature))
 
 
-def _table_format(rows: list[tuple]) -> str | None:
-    # The one-% format of every row of a table whose columns each hold one
-    # type; None for any other table.  write_table has checked that every
-    # row has the header's length (zip(*rows) stops at the shortest row).
-    column_types = [set(map(type, column)) for column in zip(*rows)]
-    if any(len(types) != 1 for types in column_types):
-        return None
-    return _csv_format(tuple(types.pop() for types in column_types))
-
-
 class _Columns:
     # A table's rows as a view over its columns: row i is the i-th cell of
     # every column, or blank[i] in full (a failed sweep point's row).  Each
@@ -340,16 +330,18 @@ class _Columns:
         return (self.blank.get(i, row) for i, row in enumerate(rows)) if self.blank else rows
 
 
-def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str) -> None:
+def write_table(path: str, header: tuple[str, ...], rows: Sequence[tuple] | _Columns,
+                fmt: str) -> None:
     """Write ``rows`` as CSV or as a JSON list of records.
 
-    Each row is a tuple of cell values in ``header`` order; ``_cell`` gives
-    every cell's text (JSON writes a str cell as the number it spells, and
-    keeps its ints and floats as numbers).  CSV rows are written with ``%``
-    formats built from the same rule.  A ``_Columns`` view gets one row
-    format from its column types, and its blank rows their own; a table
-    whose columns each hold one type gets a single row format; any other
-    table one format per cell-type signature of a row.  A row whose length
+    ``rows`` is a sequence of tuples of cell values in ``header`` order, or
+    a ``_Columns`` view over one list per column; either way ``len(rows)``
+    is the number of data rows.  ``_cell`` gives every cell's text (JSON
+    writes a str cell as the number it spells, and keeps its ints and
+    floats as numbers).  CSV rows are written with ``%`` formats built from
+    the same rule: a ``_Columns`` view gets one row format from its column
+    types, and its blank rows their own; a sequence of tuples gets one
+    format per cell-type signature of a row.  A row whose length
     differs from the header's raises ``ValueError`` before the file is
     opened, in either format.  An existing file is rewritten in place and
     cut to the new length, so a write that fails partway leaves a mix of
@@ -366,8 +358,6 @@ def write_table(path: str, header: tuple[str, ...], rows: list[tuple], fmt: str)
             lines += map(form.__mod__, zip(*rows.columns))
             for i, row in rows.blank.items():
                 lines[i + 1] = _csv_format(tuple(map(type, row))) % row
-        elif (form := _table_format(rows)) is not None:
-            lines += map(form.__mod__, rows)
         else:
             lines += [_csv_format(tuple(map(type, row))) % row for row in rows]
     else:

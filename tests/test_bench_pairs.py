@@ -123,44 +123,3 @@ def test_a_run_that_exits_non_zero_stops_the_pairs(trees, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "w pair 2: parent run exited 2" in captured.err and "boom" in captured.err
-
-
-def _fake_setup(calls, fail=None):
-    # The k-th set-up run of a tree prints its k-th canned setup_s; ``fail``
-    # is the (tree, k) run that exits 1 instead.
-    def run(root, workload, seed, seconds):
-        tree = root.name
-        k = sum(1 for t, _ in calls if t == tree)
-        calls.append((tree, (workload, seed)))
-        if (tree, k) == fail:
-            return 1, "", "Traceback: boom"
-        return 0, f"{SETUP[tree][k]!r}\n", ""
-
-    return run
-
-
-def test_setup_pairs_alternate_and_report_setup_s_only(trees, capsys):
-    calls = []
-    argv = [str(trees[0]), str(trees[1]), "--setup", "--pairs", "5", "--seed", "7"]
-    assert bench_pairs.main(argv, runner=_fake_setup(calls)) == 0
-    assert [tree for tree, _ in calls] == ["parent", "change", "change", "parent"] * 2 + [
-        "parent", "change"]
-    assert {args for _, args in calls} == {("w", 7)}
-    assert capsys.readouterr().out.splitlines() == [bench_pairs.format_line(
-        "w", "setup_s", bench_pairs.compare(SETUP["parent"], SETUP["change"], "lower"))]
-
-
-def test_a_setup_run_that_exits_non_zero_stops_the_pairs(trees, capsys):
-    calls = []
-    argv = [str(trees[0]), str(trees[1]), "--setup", "--pairs", "5"]
-    assert bench_pairs.main(argv, runner=_fake_setup(calls, ("change", 1))) == 1
-    assert [tree for tree, _ in calls] == ["parent", "change", "change"]
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "w pair 2: change run exited 1" in captured.err and "boom" in captured.err
-
-
-def test_setup_code_measures_the_checkouts_own_workload():
-    code = bench_pairs.SETUP_CODE.format(workload="sweep_dense", seed=3)
-    compile(code, "<setup>", "exec")
-    assert "run.measure_setup(run.make_workload('sweep_dense', 3))" in code

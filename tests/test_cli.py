@@ -398,8 +398,8 @@ def test_cell_text_literals():
 
 
 def test_text_cells_are_verbatim_on_every_csv_path(tmp_path):
-    # One table format (every column one type) and one format per row
-    # signature (a blank cell, a bool) both write a str cell as it is.
+    # The per-signature row formats write a str cell as it is, whether every
+    # column holds one type or a row has a blank cell or a bool.
     out = tmp_path / "t.csv"
     cli.write_table(str(out), ("k", "v"), [("0.5", 1.5), ("2", 2.0)], "csv")
     assert out.read_bytes() == b"k,v\n0.5,1.5\n2,2\n"
@@ -741,8 +741,8 @@ _VIEW_RUNS = [
 def test_column_view_writes_the_bytes_of_its_row_tuples(argv, status, fmt, tmp_path,
                                                          monkeypatch, capsys):
     # A command's table, written from its column view, equals the table
-    # that write_table's generic path (the type pass over row tuples) writes
-    # from the same rows, byte for byte.
+    # that write_table's generic path (per-signature formats over row
+    # tuples) writes from the same rows, byte for byte.
     calls = []
     write_table = cli.write_table
 
