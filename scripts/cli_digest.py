@@ -39,6 +39,9 @@ its stdout in the line instead of a hash: for the direct and both sweeps of
 the ``lib-sweep`` ensemble at each tol, the row count, the max and mean
 exact head (``terms``) and the max of ``tail_bound / Z_direct``, so a change
 to the direct sum's stop rule shows its cost and its accuracy in the diff.
+``lib-grids`` shows its stdout too: over the auto_grid ensemble, the count of
+profiles, the min, median and max point count of ``auto_grid``'s grids and
+how many normalized samples come back with ``normalized=False``.
 A last script writes ``cli.write_table`` tables in csv and json from cells
 and row shapes no command emits: bools, numpy scalars, ints past 64 bits,
 edge floats, str keys and blank rows; a table with a ragged row prints its
@@ -184,9 +187,8 @@ RUNS += [
     ("help-wavefunction", ["wavefunction", "-h"], None),
 ]
 
-# (name, code) run as ``python -c CODE``; each prints the bits it computed.
-LIBRARY: list[tuple[str, str]] = [
-    ("lib-profiles", """
+# The 24 potentials of the profile runs, each sampled for n = 0..150.
+PROFILE_ENSEMBLE = """
 import hashlib, numpy as np
 from kgconfine import spectrum
 from kgconfine.errors import KGConfineError
@@ -195,6 +197,11 @@ rng = np.random.default_rng(11)
 potentials = [(0.1, 0.1, 0.1, 0.5)] + [
     (rng.uniform(-0.5, 0.5), rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.0, 2.0))
     for _ in range(23)]
+"""
+
+# (name, code) run as ``python -c CODE``; each prints the bits it computed.
+LIBRARY: list[tuple[str, str]] = [
+    ("lib-profiles", PROFILE_ENSEMBLE + """
 for a1, a2, a3, mass in potentials:
     phys = PhysicalParams(a1=a1, a2=a2, a3=a3, mass=mass)
     h = hashlib.sha256()
@@ -207,18 +214,28 @@ for a1, a2, a3, mass in potentials:
             h.update(repr(exc).encode())
     print(repr((a1, a2, a3, mass)), h.hexdigest())
 """),
+    # The size of auto_grid's grids and the count of profiles it leaves
+    # unnormalized, so a change to the grid's contract shows as numbers.
+    ("lib-grids", PROFILE_ENSEMBLE + """
+sizes, unnormalized, raised = [], 0, 0
+for a1, a2, a3, mass in potentials:
+    phys = PhysicalParams(a1=a1, a2=a2, a3=a3, mass=mass)
+    for n in range(151):
+        try:
+            grid = spectrum.auto_grid(n, phys)
+            s = spectrum.wavefunction(n, phys, grid, normalize=True)
+        except KGConfineError:
+            raised += 1
+            continue
+        sizes.append(grid.size)
+        unnormalized += not s.normalized
+print(f"{len(sizes)} profiles, {raised} raised; grid points min {min(sizes)}, "
+      f"median {np.median(sizes):g}, max {max(sizes)}; normalized=False {unnormalized}")
+"""),
     # The same potentials and levels on fixed grids, so the profile kernel's
     # bits are checked apart from auto_grid: odd-numbered potentials use a
     # grid that starts off zero.
-    ("lib-profiles-fixed-grid", """
-import hashlib, numpy as np
-from kgconfine import spectrum
-from kgconfine.errors import KGConfineError
-from kgconfine.params import PhysicalParams
-rng = np.random.default_rng(11)
-potentials = [(0.1, 0.1, 0.1, 0.5)] + [
-    (rng.uniform(-0.5, 0.5), rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.0, 2.0))
-    for _ in range(23)]
+    ("lib-profiles-fixed-grid", PROFILE_ENSEMBLE + """
 for i, (a1, a2, a3, mass) in enumerate(potentials):
     phys = PhysicalParams(a1=a1, a2=a2, a3=a3, mass=mass)
     grid = np.linspace(0.25 * (i % 2), 40.0, 2001)
@@ -335,7 +352,7 @@ def _sha(data: bytes) -> str:
 
 
 # Runs whose line shows their stdout, one "; "-separated entry per line of it.
-SHOWN = {"lib-heads"}
+SHOWN = {"lib-heads", "lib-grids"}
 
 
 def digest(src: Path, name: str, python_args: list[str], config: str | None) -> str:

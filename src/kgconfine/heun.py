@@ -160,7 +160,11 @@ def truncated_polynomial(hp: HeunParams, degree: int) -> SeriesSolution:
 
 
 def evaluate_series(sol: SeriesSolution, ys):
-    """Horner-evaluate a stored series at scalar or array ``ys``."""
+    """Horner-evaluate a stored series at scalar or array ``ys``.
+
+    A series with no coefficients is 0, and one with only a_0 is a_0, at
+    every y, a non-finite one included.
+    """
     return _polyval(sol.coeffs, ys)
 
 
@@ -248,10 +252,11 @@ def evaluate_on_grid(hp: HeunParams, ys: np.ndarray, tol: float = 1e-12) -> np.n
 
 
 def _polyval(coeffs: np.ndarray, y):
-    # Horner evaluation, scalar or vectorized, updating one array in place.
+    # Horner evaluation, scalar or vectorized, updating one array in place
+    # from the leading coefficient down.
     y = np.asarray(y, dtype=float)
-    result = np.zeros_like(y)
-    for a in coeffs[::-1].tolist():
+    result = np.full_like(y, coeffs[-1] if len(coeffs) else 0.0)
+    for a in coeffs[-2::-1].tolist():
         np.multiply(result, y, out=result)
         np.add(result, a, out=result)
     return float(result) if result.ndim == 0 else result

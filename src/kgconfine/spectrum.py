@@ -41,6 +41,10 @@ from .params import PhysicalParams, _reduction
 # covering the full decay (and for normalized samples to claim it).
 DECAY_FRACTION = 1e-8
 
+# auto_grid's grids have at least this many points: half its 2001-point
+# probe, so their spacing is at most y_max/1000.
+MIN_GRID_POINTS = 1001
+
 
 @dataclass(frozen=True, eq=False)
 class WavefunctionSample:
@@ -119,20 +123,34 @@ def heun_parameters(n: int, params: PhysicalParams) -> heun.HeunParams:
     )
 
 
+@dataclass(eq=False)
+class _Level:
+    """The degree-n cut of one level, and the last grid ``auto_grid``
+    returned for it with psi on that grid, held apart from the caller's copy
+    so that editing the returned grid cannot reach them."""
+
+    series: heun.SeriesSolution
+    handoff: tuple[np.ndarray, np.ndarray] | None = None
+
+
 @functools.lru_cache(maxsize=1)
-def _truncation(n: int, params: PhysicalParams) -> heun.SeriesSolution:
+def _truncation(n: int, params: PhysicalParams) -> _Level:
     # One entry: auto_grid's probes and the wavefunction call after them
-    # share the degree-n cut, and nothing is kept from one (n, params) to
-    # the next.
-    return heun.truncated_polynomial(heun_parameters(n, params), n)
+    # share the degree-n cut and the probe's profile, and nothing is kept
+    # from one (n, params) to the next.
+    return _Level(heun.truncated_polynomial(heun_parameters(n, params), n))
 
 
 def _profile(n: int, params: PhysicalParams, grid: np.ndarray) -> np.ndarray:
     """psi of level n on a grid that is already checked; a fresh array."""
+    level = _truncation(n, params)
+    handoff = level.handoff
+    if handoff is not None and np.array_equal(grid, handoff[0]):
+        return handoff[1].copy()
     # Horner runs outside the errstate block: inside it, the profiles
     # benchmark ran ~8% slower on a 2-vCPU VM.  The finiteness check below
     # also catches a non-finite Horner value u.
-    values = heun.evaluate_series(_truncation(n, params), grid)
+    values = heun.evaluate_series(level.series, grid)
     r = _reduction(params)
     # y^p with p >= 1 vanishes at y = 0; elsewhere it is exp(p*log y).
     k = int(grid[0] == 0.0)
@@ -155,6 +173,12 @@ def wavefunction(
     doubled symmetric domain (the profile is even in y), i.e. 2 * trapz(psi^2).
     A sample that overflows double precision, or a profile that underflows to
     zero on the grid when normalized, raises DomainError.
+
+    On the grid ``auto_grid(n, params)`` just returned (equal by value; no
+    other level or potential called in between), psi is the profile its
+    last probe already computed there, bit for bit what a fresh evaluation
+    gives; that grid's last sample is below the decay threshold, so
+    ``normalize=True`` sets ``normalized``.
     """
     n = _check_n(n)
     grid = np.asarray(grid, dtype=float)
@@ -187,17 +211,20 @@ def wavefunction(
 def auto_grid(n: int, params: PhysicalParams) -> np.ndarray:
     """Pick a y-grid [0, y_max] that covers the decaying part of level n.
 
-    y_max is chosen just past the last probe point where |psi| is still at
-    least DECAY_FRACTION of the peak, so the profile on the returned grid
-    rises, oscillates through its n nodes, and decays below the normalization
-    threshold.  Node zeros inside the oscillatory region do not fool the scan
-    because it keys on the *last* above-threshold point, not the first dip.
-
-    The probe has 2001 points on [0, end], the returned grid 2001 on
-    [0, y_max], and decay is judged against the probe's peak, not the
-    returned grid's.  So the returned grid's own last sample can sit just
-    above the threshold (seen at n = 148-149, 1.00-1.03 times
-    DECAY_FRACTION), and ``wavefunction`` then reports ``normalized=False``.
+    The search probes ``linspace(0, end, 2001)`` and widens ``end`` by 1.6
+    until |psi| on the probe drops below DECAY_FRACTION of its peak after
+    the peak.  The grid returned is the probe itself, cut just after its
+    last point where |psi| is still at least DECAY_FRACTION of the peak:
+    spacing end/2000, at least MIN_GRID_POINTS points, its last sample the
+    first one below the threshold.  A probe that decays before
+    MIN_GRID_POINTS points overshot (a heavy or tightly bound level whose
+    peak may fall between its points), so the search probes again on [0,
+    that first point below threshold].  So the profile on the grid rises,
+    oscillates through its n nodes, and decays below the normalization
+    threshold at the last point; node zeros inside the oscillatory region
+    do not fool the scan because it keys on the *last* above-threshold
+    point, not the first dip.  After 12 probes without such a cut the grid
+    is ``linspace(0, end, 2001)``.
     """
     n = _check_n(n)
 
@@ -207,16 +234,20 @@ def auto_grid(n: int, params: PhysicalParams) -> np.ndarray:
     y_turn = 0.5 * (r.A3 + math.sqrt(disc)) if disc > 0.0 else 0.0
     end = max(2.0, 1.5 * y_turn + 2.0)
 
-    y_max = None
     for _ in range(12):
         probe = np.linspace(0.0, end, 2001)
-        mag = np.abs(_profile(n, params, probe))
+        values = _profile(n, params, probe)
+        mag = np.abs(values)
         above = np.nonzero(mag >= DECAY_FRACTION * float(np.max(mag)))[0]
         last = int(above[-1])
-        if last < mag.size - 1:
-            y_max = probe[last + 1]
-            break
-        end *= 1.6
-    if y_max is None:
-        y_max = end
-    return np.linspace(0.0, float(y_max), 2001)
+        if last == mag.size - 1:
+            end *= 1.6
+        elif last + 2 < MIN_GRID_POINTS:
+            end = float(probe[last + 1])
+        else:
+            # probe and values stay private to the cache, so wavefunction
+            # on an unedited copy of this grid reuses the probe's profile.
+            cut = slice(0, last + 2)
+            _truncation(n, params).handoff = (probe[cut], values[cut])
+            return probe[cut].copy()
+    return np.linspace(0.0, end, 2001)

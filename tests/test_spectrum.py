@@ -274,13 +274,36 @@ def test_wavefunction_uses_degree_n_truncation(fig1_params):
 @settings(deadline=None)
 @given(n=st.integers(min_value=0, max_value=8))
 def test_auto_grid_covers_decay(n):
+    # The grid is the last probe's uniform lattice, cut just after its last
+    # point where |psi| is at least DECAY_FRACTION of the peak, in a fresh
+    # array of at least MIN_GRID_POINTS points.
     phys = PhysicalParams(a1=0.1, a2=0.1, a3=0.1, mass=0.5)
     grid = spectrum.auto_grid(n, phys)
     assert grid[0] == 0.0
-    assert grid.shape == (2001,)
+    assert grid.base is None and spectrum.MIN_GRID_POINTS <= grid.size <= 2001
+    np.testing.assert_allclose(np.diff(grid), grid[1], rtol=1e-12)
     sample = spectrum.wavefunction(n, phys, grid)
     mag = np.abs(sample.values)
-    assert mag[-1] <= spectrum.DECAY_FRACTION * float(np.max(mag)) * 1.01
+    assert mag[-2] >= spectrum.DECAY_FRACTION * float(np.max(mag)) > mag[-1]
+
+
+@pytest.mark.parametrize("mass", [100.0, 1000.0])
+@pytest.mark.parametrize("n", [0, 3])
+def test_auto_grid_resolves_heavy_levels(mass, n):
+    # A3 = -2*sqrt(Q/a2)*(mass + a1) is large and negative, so the first
+    # probe, on [0, 2], decays within a few points and can miss the peak
+    # near y = 1/|A3|.  The grid still has the floor's points, and its
+    # norm agrees with a 200,001-point quadrature on the same interval.
+    phys = PhysicalParams(a1=0.0, a2=0.01, a3=0.1, mass=mass)
+    grid = spectrum.auto_grid(n, phys)
+    assert spectrum.MIN_GRID_POINTS <= grid.size <= 2001
+    sample = spectrum.wavefunction(n, phys, grid, normalize=True)
+    assert sample.normalized
+    raw = spectrum.wavefunction(n, phys, grid).values
+    k = int(np.argmax(np.abs(raw)))
+    fine = np.linspace(0.0, grid[-1], 200_001)
+    ref = spectrum.wavefunction(n, phys, fine).values * (sample.values[k] / raw[k])
+    assert abs(2.0 * np.trapezoid(ref**2, fine) - 1.0) < 1e-7
 
 
 @pytest.mark.parametrize("n", [0, 20, 40, 60])
@@ -312,6 +335,9 @@ def test_truncation_cache_does_not_leak_between_levels_or_potentials():
             out.append((grid.tobytes(), sample.values.tobytes(), sample.normalized))
         return out
 
+    # The interleaved run hands each probe's profile to wavefunction; the
+    # fresh one clears the cache, and auto_grid's handoff with it, before
+    # wavefunction, which then evaluates the profile anew.
     interleaved = run()
     fresh = []
     for n, p in calls:
@@ -321,3 +347,32 @@ def test_truncation_cache_does_not_leak_between_levels_or_potentials():
         sample = spectrum.wavefunction(n, p, grid, normalize=True)
         fresh.append((grid.tobytes(), sample.values.tobytes(), sample.normalized))
     assert interleaved == fresh
+
+
+def _fresh_profile(n, p, grid):
+    spectrum._truncation.cache_clear()
+    return spectrum.wavefunction(n, p, grid.copy(), normalize=True).values.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 5, 40])
+def test_edited_auto_grid_gets_a_fresh_profile(n):
+    phys = PhysicalParams(a1=0.1, a2=0.1, a3=0.1, mass=0.5)
+    grid = spectrum.auto_grid(n, phys)
+    grid[-1] += 1.0
+    sample = spectrum.wavefunction(n, phys, grid, normalize=True)
+    assert sample.values.tobytes() == _fresh_profile(n, phys, grid)
+
+
+def test_auto_grid_handoff_serves_only_its_own_level_and_potential():
+    first = PhysicalParams(a1=0.1, a2=0.1, a3=0.1, mass=0.5)
+    other = PhysicalParams(a1=-0.2, a2=0.7, a3=1.3, mass=1.1)
+    # Served twice, read-only and then normalized in place, it is unchanged.
+    grid = spectrum.auto_grid(3, first)
+    plain = spectrum.wavefunction(3, first, grid)
+    sample = spectrum.wavefunction(3, first, grid, normalize=True)
+    assert sample.values.tobytes() == _fresh_profile(3, first, grid)
+    assert plain.values.tobytes() == spectrum.wavefunction(3, first, grid).values.tobytes()
+    for n, p in ((4, first), (3, other)):
+        grid = spectrum.auto_grid(3, first)
+        got = spectrum.wavefunction(n, p, grid, normalize=True).values.tobytes()
+        assert got != sample.values.tobytes() and got == _fresh_profile(n, p, grid)
