@@ -13,14 +13,17 @@ its result JSON.  The workloads default to every one that BENCHMARK.json
 declares, and the metrics, with the direction that is better, are its
 ``end_to_end`` entries.
 
-For each workload and metric one line gives the parent's and the change's
-median [lower quartile, upper quartile] (quartiles by linear interpolation,
-as numpy's default percentile), the relative change of the median, the pairs
-in which the change was better, and whether the gap between the medians
-exceeds the parent's interquartile range.  This only reports: it applies no
-bound.  The exit status is 1 when a run exits non-zero (the remaining runs
-are skipped), reports ``correct: false``, or reports an ``attempted`` or
-``failed`` count that differs from the workload's first run; else 0.
+For each workload a first line gives each tree's ``failed`` and
+``attempted`` counts in its first run, and then one line per metric gives
+the parent's and the change's median [lower quartile, upper quartile]
+(quartiles by linear interpolation, as numpy's default percentile), the
+relative change of the median, the pairs in which the change was better, and
+whether the gap between the medians exceeds the parent's interquartile
+range.  This only reports: it applies no bound, and the two trees may fail
+different counts, as a change that mends or adds failures does.  The exit
+status is 1 when a run exits non-zero (the remaining runs are skipped),
+reports ``correct: false``, or reports an ``attempted`` or ``failed`` count
+that differs from its own tree's first run of the workload; else 0.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def main(argv: list[str] | None = None, runner: Runner | None = None) -> int:
     status = 0
     for workload in workloads:
         values = {tree: {m["name"]: [] for m in bench["end_to_end"]} for tree in trees}
-        first = None
+        counts = {}  # tree -> (attempted, failed) of its first run
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for tree in order:
@@ -107,20 +110,21 @@ def main(argv: list[str] | None = None, runner: Runner | None = None) -> int:
                           file=sys.stderr)
                     return 1
                 result = json.loads(out.strip().splitlines()[-1])
-                counts = (result["attempted"], result["failed"])
-                first = first or counts
+                run_counts = (result["attempted"], result["failed"])
+                first = counts.setdefault(tree, run_counts)
                 if not result["correct"]:
                     print(f"{workload} pair {pair + 1}: {tree} run is not correct",
                           file=sys.stderr)
                     status = 1
-                if counts != first:
-                    print(f"{workload} pair {pair + 1}: {tree} run failed {counts[1]} of "
-                          f"{counts[0]}, the first run {first[1]} of {first[0]}",
+                if run_counts != first:
+                    print(f"{workload} pair {pair + 1}: {tree} run failed {run_counts[1]} of "
+                          f"{run_counts[0]}, its first run {first[1]} of {first[0]}",
                           file=sys.stderr)
                     status = 1
                 for name, series in values[tree].items():
                     series.append(result["metrics"][name]["value"])
-        print(f"{workload}: {args.pairs} pairs, failed {first[1]} of {first[0]} in the first run")
+        failed = ", ".join(f"{counts[t][1]} of {counts[t][0]} ({t})" for t in trees)
+        print(f"{workload}: {args.pairs} pairs, failed {failed}")
         for metric in bench["end_to_end"]:
             name = metric["name"]
             summary = compare(values["parent"][name], values["change"][name], metric["better"])

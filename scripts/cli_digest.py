@@ -42,6 +42,9 @@ to the direct sum's stop rule shows its cost and its accuracy in the diff.
 ``lib-grids`` shows its stdout too: over the auto_grid ensemble, the count of
 profiles, the min, median and max point count of ``auto_grid``'s grids and
 how many normalized samples come back with ``normalized=False``.
+``lib-failures`` shows its stdout too: the (index, error type) of every
+failed point, in row order, of two ``both`` sweeps that mix the direct sum's
+and the closed form's failures.
 A last script writes ``cli.write_table`` tables in csv and json from cells
 and row shapes no command emits: bools, numpy scalars, ints past 64 bits,
 edge floats, str keys and blank rows; a table with a ragged row prints its
@@ -260,7 +263,21 @@ for method in ("direct", "em", "both"):
             col = getattr(cols, name)
             data = b"None" if col is None else col.tobytes()
             print(method, tol, name, hashlib.sha256(data).hexdigest())
-        print(method, tol, "errors", hashlib.sha256(repr(cols.errors).encode()).hexdigest())
+        # The failure map as a tuple with None for each point computed in full.
+        errors = tuple(map(cols.failures.get, range(q.size * mbar.size)))
+        print(method, tol, "errors", hashlib.sha256(repr(errors).encode()).hexdigest())
+"""),
+    # (index, error type) of each failed point in row order, for two both
+    # sweeps whose direct and closed-form failures interleave: a tol no tail
+    # meets over two q blocks, and the overflow past mbar ~ 1e154.
+    ("lib-failures", """
+import numpy as np
+from kgconfine import thermo
+for q, mbar, tol in (([1.0, 1.5], np.geomspace(0.01, 1e5, 3), 1e-300),
+                     ([0.5, 1.0], np.geomspace(1e30, 1e160, 27), 1e-10)):
+    failures = thermo.sweep("both", mbar, q, tol=tol).failures
+    print(f"both q={q} mbar={mbar[0]:g}..{mbar[-1]:g} tol={tol:g}:",
+          [(i, type(failures[i]).__name__) for i in sorted(failures)])
 """),
     # A 40-step thermo table, then a 3-step one to the same --out: the file
     # is rewritten in place, and its hash is that of the 3-step table alone.
@@ -352,7 +369,7 @@ def _sha(data: bytes) -> str:
 
 
 # Runs whose line shows their stdout, one "; "-separated entry per line of it.
-SHOWN = {"lib-heads", "lib-grids"}
+SHOWN = {"lib-heads", "lib-grids", "lib-failures"}
 
 
 def digest(src: Path, name: str, python_args: list[str], config: str | None) -> str:

@@ -31,9 +31,9 @@ def main() -> None:
     # (q, mbar) point, q-major.
     direct = thermo.sweep("both", grid, q_values, tol=1e-13)
     em1, em2 = (thermo.sweep("em", grid, q_values, order) for order in (1, 2))
-    for err in direct.errors + em1.errors + em2.errors:
-        if err is not None:
-            raise err
+    for cols in (direct, em1, em2):
+        if cols.failures:
+            raise cols.failures[min(cols.failures)]  # the first in row order
     points = itertools.product(q_values, grid.tolist())
     columns = (direct.Z_direct.tolist(), em1.Z_em.tolist(), em2.Z_em.tolist())
     for (q, mbar), z, z1, z2 in zip(points, *columns):

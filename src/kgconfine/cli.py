@@ -448,11 +448,10 @@ def _sweep_rows(cfg: argparse.Namespace,
                list(itertools.chain.from_iterable([cell] * len(mbars) for cell in q_cells))]
     columns += [[None] * size if a is None else a.tolist() for a in arrays]
     # A failed point keeps its mbar and q and blanks every other cell.
-    failed = ([i for i, err in enumerate(cols.errors) if err is not None]
-              if cols.errors.count(None) < size else [])  # no walk when none failed
+    failed = sorted(cols.failures)  # row order, whatever order the sweep found them in
     blank = (None,) * (len(columns) - 2)
     view = _Columns(columns, {i: (columns[0][i], columns[1][i]) + blank for i in failed})
-    errors = [f"mbar={mbars[i % len(mbars)]!r} q={cfg.q[i // len(mbars)]!r}: {cols.errors[i]}"
+    errors = [f"mbar={mbars[i % len(mbars)]!r} q={cfg.q[i // len(mbars)]!r}: {cols.failures[i]}"
               for i in failed]
     best = None
     if include_terms:

@@ -39,7 +39,7 @@ at a level n <= DIRECT_N_MAX + 1 that a direct sum may reach (q below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -82,8 +82,8 @@ class SweepColumns:
     """Thermal functions of a sweep, one entry per (q, mbar) point, q-major.
 
     Columns a sweep does not compute are None.  A point that failed holds
-    NaN or the overflowed value in the columns it could not compute, and its
-    error in ``errors`` (None for a point computed in full).
+    NaN or the overflowed value in the columns it could not compute, and
+    ``failures`` maps its index to its error: only failed points have one.
     """
 
     Z_direct: np.ndarray | None = None
@@ -93,7 +93,7 @@ class SweepColumns:
     C: np.ndarray | None = None
     terms: np.ndarray | None = None
     tail_bound: np.ndarray | None = None
-    errors: tuple[KGConfineError | None, ...] = ()
+    failures: dict[int, KGConfineError] = field(default_factory=dict)
 
 
 def _check_order(order: int) -> None:
@@ -365,12 +365,12 @@ class _Rows(NamedTuple):
         return tuple(np.array([sigma_constants(q) for q in self.qs]).T)
 
 
-def _flag_not_finite(errors: list, rows: _Rows, *columns: np.ndarray) -> None:
+def _flag_not_finite(failures: dict, rows: _Rows, *columns: np.ndarray) -> None:
     # A point that has not failed otherwise but holds an infinite or NaN value.
     finite = np.logical_and.reduce([np.isfinite(c) for c in columns])
-    for i in np.flatnonzero(~finite):
-        if errors[i] is None:
-            errors[i] = DomainError(
+    for i in np.flatnonzero(~finite).tolist():
+        if i not in failures:
+            failures[i] = DomainError(
                 f"thermal functions are not finite at mbar={float(rows.mbar[i])!r}, "
                 f"q={rows.q(i)!r} (floating-point overflow)"
             )
@@ -496,12 +496,10 @@ def _em_columns(rows: _Rows, order: int) -> SweepColumns:
     z, zp, zpp = _em_z_and_derivatives(rows, order)
     mbar = rows.mbar
     valid = z > 0.0
-    errors = [None] * mbar.size
-    for i in np.flatnonzero(~valid):
-        errors[i] = DomainError(
-            f"EM truncation is non-positive at mbar={float(mbar[i])!r}, q={rows.q(i)!r}; "
-            "outside its validity range"
-        )
+    failures = {i: DomainError(
+        f"EM truncation is non-positive at mbar={float(mbar[i])!r}, q={rows.q(i)!r}; "
+        "outside its validity range"
+    ) for i in np.flatnonzero(~valid).tolist()}
     z = np.where(valid, z, np.nan)
     # U and C from u1 = mbar*Z'/Z and u2 = mbar^2*Z''/Z, both ~2 at high
     # mbar; the division comes before the factor that would overflow, so
@@ -511,8 +509,8 @@ def _em_columns(rows: _Rows, order: int) -> SweepColumns:
     F = -mbar * np.log(z)
     U = mbar * u1
     C = u1 * (2.0 - u1) + u2
-    _flag_not_finite(errors, rows, z, F, U, C)
-    return SweepColumns(Z_em=z, F=F, U=U, C=C, errors=tuple(errors))
+    _flag_not_finite(failures, rows, z, F, U, C)
+    return SweepColumns(Z_em=z, F=F, U=U, C=C, failures=failures)
 
 
 @np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite value
@@ -522,23 +520,20 @@ def _direct_columns(rows: _Rows, tol: float, moments: int) -> SweepColumns:
     mbar = rows.mbar
     sums, terms, bounds = _direct_sums(1.0 / mbar, rows.which, *rows.constants(), tol, moments)
     converged = terms > 0
-    errors = [None] * mbar.size
-    for i in np.flatnonzero(~converged):
-        errors[i] = TruncationFailure(
-            f"direct sum did not converge within {DIRECT_N_MAX} terms "
-            f"(mbar={float(mbar[i])!r}, q={rows.q(i)!r})",
-            float(sums[0, i]), DIRECT_N_MAX,
-        )
+    failures = {i: TruncationFailure(
+        f"direct sum did not converge within {DIRECT_N_MAX} terms "
+        f"(mbar={float(mbar[i])!r}, q={rows.q(i)!r})",
+        float(sums[0, i]), DIRECT_N_MAX,
+    ) for i in np.flatnonzero(~converged).tolist()}
     z = np.where(converged, sums[0], np.nan)
     if moments == 1:
-        _flag_not_finite(errors, rows, z)
-        return SweepColumns(Z_direct=z, terms=terms, tail_bound=bounds[0], errors=tuple(errors))
+        _flag_not_finite(failures, rows, z)
+        return SweepColumns(Z_direct=z, terms=terms, tail_bound=bounds[0], failures=failures)
     m1, m2 = sums[1] / z * 2.0, sums[2] / z * 6.0  # <y> and <y^2>
     F, U, C = -mbar * np.log(z), mbar * m1, m2 - m1 * m1
-    _flag_not_finite(errors, rows, z, F, U, C)
+    _flag_not_finite(failures, rows, z, F, U, C)
     return SweepColumns(
-        Z_direct=z, F=F, U=U, C=C,
-        terms=terms, tail_bound=bounds[0], errors=tuple(errors),
+        Z_direct=z, F=F, U=U, C=C, terms=terms, tail_bound=bounds[0], failures=failures,
     )
 
 
@@ -582,8 +577,8 @@ def _one_point(
         z = cols.Z_direct
     else:
         raise ConfigError(f"method must be 'direct' or 'em', got {method!r}")
-    if cols.errors[0] is not None:
-        raise cols.errors[0]
+    if cols.failures:
+        raise cols.failures[0]
     F, U, C = (float(c[0]) for c in (cols.F, cols.U, cols.C)) if thermal else (None,) * 3
     return ThermoPoint(
         mbar=mbar, Z=float(z[0]), method=method, F=F, U=U, C=C,
@@ -611,7 +606,7 @@ def sweep(
 
     Every point of a direct sweep is one row of a single kernel call.  A
     point that fails keeps NaN in the columns it could not compute and its
-    error in ``errors``; under ``"both"`` the direct sum's error wins.
+    error in ``failures``; under ``"both"`` the direct sum's error wins.
     """
     _check_order(order)
     mbar = np.asarray(mbar, dtype=float)
@@ -634,12 +629,10 @@ def sweep(
         raise ConfigError(f"method must be 'direct', 'em' or 'both', got {method!r}")
     direct = _direct_columns(rows, tol, moments=1)
     em = _em_columns(rows, order)
-    errors = direct.errors
-    if em.errors.count(None) < len(em.errors):  # the closed form failed somewhere
-        errors = tuple(d if d is not None else e for d, e in zip(direct.errors, em.errors))
     return SweepColumns(
         Z_direct=direct.Z_direct, Z_em=em.Z_em, F=em.F, U=em.U, C=em.C,
-        terms=direct.terms, tail_bound=direct.tail_bound, errors=errors,
+        terms=direct.terms, tail_bound=direct.tail_bound,
+        failures={**em.failures, **direct.failures},
     )
 
 

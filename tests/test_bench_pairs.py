@@ -91,7 +91,7 @@ def test_pairs_alternate_and_report_every_metric(trees, capsys):
     assert order == ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
     assert {args for _, args in calls} == {("w", 7, 3.0)}
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "w: 5 pairs, failed 0 of 180 in the first run"
+    assert lines[0] == "w: 5 pairs, failed 0 of 180 (parent), 0 of 180 (change)"
     assert lines[1:] == [
         bench_pairs.format_line(
             "w", "setup_s", bench_pairs.compare(SETUP["parent"], SETUP["change"], "lower")),
@@ -114,6 +114,28 @@ def test_inconsistent_runs_exit_1_after_the_report(trees, capsys, odd):
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 3
     assert captured.err
+
+
+SUMMARY_0_3 = "w: 5 pairs, failed 0 of 180 (parent), 3 of 180 (change)"
+
+
+def test_a_stable_difference_between_trees_exits_0(trees, capsys):
+    # A change that alters its failed count on purpose is consistent: each
+    # tree is checked against its own first run, and both counts are shown.
+    calls = []
+    assert _main(trees, calls, {("change", k): {"failed": 3} for k in range(5)}) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == SUMMARY_0_3
+    assert captured.err == ""
+
+
+def test_counts_that_vary_within_one_tree_exit_1(trees, capsys):
+    calls = []
+    odd = {("change", k): {"failed": 3 if k < 4 else 4} for k in range(5)}
+    assert _main(trees, calls, odd) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == SUMMARY_0_3
+    assert captured.err == "w pair 5: change run failed 4 of 180, its first run 3 of 180\n"
 
 
 def test_a_run_that_exits_non_zero_stops_the_pairs(trees, capsys):

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import io
 import json
 import math
 import os
@@ -167,6 +168,31 @@ def test_read_config_file_rejects_bare_word(tmp_path):
         cli._read_config_file(str(cfg))
 
 
+def test_read_config_file_rejects_empty_value(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a2 =\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="empty value for 'a2'"):
+        cli._read_config_file(str(cfg))
+
+
+@pytest.mark.parametrize("tty, no_color, coloured", [
+    (True, None, True), (True, "1", False), (False, None, False),
+])
+def test_warn_colours_only_a_tty_without_no_color(tty, no_color, coloured, monkeypatch):
+    class Stream(io.StringIO):
+        def isatty(self):
+            return tty
+
+    stream = Stream()
+    monkeypatch.setattr(sys, "stderr", stream)
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    if no_color is not None:
+        monkeypatch.setenv("NO_COLOR", no_color)
+    cli._warn("x")
+    text = "kgconfine: warning: x"
+    assert stream.getvalue() == (f"\033[33m{text}\033[0m\n" if coloured else f"{text}\n")
+
+
 def test_read_config_file_missing(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         cli._read_config_file(str(tmp_path / "absent.cfg"))
@@ -322,15 +348,15 @@ def test_compare_reports_max_rel_diff(tmp_path, capsys):
 @pytest.mark.parametrize("errors, expected", [
     # Rows 0 and 2 tie for the largest rel_diff; row 1 failed with an
     # overflowed Z_em, so its rel is inf, but a failed row is no candidate.
-    ((None, DomainError("Z_em overflow"), None), ["max rel_diff 0.5 at mbar=1 q=1"]),
+    ({1: DomainError("Z_em overflow")}, ["max rel_diff 0.5 at mbar=1 q=1"]),
     # Every row failed: no summary line.
-    ((DomainError("a"),) * 3, []),
+    (dict.fromkeys(range(3), DomainError("a")), []),
 ])
 def test_compare_max_rel_diff_line(errors, expected, tmp_path, capsys, monkeypatch):
     def sweep(method, mbar, q, order, tol):
         z = np.full(3, 2.0)
         return thermo.SweepColumns(Z_direct=z, Z_em=np.array([1.0, np.inf, 1.0]), F=z, U=z, C=z,
-                                   terms=np.ones(3, dtype=int), errors=errors)
+                                   terms=np.ones(3, dtype=int), failures=errors)
 
     monkeypatch.setattr(thermo, "sweep", sweep)
     out = tmp_path / "cmp.csv"
@@ -777,11 +803,28 @@ def test_sweep_failures_in_several_q_blocks(command, tmp_path, capsys):
     header, rows = read_csv(out)
     points = [(q, mbar) for q in q_list for mbar in grid]
     assert [(r["q"], r["mbar"]) for r in rows] == [(cli._cell(q), cli._cell(m)) for q, m in points]
-    errors = thermo.sweep(method, np.array(grid), q_list, 2, 1e-10).errors
-    failed = [e is not None for e in errors]
+    failures = thermo.sweep(method, np.array(grid), q_list, 2, 1e-10).failures
+    failed = [i in failures for i in range(len(points))]
     assert any(failed[:len(grid)]) and any(failed[len(grid):])
     assert [all(r[c] == "" for c in header[2:]) for r in rows] == failed
-    expected = [f"kgconfine: warning: mbar={m!r} q={q!r}: {e}"
-                for (q, m), e in zip(points, errors) if e is not None]
+    expected = [f"kgconfine: warning: mbar={m!r} q={q!r}: {failures[i]}"
+                for i, (q, m) in enumerate(points) if i in failures]
     expected.append(f"kgconfine: warning: {sum(failed)} of {len(rows)} sweep points failed")
+    assert capsys.readouterr().err.splitlines() == expected
+
+
+def test_mixed_failures_warn_in_row_order(tmp_path, capsys):
+    # At tol 1e-300 the closed form fails at mbar = 0.01 in each q block and
+    # the direct sum at every other point: the two routes find their failures
+    # in different orders, and the warnings still come in row order.
+    rc = cli.main(["compare", "--q", "1,1.5", "--mbar-min", "0.01", "--mbar-max", "1e5",
+                   "--steps", "3", "--tol", "1e-300", "--out", str(tmp_path / "c.csv")])
+    assert rc == 1
+    em = "EM truncation is non-positive at mbar={m!r}, q={q!r}; outside its validity range"
+    direct = (f"direct sum did not converge within {thermo.DIRECT_N_MAX} terms "
+              "(mbar={m!r}, q={q!r})")
+    points = [(q, m) for q in (1.0, 1.5) for m in np.geomspace(0.01, 1e5, 3).tolist()]
+    expected = [f"kgconfine: warning: mbar={m!r} q={q!r}: "
+                + (em if m == 0.01 else direct).format(m=m, q=q) for q, m in points]
+    expected.append("kgconfine: warning: 6 of 6 sweep points failed")
     assert capsys.readouterr().err.splitlines() == expected

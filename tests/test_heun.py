@@ -127,6 +127,13 @@ def test_corrupted_coefficient_blows_residual():
     assert heun.ode_residual(EXACT_POLY, corrupted, 0.5) > 1e-3
 
 
+def test_residual_rejects_a_constant_series_and_non_finite_y():
+    with pytest.raises(DomainError, match="at least two coefficients"):
+        heun.ode_residual(EXACT_POLY, heun.truncated_polynomial(EXACT_POLY, 0), 1.0)
+    with pytest.raises(DomainError, match="y must be finite"):
+        heun.ode_residual(EXACT_POLY, heun.truncated_polynomial(EXACT_POLY, 1), math.nan)
+
+
 def test_residual_at_origin_uses_limiting_row():
     sol = heun.series_coefficients(EXACT_POLY, 6)
     assert heun.ode_residual(EXACT_POLY, sol, 0.0) <= 1e-15
@@ -174,6 +181,19 @@ def test_evaluate_rejects_bad_tol():
         heun.evaluate(EXACT_POLY, 0.5, tol=0.0)
     with pytest.raises(DomainError):
         heun.evaluate(EXACT_POLY, 0.5, tol=-1e-9)
+    # y = 0 has its own exit, which checks tol all the same.
+    with pytest.raises(DomainError, match="tol must be positive"):
+        heun.evaluate(EXACT_POLY, 0.0, tol=-1.0)
+
+
+def test_evaluate_rejects_non_finite_y():
+    with pytest.raises(DomainError, match="y must be finite"):
+        heun.evaluate(EXACT_POLY, math.inf)
+
+
+def test_evaluate_on_grid_of_no_points_or_only_zeros():
+    assert heun.evaluate_on_grid(EXACT_POLY, np.array([])).shape == (0,)
+    assert np.array_equal(heun.evaluate_on_grid(EXACT_POLY, np.zeros(3)), np.ones(3))
 
 
 def test_evaluate_on_grid_matches_pointwise():
@@ -264,6 +284,8 @@ def test_truncated_polynomial_caps_degree():
 def test_truncated_polynomial_honest_termination_flag():
     # Exact case: the cut coincides with genuine termination.
     assert heun.truncated_polynomial(EXACT_POLY, 1).terminated_polynomially
+    # Degree 0 of the same series: a_1 = 1 is not zero, so it does not terminate.
+    assert heun.truncated_polynomial(EXACT_POLY, 0).terminated_polynomially is False
     # Generic case: the tail does not vanish, the flag must say so.
     generic = heun.HeunParams(c1=1.0, c2=2.0, c3=9.0, c4=1.0)
     assert not heun.truncated_polynomial(generic, 3).terminated_polynomially

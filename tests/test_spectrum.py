@@ -306,6 +306,19 @@ def test_auto_grid_resolves_heavy_levels(mass, n):
     assert abs(2.0 * np.trapezoid(ref**2, fine) - 1.0) < 1e-7
 
 
+def test_auto_grid_falls_back_when_psi_underflows_on_every_probe():
+    # With mass 1e6 the profile underflows to 0 on each probe, so no probe
+    # finds a peak to decay from: after 12 probes, each 1.6 times wider than
+    # the last from [0, 2], the grid is the widest one, and normalizing on it
+    # fails loudly.
+    phys = PhysicalParams(a1=0.0, a2=0.01, a3=0.1, mass=1e6)
+    grid = spectrum.auto_grid(0, phys)
+    assert grid[-1] == pytest.approx(2.0 * 1.6**12)
+    assert np.array_equal(grid, np.linspace(0.0, grid[-1], 2001))
+    with pytest.raises(DomainError, match="underflows to zero"):
+        spectrum.wavefunction(0, phys, grid, normalize=True)
+
+
 @pytest.mark.parametrize("n", [0, 20, 40, 60])
 def test_auto_grid_contract_at_higher_n(n):
     # The returned grid reaches the decay, and it is not over-long: 5% short
