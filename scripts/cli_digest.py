@@ -19,12 +19,14 @@ when any line differs:
     python3 scripts/cli_digest.py --against /path/to/other/checkout/src
 
 The matrix covers all five commands in csv and json, direct/em/both sweeps
-(including the failing ``--tol 1e-300`` and mbar = 1e150..1e300 sweeps, a
+(including the failing mbar = 0.01..1e300 sweep, where the closed form is
+non-positive at 0.01 and Z overflows at 1e300, the mbar = 1e150..1e300 sweeps, a
 compare over mbar = 1e30..1e160 that fails in both of its q blocks, and the
 q = 0.5 em sweep over mbar = 1e153..1.9e154, where Z nears the float limit,
 and a 5 q x 3,000 mbar compare at the benchmark's sweep_dense scale),
 wavefunctions whose raw squares (``--a3 200``) or samples (``--a3 500``)
-overflow double precision, ``--config`` files, usage errors, a negative
+overflow double precision, ``--config`` files, usage errors (among them a
+``--tol 1e-300`` sweep, below the 2**-53 floor of tol), a negative
 flag value in exponent form (``--a1 -1e-3``, whose table must equal that of
 ``--a1=-0.001``) and the ``--help`` text of the program and of every command.
 The library scripts print the bits of four ensembles: auto_grid plus the
@@ -44,7 +46,10 @@ profiles, the min, median and max point count of ``auto_grid``'s grids and
 how many normalized samples come back with ``normalized=False``.
 ``lib-failures`` shows its stdout too: the (index, error type) of every
 failed point, in row order, of two ``both`` sweeps that mix the direct sum's
-and the closed form's failures.
+and the closed form's failures.  ``lib-large-q`` shows its stdout too: at
+q = 1e4, 1e8 and 1e30, where E_1 - E_0 is a small fraction of E_0, the max
+exact head and the failure count of a direct sweep over mbar = 1e-40..1e6 at
+two tol.
 A last script writes ``cli.write_table`` tables in csv and json from cells
 and row shapes no command emits: bools, numpy scalars, ints past 64 bits,
 edge floats, str keys and blank rows; a table with a ragged row prints its
@@ -70,8 +75,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SWEEP = ["--q", "0.5,1.0,1.5", "--mbar-min", "0.1", "--mbar-max", "10", "--steps", "40"]
-FAILING = ["--q", "1.0", "--mbar-min", "0.01", "--mbar-max", "1e5", "--steps", "3",
-           "--tol", "1e-300"]
+# The closed form is non-positive at mbar = 0.01 and Z overflows at 1e300.
+FAILING = ["--q", "1.0", "--mbar-min", "0.01", "--mbar-max", "1e300", "--steps", "3"]
 HUGE = ["--q", "1", "--mbar-min", "1e150", "--mbar-max", "1e300", "--steps", "4"]
 # Crosses mbar ~ 1e77, where the closed form's C used to overflow.
 LARGE = ["--q", "0.5,1", "--mbar-min", "1e30", "--mbar-max", "1e160", "--steps", "27"]
@@ -163,6 +168,9 @@ USAGE_ERRORS = [
     [],
     ["thermo", "--config", "{tmp}/absent.cfg"],
     ["density", "--a1", "-1e200", "--n", "0..2"],
+    # A tol below 2**-53, which no float64 Z can honour.
+    ["thermo", "--method", "direct", "--q", "1.0", "--mbar-min", "0.01", "--mbar-max", "1e5",
+     "--steps", "3", "--tol", "1e-300"],
 ]
 for i, argv in enumerate(USAGE_ERRORS):
     RUNS.append((f"usage-{i}", argv, None))
@@ -257,7 +265,7 @@ from kgconfine import thermo
 q = np.linspace(0.25, 2.25, 9)
 mbar = np.geomspace(0.01, 1e6, 301)
 for method in ("direct", "em", "both"):
-    for tol in (1e-6, 1e-9, 1e-12, 1e-15, 1e-20):
+    for tol in (1e-6, 1e-9, 1e-12, 1e-15, 2**-53):
         cols = thermo.sweep(method, mbar, q, tol=tol)
         for name in ("Z_direct", "Z_em", "F", "U", "C", "terms", "tail_bound"):
             col = getattr(cols, name)
@@ -268,12 +276,13 @@ for method in ("direct", "em", "both"):
         print(method, tol, "errors", hashlib.sha256(repr(errors).encode()).hexdigest())
 """),
     # (index, error type) of each failed point in row order, for two both
-    # sweeps whose direct and closed-form failures interleave: a tol no tail
-    # meets over two q blocks, and the overflow past mbar ~ 1e154.
+    # sweeps whose direct and closed-form failures interleave: the closed
+    # form's at mbar = 0.01 and the overflow at 1e300 over two q blocks, and
+    # the overflow past mbar ~ 1e154.
     ("lib-failures", """
 import numpy as np
 from kgconfine import thermo
-for q, mbar, tol in (([1.0, 1.5], np.geomspace(0.01, 1e5, 3), 1e-300),
+for q, mbar, tol in (([1.0, 1.5], np.geomspace(0.01, 1e300, 3), 1e-10),
                      ([0.5, 1.0], np.geomspace(1e30, 1e160, 27), 1e-10)):
     failures = thermo.sweep("both", mbar, q, tol=tol).failures
     print(f"both q={q} mbar={mbar[0]:g}..{mbar[-1]:g} tol={tol:g}:",
@@ -292,11 +301,21 @@ from kgconfine import thermo
 q = np.linspace(0.25, 2.25, 9)
 mbar = np.geomspace(0.01, 1e6, 301)
 for method in ("direct", "both"):
-    for tol in (1e-6, 1e-9, 1e-12, 1e-15, 1e-20):
+    for tol in (1e-6, 1e-9, 1e-12, 1e-15, 2**-53):
         cols = thermo.sweep(method, mbar, q, tol=tol)
         terms, ratio = cols.terms, np.nanmax(cols.tail_bound / cols.Z_direct)
         print(f"{method} {tol}: {terms.size} rows, max {terms.max()}, mean {terms.mean():.2f}, "
               f"max tail_bound/Z {ratio:.1e}")
+"""),
+    ("lib-large-q", """
+import numpy as np
+from kgconfine import thermo
+mbar = np.geomspace(1e-40, 1e6, 47)
+for q in (1e4, 1e8, 1e30):
+    for tol in (1e-10, 2**-53):
+        cols = thermo.sweep("direct", mbar, q, tol=tol)
+        print(f"q={q:g} tol={tol:.3g}: max head {cols.terms.max()}, "
+              f"{len(cols.failures)} of {mbar.size} failed")
 """),
     ("lib-heun", """
 import hashlib, numpy as np
@@ -369,7 +388,7 @@ def _sha(data: bytes) -> str:
 
 
 # Runs whose line shows their stdout, one "; "-separated entry per line of it.
-SHOWN = {"lib-heads", "lib-grids", "lib-failures"}
+SHOWN = {"lib-heads", "lib-grids", "lib-failures", "lib-large-q"}
 
 
 def digest(src: Path, name: str, python_args: list[str], config: str | None) -> str:

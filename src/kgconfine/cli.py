@@ -273,8 +273,10 @@ def resolve_config(parser: argparse.ArgumentParser,
         parser.error("compare requires --method both")
     if cfg.em_order not in (1, 2):
         parser.error(f"--em-order must be 1 or 2, got {cfg.em_order}")
-    if cfg.tol <= 0.0:
-        parser.error(f"--tol must be positive, got {cfg.tol!r}")
+    try:
+        thermo._check_tol(cfg.tol)  # the direct sum's rule for tol
+    except DomainError as exc:
+        parser.error(f"invalid --tol: {exc}")
 
     cfg.out = cfg.out or f"{command}.{cfg.format}"
     cfg.grid = None

@@ -32,8 +32,8 @@ not an inf or NaN.  Inputs rejected with DomainError: mbar that is not
 positive and finite or whose reciprocal overflows (mbar below ~5.6e-309);
 q that is not positive and finite, whose level constants sigma1, sigma2
 are not finite (q above ~6.7e153), or for which sigma1*n + sigma2 overflows
-at a level n <= DIRECT_N_MAX + 1 that a direct sum may reach (q below
-~1.1e-301); and tol that is not positive and finite.
+at a level n <= DIRECT_N_MAX + 1 (q below ~1.1e-301); and tol that is not
+finite or is below 2^-53, a precision that no float64 Z can honour.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ from .params import sigma_constants
 # Bernoulli numbers B_{2i} entering the correction terms.
 BERNOULLI = {1: 1.0 / 6.0, 2: -1.0 / 30.0, 3: 1.0 / 42.0, 4: -1.0 / 30.0}
 
-# Cap on the levels the direct sum adds exactly (its head).
+# Cap on the levels ``excitation_moments`` adds; ``_check_q`` keeps energies finite up to it.
 DIRECT_N_MAX = 10_000_000
 # Elements of one exp(-b*v) block of the direct-sum kernel (rows = inverse
 # temperatures, columns = levels); bounds its scratch memory whatever the
-# grid size.  A chunk of more levels than this runs one row at a time.
+# grid size, and holds many rows of a direct sum's longest chunk (128 levels).
 _BLOCK = 1 << 16
 # The first level at which the direct sum tests its tails: the length of its
 # first chunk.
@@ -106,15 +106,20 @@ def _check_point(mbar: float, q: float, tol: float) -> None:
         raise DomainError(f"mbar must be positive and finite, got {mbar!r}")
     if not math.isfinite(1.0 / mbar):  # below mbar ~ 5.6e-309
         raise DomainError(f"1/mbar overflows at mbar={mbar!r}")
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     _check_q(q)
+
+
+def _check_tol(tol: float) -> None:
+    # Z is one float64, rounded to within 2^-53 of itself: no smaller tol can be met.
+    if not 2.0**-53 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and at least 2**-53 (~1.1e-16), got {tol!r}")
 
 
 def _check_q(q: float) -> None:
     # The levels' domain rule for q: finite sigma1 and sigma2, and a finite
-    # sigma1*n + sigma2 up to the last level a direct sum reaches, so no
-    # level energy that the kernel forms is inf.
+    # sigma1*n + sigma2 up to the last level a sum may reach, so no level
+    # energy that a sum forms is inf.
     s1, s2 = sigma_constants(q)
     if not math.isfinite(s1 * (DIRECT_N_MAX + 1) + s2):  # q below ~1.1e-301
         raise DomainError(f"q={q!r} puts the energy of level {DIRECT_N_MAX + 1} "
@@ -238,7 +243,7 @@ def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int
     """
     x = s1 * n + s2
     root = np.sqrt(x)
-    z = b * (root - e0)[which]
+    z = b * (s1 * n / (root + e0))[which]  # b (E_n - E_0), without the cancellation
     fx = np.exp(-z)
     pref = 2.0 / (b * b * s1[which])
     be0 = b * e0[which]
@@ -281,13 +286,14 @@ def _add_levels(sums: np.ndarray, b: np.ndarray, which: np.ndarray, live: np.nda
     # non-decreasing, so a block's rows of one q are consecutive: the block
     # computes the level ladder of each of its q once, and its row r reads ladder at[r].
     levels = np.arange(lo, hi, dtype=float)
-    step = max(1, _BLOCK // levels.size)
+    step = _BLOCK // levels.size
     for i in range(0, live.size, step):
         block = live[i:i + step]
         wb = which[block]
         new = np.concatenate(([True], wb[1:] != wb[:-1]))  # first row of each q
         qs, at = wb[new], np.cumsum(new) - 1
-        y = (np.sqrt(s1[qs, None] * levels + s2[qs, None]) - e0[qs, None])[at]
+        x = s1[qs, None] * levels  # v = E_n - E_0 as x/(E_n + E_0), without the cancellation
+        y = (x / (np.sqrt(x + s2[qs, None]) + e0[qs, None]))[at]
         y *= b[block, None]
         np.minimum(y, 1e300, out=y)  # e^{-y} is 0 here anyway; w *= y stays 0, not 0*inf
         w = np.negative(y)
@@ -318,12 +324,12 @@ def _direct_sums(
     the bound on its remainder.  The row stops once every moment's bound is
     at most ``tol`` times its partial sum plus tail, and each moment is then
     that sum: the tail is always kept.  The bounds hold at every N, so the
-    test runs after every chunk.
+    test runs after every chunk.  At every tol that ``_check_tol`` accepts,
+    every row stops within 224 levels (32 + 64 + 128): the loop has no cap.
 
     Returns (sums, terms, bounds): sums[k] is M_k/(k+1)! and bounds[k] the
     absolute bound that stopped it, both of shape (moments, rows), and
-    terms the levels each row summed exactly.  A row that ran past
-    DIRECT_N_MAX levels holds its partial sums and has terms 0.
+    terms the levels each row summed exactly.
     """
     e0 = np.sqrt(s2)
     sums = np.zeros((moments, b.size))
@@ -332,10 +338,9 @@ def _direct_sums(
     live = np.arange(b.size)
     n_done = 0
     chunk = DIRECT_EM_MIN_N  # so every Euler-MacLaurin check has N >= DIRECT_EM_MIN_N
-    while live.size and n_done <= DIRECT_N_MAX:
-        hi = min(n_done + chunk, DIRECT_N_MAX + 1)
-        _add_levels(sums, b, which, live, s1, s2, e0, n_done, hi)
-        n_done = hi
+    while live.size:
+        _add_levels(sums, b, which, live, s1, s2, e0, n_done, n_done + chunk)
+        n_done += chunk
         every = live.size == b.size  # then no copies
         bl, ql, partial = (b, which, sums) if every else (b[live], which[live], sums[:, live])
         tail, bound = _em_tails(n_done, bl, ql, s1, s2, e0, moments)
@@ -346,7 +351,7 @@ def _direct_sums(
         terms[done] = n_done
         bounds[:, done] = bound[:, stop]
         live = live[~stop]
-        chunk = min(chunk * 2, 1 << 20)
+        chunk *= 2
     return sums, terms, bounds
 
 
@@ -391,10 +396,9 @@ def partition_direct(mbar: float, q: float, tol: float = 1e-12) -> ThermoPoint:
     ``terms``, the levels summed exactly, and ``tail_bound``, the absolute
     bound that stopped the sum.  That bounds the truncation error only: the
     float64 rounding of the head, about N 2^-53 Z, is not included, so below
-    tol ~ 1e-14 it is not a bound on the total error.  A head that would
-    exceed DIRECT_N_MAX levels raises TruncationFailure, and a Z that
-    overflows raises DomainError.  This is a one-point call into the columns
-    that ``sweep`` computes over a grid.
+    tol ~ 1e-14 it is not a bound on the total error.  A tol below 2^-53 or
+    an overflowing Z raises DomainError; otherwise the head ends within 224
+    levels.  This is a one-point call into the columns ``sweep`` computes.
     """
     return _one_point("direct", mbar, q, thermal=False, tol=tol)
 
@@ -519,13 +523,7 @@ def _direct_columns(rows: _Rows, tol: float, moments: int) -> SweepColumns:
     # F, U = mbar*M1/M0 and C = M2/M0 - (M1/M0)^2 from the same sums.
     mbar = rows.mbar
     sums, terms, bounds = _direct_sums(1.0 / mbar, rows.which, *rows.constants(), tol, moments)
-    converged = terms > 0
-    failures = {i: TruncationFailure(
-        f"direct sum did not converge within {DIRECT_N_MAX} terms "
-        f"(mbar={float(mbar[i])!r}, q={rows.q(i)!r})",
-        float(sums[0, i]), DIRECT_N_MAX,
-    ) for i in np.flatnonzero(~converged).tolist()}
-    z = np.where(converged, sums[0], np.nan)
+    z, failures = sums[0], {}
     if moments == 1:
         _flag_not_finite(failures, rows, z)
         return SweepColumns(Z_direct=z, terms=terms, tail_bound=bounds[0], failures=failures)
@@ -681,12 +679,12 @@ def excitation_moments(
     chunk = 4096
     while n_done <= DIRECT_N_MAX:
         hi = min(n_done + chunk, DIRECT_N_MAX + 1)
-        n = np.arange(n_done, hi, dtype=float)
-        v = np.sqrt(s1 * n + s2) - e0
+        x = s1 * np.arange(n_done, hi, dtype=float)
+        v = x / (np.sqrt(x + s2) + e0)  # E_n - E_0, without the cancellation
         w = np.exp(-b * v)
         sums += (float(np.sum(w)), float(np.sum(v * w)), float(np.sum(v * v * w)))
         n_done = hi
-        v0 = math.sqrt(s1 * (n_done - 1) + s2) - e0
+        v0 = float(v[-1])
         # The integrand bounds below require v^k (v+e0) e^{-bv} to be
         # decreasing; keep summing until safely past its mode.
         if b * v0 > 4.0:

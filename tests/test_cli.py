@@ -583,6 +583,7 @@ def test_reruns_are_byte_identical(tmp_path):
     ["spectrum", "--mass", "1e200", "--n", "0..2"],  # (m c^2 + a1)^2 overflows
     ["density", "--a1", "-1e200", "--n", "0..2"],
     ["wavefunction", "--mass", "1e150", "--a2", "1e-10", "--n", "0"],  # A3^2 overflows
+    ["thermo", "--tol", "1e-17"],  # below the float64 Z's own rounding
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     message = USAGE_MESSAGES.get(tuple(argv), "")
@@ -600,7 +601,8 @@ def test_usage_errors_exit_2(argv, tmp_path, capsys):
 # The check a usage error must reach, where a negative value in exponent form
 # could stop it earlier, as an argparse error.
 USAGE_MESSAGES = {
-    ("thermo", "--tol", "-1e-9"): "--tol must be positive",
+    ("thermo", "--tol", "-1e-9"): "at least 2**-53",
+    ("thermo", "--tol", "1e-17"): "at least 2**-53",
     ("density", "--a1", "-1e200", "--n", "0..2"): "past the float range",
 }
 
@@ -669,58 +671,66 @@ def test_tables_go_to_dev_null_and_pipes(tmp_path):
 
 
 def test_sweep_point_failure_exits_1(tmp_path, capsys):
-    # A tolerance no Euler-MacLaurin tail can meet sends the direct sum's
-    # head past its level cap: every point fails, the sweep still writes a
-    # (empty-valued) table and reports failure.
+    # Past mbar ~ 1e154 Z overflows at every point: the sweep still writes
+    # an (empty-valued) table and reports failure.
     out = tmp_path / "thermo.csv"
     rc = cli.main([
         "thermo", "--method", "direct", "--q", "1.0",
-        "--mbar-min", "9e4", "--mbar-max", "1e5", "--steps", "2",
-        "--tol", "1e-300", "--out", str(out),
+        "--mbar-min", "1e200", "--mbar-max", "1e300", "--steps", "2", "--out", str(out),
     ])
     assert rc == 1
-    assert out.exists()
+    _, rows = read_csv(out)
+    assert len(rows) == 2
+    assert all(row[c] == "" for row in rows for c in cli.SWEEP_HEADER[2:])
     err = capsys.readouterr().err
-    assert "did not converge" in err
+    assert "not finite" in err
 
 
-FAILING_SWEEP = ["--q", "1.0", "--mbar-min", "0.01", "--mbar-max", "1e5", "--steps", "3",
-                 "--tol", "1e-300"]
+# The closed form is non-positive at mbar = 0.01, and Z overflows at 1e300
+# on both routes; mbar = 1e149 passes both.
+FAILING_SWEEP = ["--q", "1.0", "--mbar-min", "0.01", "--mbar-max", "1e300", "--steps", "3"]
+OVERFLOW = ("kgconfine: warning: mbar=1e+300 q=1.0: thermal functions are not finite at "
+            "mbar=1e+300, q=1.0 (floating-point overflow)")
 
 
 def test_sweep_failures_stay_on_their_rows(tmp_path, capsys):
-    # At tol = 1e-300 the sum at mbar = 0.01 still converges (its integral
-    # bound underflows to 0), while mbar = 10^1.5 and 1e5 run into the level
-    # cap: only their rows are blank.
+    # The direct sums at mbar = 0.01 and 1e149 are finite, while Z overflows
+    # at 1e300: only its row is blank.
     out = tmp_path / "thermo.csv"
     rc = cli.main(["thermo", "--method", "direct"] + FAILING_SWEEP + ["--out", str(out)])
     assert rc == 1
     _, rows = read_csv(out)
     assert float(rows[0]["Z_direct"]) == 1.0
-    assert all(rows[0][c] != "" for c in ("F", "U", "C"))
-    assert all(row[c] == "" for row in rows[1:] for c in cli.SWEEP_HEADER[2:])
+    assert all(row[c] != "" for row in rows[:2] for c in ("F", "U", "C"))
+    assert all(rows[2][c] == "" for c in cli.SWEEP_HEADER[2:])
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 3
-    for line, mbar in zip(err, ("31.622776601683793", "100000.0")):
-        assert line.startswith(f"kgconfine: warning: mbar={mbar} q=1.0: direct sum did not converge")
-    assert err[2] == "kgconfine: warning: 2 of 3 sweep points failed"
+    assert err == [OVERFLOW, "kgconfine: warning: 1 of 3 sweep points failed"]
 
 
-def test_compare_reports_the_direct_error_first(tmp_path, capsys):
-    # Row 1 passes the direct sum but fails the closed form's validity
-    # check; rows 2-3 fail the direct sum, whose error the warning names even
-    # though the closed form is fine there.
+def test_compare_reports_the_direct_error_first(tmp_path, capsys, monkeypatch):
+    # Row 0 passes the direct sum but fails the closed form's validity
+    # check; at row 2 both routes overflow, and the failure a compare sweep
+    # keeps there is the direct sum's own error.
     out = tmp_path / "cmp.csv"
     rc = cli.main(["compare"] + FAILING_SWEEP + ["--out", str(out)])
     assert rc == 1
     _, rows = read_csv(out)
-    assert all(row[c] == "" for row in rows for c in cli.SWEEP_HEADER[2:])
+    assert [all(row[c] == "" for c in cli.SWEEP_HEADER[2:]) for row in rows] == [
+        True, False, True]
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 4
+    assert len(err) == 3
     assert err[0].startswith("kgconfine: warning: mbar=0.01 q=1.0: EM truncation is non-positive")
-    for line, mbar in zip(err[1:], ("31.622776601683793", "100000.0")):
-        assert line.startswith(f"kgconfine: warning: mbar={mbar} q=1.0: direct sum did not converge")
-    assert err[3] == "kgconfine: warning: 3 of 3 sweep points failed"
+    assert err[1:] == [OVERFLOW, "kgconfine: warning: 2 of 3 sweep points failed"]
+    routes = {}
+    for name in ("_direct_columns", "_em_columns"):
+        def spy(*args, run=getattr(thermo, name), name=name, **kwargs):
+            routes[name] = run(*args, **kwargs)
+            return routes[name]
+        monkeypatch.setattr(thermo, name, spy)
+    failures = thermo.sweep("both", [0.01, 1e149, 1e300], 1.0).failures
+    direct, em = (routes[name].failures for name in ("_direct_columns", "_em_columns"))
+    assert list(direct) == [2] and sorted(em) == [0, 2]
+    assert failures[2] is direct[2] and failures[0] is em[0]
 
 
 def test_non_finite_sweep_points_fail(tmp_path, capsys):
@@ -745,7 +755,7 @@ def test_non_finite_sweep_points_fail(tmp_path, capsys):
 
 # (argv, exit status): sweeps of every method with no failed point and
 # with failed points (the closed form fails at 4 of the 5 mbar of each q
-# block of the low grid; the direct sum at 2 of 3 points of FAILING_SWEEP),
+# block of the low grid; the direct sum at 1 of 3 points of FAILING_SWEEP),
 # and one profile table.
 LOW_GRID = ["--q", "0.5,1", "--mbar-min", "1e-3", "--mbar-max", "0.1", "--steps", "5"]
 OK_GRID = ["--q", "0.5,1.5", "--mbar-min", "0.1", "--mbar-max", "10", "--steps", "7"]
@@ -814,17 +824,17 @@ def test_sweep_failures_in_several_q_blocks(command, tmp_path, capsys):
 
 
 def test_mixed_failures_warn_in_row_order(tmp_path, capsys):
-    # At tol 1e-300 the closed form fails at mbar = 0.01 in each q block and
-    # the direct sum at every other point: the two routes find their failures
-    # in different orders, and the warnings still come in row order.
-    rc = cli.main(["compare", "--q", "1,1.5", "--mbar-min", "0.01", "--mbar-max", "1e5",
-                   "--steps", "3", "--tol", "1e-300", "--out", str(tmp_path / "c.csv")])
+    # The closed form fails at mbar = 0.01 in each q block, and Z overflows
+    # at mbar = 1e300 on both routes, where the direct sum's error is kept:
+    # the closed form finds its failures in the order (0.01, 1e300) of its
+    # two checks, not in row order, and the warnings still come in row order.
+    rc = cli.main(["compare", "--q", "1,1.5", "--mbar-min", "0.01", "--mbar-max", "1e300",
+                   "--steps", "3", "--out", str(tmp_path / "c.csv")])
     assert rc == 1
     em = "EM truncation is non-positive at mbar={m!r}, q={q!r}; outside its validity range"
-    direct = (f"direct sum did not converge within {thermo.DIRECT_N_MAX} terms "
-              "(mbar={m!r}, q={q!r})")
-    points = [(q, m) for q in (1.0, 1.5) for m in np.geomspace(0.01, 1e5, 3).tolist()]
+    direct = "thermal functions are not finite at mbar={m!r}, q={q!r} (floating-point overflow)"
+    points = [(q, m) for q in (1.0, 1.5) for m in (0.01, 1e300)]
     expected = [f"kgconfine: warning: mbar={m!r} q={q!r}: "
                 + (em if m == 0.01 else direct).format(m=m, q=q) for q, m in points]
-    expected.append("kgconfine: warning: 6 of 6 sweep points failed")
+    expected.append("kgconfine: warning: 4 of 6 sweep points failed")
     assert capsys.readouterr().err.splitlines() == expected

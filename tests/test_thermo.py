@@ -136,13 +136,12 @@ def test_partition_direct_tolerance_is_honest():
     assert loose.terms < 100 and tight.terms < 100
 
 
-def test_partition_direct_term_budget():
-    # No Euler-MacLaurin tail can meet tol = 1e-300, so the head runs into
-    # the DIRECT_N_MAX cap.
-    with pytest.raises(TruncationFailure) as err:
-        thermo.partition_direct(1e5, 1.0, 1e-300)
-    assert err.value.n_terms == thermo.DIRECT_N_MAX
-    assert err.value.partial_sum > 0.0
+def test_partition_direct_tol_floor():
+    # Z is one float64, so no tol below 2^-53 can be met: it is refused, and
+    # at the floor itself the head stays short.
+    with pytest.raises(DomainError, match=r"at least 2\*\*-53"):
+        thermo.partition_direct(1.0, 1.0, 1e-17)
+    assert thermo.partition_direct(1.0, 1.0, 2.0**-53).terms <= 224
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
@@ -302,7 +301,7 @@ def test_kernel_matches_reference_loop(q, tol):
 
 def test_one_kernel_call_per_cli_sweep(monkeypatch, tmp_path):
     # A CLI sweep runs every (q, mbar) point as one row of a single kernel
-    # call, and a point whose sum runs into the level cap costs that one row.
+    # call, and a point whose sum overflows costs that one row.
     calls = []
     kernel = thermo._direct_sums
 
@@ -317,13 +316,11 @@ def test_one_kernel_call_per_cli_sweep(monkeypatch, tmp_path):
                          "--out", str(tmp_path / "t.csv")]) == 0
         assert calls == [(21, moments)]
     calls.clear()
-    cols = thermo.sweep("direct", [0.01, 10**1.5, 1e5], 1.0, tol=1e-300)
+    cols = thermo.sweep("direct", [0.01, 1e149, 1e300], 1.0)
     assert calls == [(3, 3)]
-    assert 0 not in cols.failures and cols.Z_direct[0] == 1.0
-    for i in (1, 2):
-        assert isinstance(cols.failures[i], TruncationFailure)
-        assert cols.failures[i].n_terms == thermo.DIRECT_N_MAX
-        assert math.isnan(cols.Z_direct[i]) and math.isnan(cols.C[i])
+    assert list(cols.failures) == [2] and cols.Z_direct[0] == 1.0
+    assert "not finite" in str(cols.failures[2])
+    assert math.isinf(cols.Z_direct[2]) and math.isnan(cols.C[2])
 
 
 def test_rounds_over_several_blocks_match_one_block(monkeypatch):
@@ -350,9 +347,11 @@ def test_rounds_over_several_blocks_match_one_block(monkeypatch):
 # Euler-MacLaurin tail: (1.0, 1.0) and (0.2357, 5.0) after a 96-level head,
 # the others after 32 levels.  At (0.05, 1.0) and (0.3, 0.5) the tail is a
 # tiny fraction of the sum; at (0.5, 1.0) the summand still falls by e^-0.24
-# per level at level 32, where the tail is taken.
+# per level at level 32, where the tail is taken.  At (5e-5, 1e4) and
+# (5e-9, 1e8) E_1 - E_0 is 1e-4 and 1e-8 of E_0, so forming it as a
+# difference of the two would lose 4 and 8 digits.
 MOMENT_POINTS = ((0.05, 1.0), (0.3, 0.5), (1.0, 1.0), (3.0, 0.05), (50.0, 0.4),
-                 (300.0, 1.6), (0.2357, 5.0), (0.5, 1.0))
+                 (300.0, 1.6), (0.2357, 5.0), (0.5, 1.0), (5e-5, 1e4), (5e-9, 1e8))
 
 
 @functools.cache
@@ -425,11 +424,10 @@ def test_moments_match_30_digit_sums(mbar, q, tol):
 @pytest.mark.parametrize("tol", [1e-3, 1e-8])
 def test_moment_bounds_cover_their_errors(tol):
     # Each moment's bound covers its truncation error; 1e-14 of the sum
-    # allows for rounding, which at low mbar reaches a few 1e-15 through the
-    # cancellation in v_1 = E_1 - E_0.  The check has teeth where a bound
-    # lies far above that allowance: for k >= 1 at (1.0, 1.0) (its k = 0
-    # bound is at the rounding level).  At (0.3, 0.5) the kept tail leaves
-    # no more than rounding, however loose the tol.
+    # allows for rounding, which reaches 6e-16 of it here.  The check has
+    # teeth where a bound lies far above that allowance: for k >= 1 at
+    # (1.0, 1.0) (its k = 0 bound is at the rounding level).  At (0.3, 0.5)
+    # the kept tail leaves no more than rounding, however loose the tol.
     margin = {}
     for mbar, q in MOMENT_POINTS:
         sums, bounds, converged = _kernel(mbar, q, tol)
@@ -630,15 +628,44 @@ def test_direct_route_at_vanishing_temperature(mbar, q):
 
 @pytest.mark.parametrize("q", [1e-6, 1.0, 1e12])
 def test_direct_sweep_from_the_smallest_mbar(q):
-    # From the smallest mbar whose reciprocal is finite up to overflow, no
-    # row runs to DIRECT_N_MAX: the cold rows stop at their first chunk and
-    # only the rows whose Z overflows fail.
+    # From the smallest mbar whose reciprocal is finite up to overflow, the
+    # cold rows stop at their first chunk and only the rows whose Z
+    # overflows fail.
     grid = np.geomspace(5.6e-309, 1e300, 40)
     cols = thermo.sweep("direct", grid, q)
     cold = grid < 1e-100
     assert (cols.Z_direct[cold] == 1.0).all() and (cols.terms[cold] == 32).all()
     for i, err in cols.failures.items():
         assert "not finite" in str(err) and grid[i] > 1e140
+
+
+def test_cold_point_whose_levels_round_onto_the_ground_state():
+    # Above q ~ 2e22 every sqrt(sigma1*n + sigma2) up to n = 1e7 rounds to
+    # E_0, so E_n - E_0 formed by subtraction is 0 and no sum ends.  Formed
+    # as sigma1*n/(E_n + E_0) it is 5e-31 n here, and b*v_1 = 5e9: Z = 1.
+    point = thermo.thermal_functions("direct", 1e-40, 1e30)
+    assert (point.Z, point.U, point.C, point.terms) == (1.0, 0.0, 0.0, 32)
+    assert thermo.excitation_moments(1e-40, 1e30) == (1.0, 0.0, 0.0)
+
+
+# The corners of the domain: q from just above the level-energy overflow to
+# just below the sigma overflow, mbar from the smallest finite 1/mbar up to
+# 1e300, and a denser block around the paper's range.
+DOMAIN_CORNERS = ((np.geomspace(1.2e-301, 6e153, 60), np.geomspace(5.6e-309, 1e300, 400)),
+                  (np.geomspace(1e-4, 1e4, 20), np.geomspace(1e-3, 1e6, 100)))
+
+
+def test_direct_sums_end_within_224_levels_at_the_tol_floor():
+    # The direct sum has no level cap: at the smallest tol it accepts, every
+    # row of the domain stops within 32 + 64 + 128 levels, and the only
+    # failures are the overflows of Z ~ q*mbar^2 (or of the terms forming
+    # it) at huge mbar.
+    for q, mbar in DOMAIN_CORNERS:
+        cols = thermo.sweep("direct", mbar, q, tol=2.0**-53)
+        assert 32 <= cols.terms.min() and cols.terms.max() <= 224
+        for i, err in cols.failures.items():
+            assert isinstance(err, DomainError) and "not finite" in str(err)
+            assert mbar[i % mbar.size] > 1e75
 
 
 @pytest.mark.parametrize("q", [2e-307, 1e-301])
