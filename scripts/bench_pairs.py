@@ -5,8 +5,8 @@
         [--workload W ...] [--pairs 10] [--seed 1] [--seconds 20]
 
 Each run is the ``command`` of CHANGE_ROOT/BENCHMARK.json (``python3
-perfbench/run.py``) plus ``--workload W --seed S --seconds T``, started with
-the checkout as its working directory.  Every pair runs both trees once,
+perfbench/run.py``) plus ``--workload W --seed S --seconds T --trace 0``,
+started with the checkout as its working directory.  Every pair runs both trees once,
 the parent first in odd pairs and the change first in even ones, so a slow
 stretch of the host falls on both alike.  The last line of a run's stdout is
 its result JSON.  The workloads default to every one that BENCHMARK.json
@@ -36,8 +36,8 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-# (checkout root, workload, seed, seconds) -> (exit code, stdout, stderr)
-Runner = Callable[[Path, str, int, float], tuple[int, str, str]]
+# (checkout root, workload, seed, seconds[, trace]) -> (exit code, stdout, stderr)
+Runner = Callable[..., tuple[int, str, str]]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -74,9 +74,10 @@ def format_line(workload: str, name: str, s: dict) -> str:
 
 
 def run_benchmark(command: list[str]) -> Runner:
-    def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[int, str, str]:
+    def run(root: Path, workload: str, seed: int, seconds: float,
+            trace: int = 0) -> tuple[int, str, str]:
         argv = command + ["--workload", workload, "--seed", str(seed),
-                          "--seconds", str(seconds)]
+                          "--seconds", str(seconds), "--trace", str(trace)]
         done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
         return done.returncode, done.stdout, done.stderr
 

