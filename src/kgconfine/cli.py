@@ -377,28 +377,18 @@ def write_table(path: str, header: tuple[str, ...], rows: Sequence[tuple] | _Col
             fh.truncate()
 
 
-def run_spectrum(cfg: argparse.Namespace) -> int:
+def run_levels(cfg: argparse.Namespace) -> int:
     from . import spectrum as spec_mod
 
-    header = ("n", "energy_pos", "energy_neg", "residual")
-    rows = []
-    for n in cfg.n:
-        e = spec_mod.energy(n, cfg.physical)
-        rows.append((n, e, -e, spec_mod.quantization_residual(e, n, cfg.physical)))
-    write_table(cfg.out, header, rows, cfg.format)
-    print(f"wrote {cfg.out} ({len(rows)} rows)")
-    return 0
-
-
-def run_density(cfg: argparse.Namespace) -> int:
-    from . import spectrum as spec_mod
-
-    header = ("n", "energy", "rho_consistent", "rho_paper")
-    rows = []
-    for n in cfg.n:
-        e = spec_mod.energy(n, cfg.physical)
-        rows.append((n, e, spec_mod.level_density_consistent(e, cfg.physical),
-                     spec_mod.level_density_paper(e, cfg.physical)))
+    p = cfg.physical
+    header, row = {
+        "spectrum": (("n", "energy_pos", "energy_neg", "residual"),
+                     lambda n, e: (n, e, -e, spec_mod.quantization_residual(e, n, p))),
+        "density": (("n", "energy", "rho_consistent", "rho_paper"),
+                    lambda n, e: (n, e, spec_mod.level_density_consistent(e, p),
+                                  spec_mod.level_density_paper(e, p))),
+    }[cfg.command]
+    rows = [row(n, spec_mod.energy(n, p)) for n in cfg.n]
     write_table(cfg.out, header, rows, cfg.format)
     print(f"wrote {cfg.out} ({len(rows)} rows)")
     return 0
@@ -480,11 +470,11 @@ def run_sweep(cfg: argparse.Namespace) -> int:
 
 
 _RUNNERS = {
-    "spectrum": run_spectrum,
+    "spectrum": run_levels,
     "wavefunction": run_wavefunction,
     "thermo": run_sweep,
     "compare": run_sweep,
-    "density": run_density,
+    "density": run_levels,
 }
 
 

@@ -39,7 +39,6 @@ finite or is below 2^-53, a precision that no float64 Z can honour.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
@@ -51,8 +50,6 @@ from .params import sigma_constants
 # Bernoulli numbers B_{2i} entering the correction terms.
 BERNOULLI = {1: 1.0 / 6.0, 2: -1.0 / 30.0, 3: 1.0 / 42.0, 4: -1.0 / 30.0}
 
-# The smallest normal float64; a product below it has lost bits to underflow.
-_TINY = sys.float_info.min
 # Cap on the levels ``excitation_moments`` adds; ``_check_q`` keeps energies finite up to it.
 DIRECT_N_MAX = 10_000_000
 # Elements of one exp(-b*v) block of the direct-sum kernel (rows = inverse
@@ -147,12 +144,7 @@ def closed_integral(beta1: float, beta2: float, beta3: float) -> float:
     if not 0.0 <= beta3 < math.inf:
         raise DomainError(f"beta3 must be non-negative and finite, got {beta3!r}")
     x = beta1 * math.sqrt(beta3)
-    try:
-        sq = beta1**2
-        # A subnormal beta1**2 kept fewer than 53 bits: take the logarithms.
-        value = (2.0 / (sq * beta2)) * math.exp(-x) * (1.0 + x) if sq >= _TINY else 0.0
-    except (OverflowError, ZeroDivisionError):  # beta1**2 or beta1**2 beta2 left the range
-        value = 0.0
+    value = (2.0 / beta2) / beta1 / beta1 * math.exp(-x) * (1.0 + x)
     if 0.0 < value < math.inf:
         return value
     # A factor left the float range: take the value from its logarithm.
@@ -250,10 +242,7 @@ def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int
     root = np.sqrt(x)
     z = b * (s1 * n / (root + e0))[which]  # b (E_n - E_0), without the cancellation
     fx = np.exp(-z)
-    pref = 2.0 / (b * b * s1[which])
-    subnormal = b * b < _TINY
-    if subnormal.any():  # b*b kept fewer than 53 bits there: divide by b twice
-        pref[subnormal] = ((2.0 / s1[which]) / b / b)[subnormal]
+    pref = (2.0 / s1[which]) / b / b
     be0 = b * e0[which]
     integrals = [pref * fx * (1.0 + b * root[which])]
     e_prev, e, term = 1.0, 1.0 + z, z
@@ -467,32 +456,18 @@ def euler_maclaurin_sum(
     return total
 
 
-def _order2_constant(s1: float, s2: float) -> float:
-    # sigma1^3/(5760 sigma2^{5/2}).  Past sigma1 ~ 5.6e102 (q below ~3.6e-103)
-    # the cube and the power both overflow, inf/inf, so there it divides
-    # before it cubes; every other q keeps the bits of the plain form.
-    k = s1**3 / (5760.0 * s2**2.5)
-    return k if math.isfinite(k) else (s1 / s2 ** (5 / 6)) ** 3 / 5760.0
-
-
 def _em_z_and_derivatives(rows: _Rows, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Closed-form Z(mbar) of the truncation plus its first two mbar
     # derivatives, used for the analytic thermal functions.  A power of mbar
     # past the float range becomes inf instead of raising.
-    consts = rows.constants()
-    s1, s2 = (c[rows.which] for c in consts)
+    s1, s2 = (c[rows.which] for c in rows.constants())
     mbar = rows.mbar
     root = np.sqrt(s2)
-    # The leading term at mbar/2, times 4: scaling by powers of two is exact,
-    # and for q = 2/sigma1 < 1 a bare mbar^2 would overflow before Z does.
-    m = 0.5 * mbar
-    z = 0.5 + 4.0 * ((2.0 / s1) * (m * m + root * m * 0.5)) + (s1 / (24.0 * root)) / mbar
+    z = 0.5 + (2.0 / s1) * mbar * (mbar + root) + (s1 / (24.0 * root)) / mbar
     zp = (2.0 / s1) * (2.0 * mbar + root) - (s1 / (24.0 * root)) / mbar**2
     zpp = 4.0 / s1 + (s1 / (12.0 * root)) / mbar**3
     if order >= 2:
-        # float ** float per q, so every point gets the constant that a
-        # scalar evaluation of the closed form would.
-        k = np.array([_order2_constant(c1, c2) for c1, c2 in zip(*consts)])[rows.which]
+        k = (s1 / s2) ** 2 * (s1 / root) / 5760.0
         z -= k * (3.0 / mbar + 3.0 * root / mbar**2 + s2 / mbar**3)
         zp += k * (3.0 / mbar**2 + 6.0 * root / mbar**3 + 3.0 * s2 / mbar**4)
         zpp -= k * (6.0 / mbar**3 + 18.0 * root / mbar**4 + 12.0 * s2 / mbar**5)

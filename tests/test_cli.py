@@ -619,6 +619,12 @@ def test_negative_value_in_exponent_form(tmp_path):
     assert tables[0] == tables[1] == tables[2]
 
 
+def test_dash_token_that_is_no_number_stays_unjoined():
+    # A value that starts with "-" but is no number is left to argparse.
+    argv = ["--out", "-x.csv", "--a1", "-1e-3"]
+    assert cli._join_negative_values(argv) == ["--out", "-x.csv", "--a1=-1e-3"]
+
+
 def test_runtime_failure_exits_1(tmp_path, capsys):
     out = tmp_path / "missing-dir" / "spec.csv"
     rc = cli.main(["spectrum", "--n", "0", "--out", str(out)])

@@ -105,7 +105,8 @@ def test_tails_keep_their_digits_where_b_squared_is_subnormal(mbar):
         closed_ref = integral * mp.exp(-b * e0)
     z = thermo.partition_direct(mbar, TINY_Q, 1e-12).Z
     assert abs(z / z_ref - 1) < 1e-15
-    # closed_integral takes its logarithms there: their rounding is ~1e-13.
+    # closed_integral divides by beta1 one factor at a time, so its product
+    # stays in the float range there and takes no logarithm.
     assert abs(thermo.closed_integral(1.0 / mbar, s1, s2) / closed_ref - 1) < 1e-12
 
 
@@ -625,13 +626,23 @@ def test_em_route_is_finite_up_to_the_overflow_of_z():
 def test_em_route_overflows_where_the_direct_route_does():
     # For q = 2/sigma1 < 1 a bare mbar^2 overflows before Z ~ q*mbar^2 does;
     # the closed form must stay finite on every point where the direct sum is.
-    grid = np.geomspace(1e153, 2e154, 40)
-    for q in (0.25, 0.5, 0.9, 2.0):
+    # At q = 1e-200 a product that forms mbar^2 first overflows from mbar ~
+    # 1.3e154, while Z stays finite up to mbar ~ 1e254.
+    cases = [(q, np.geomspace(1e153, 2e154, 40)) for q in (0.25, 0.5, 0.9, 2.0)]
+    cases.append((TINY_Q, np.geomspace(1e153, 1e255, 60)))
+    for q, grid in cases:
         em = thermo.sweep("em", grid, q)
         direct = thermo.sweep("direct", grid, q, tol=1e-10)
         assert em.failures.keys() == direct.failures.keys()
     z = thermo.partition_em(1.5e154, 0.5).Z
     assert z == pytest.approx(thermo.partition_direct(1.5e154, 0.5).Z, rel=1e-12)
+    for mbar in (2.7e154, 1e160, 1e253):
+        ref = thermo.thermal_functions("direct", mbar, TINY_Q)
+        for order in (1, 2):
+            point = thermo.thermal_functions("em", mbar, TINY_Q, order)
+            assert abs(point.Z / ref.Z - 1) <= 1e-15
+            assert abs(point.U / ref.U - 1) <= 1e-15
+            assert point.C == 2.0
 
 
 @pytest.mark.parametrize("mbar", [1e-120, 6e-309])
@@ -925,6 +936,16 @@ def test_excitation_moments_against_brute_force():
     assert math.isclose(z, z_ref, rel_tol=1e-12)
     assert math.isclose(m1, m1_ref, rel_tol=1e-12)
     assert math.isclose(m2, m2_ref, rel_tol=1e-12)
+
+
+def test_excitation_moments_stops_at_its_level_cap(monkeypatch):
+    # At mbar = 1e4 the moment sums need over 1e9 levels: with the cap lowered
+    # to 5000 the loop ends there and reports what it summed.
+    monkeypatch.setattr(thermo, "DIRECT_N_MAX", 5000)
+    with pytest.raises(TruncationFailure) as err:
+        thermo.excitation_moments(1e4, 1.0)
+    assert err.value.n_terms == 5000
+    assert err.value.partial_sum > 0.0
 
 
 def test_excitation_moments_where_b_cubed_underflows():
