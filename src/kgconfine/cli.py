@@ -412,7 +412,8 @@ def run_wavefunction(cfg: argparse.Namespace) -> int:
             continue
         rows = _Columns([sample.grid.tolist(), sample.values.tolist()], {})
         write_table(path, ("y", "psi"), rows, cfg.format)
-        print(f"wrote {path} ({len(rows)} rows, normalized={sample.normalized})")
+        print(f"wrote {path} ({len(rows)} rows, normalized={sample.normalized}, "
+              f"rounding={sample.rounding:.1e})")
     return _report_failures(failures, len(cfg.n), "profiles")
 
 

@@ -41,6 +41,11 @@ from .params import PhysicalParams, _Reduction, _reduction
 # covering the full decay (and for normalized samples to claim it).
 DECAY_FRACTION = 1e-8
 
+# auto_grid refuses a level whose rounding estimate reaches this: its double
+# precision profile is off by orders of magnitude more than DECAY_FRACTION
+# of its peak.
+ROUNDING_LIMIT = 1e3 * DECAY_FRACTION
+
 # auto_grid's grids have at least this many points: half its 2001-point
 # probe, so their spacing is at most y_max/1000.
 MIN_GRID_POINTS = 1001
@@ -49,20 +54,29 @@ MIN_GRID_POINTS = 1001
 _STEPS = np.arange(2001.0)
 _STEPS.setflags(write=False)
 
+# The rounding estimate's nodes y_j = j*end/64, j = 1..64, as fractions
+# x_j = j/64 of end; the rows log x, x and x^2 give log w(y_j) in one product.
+_NODES = np.arange(1.0, 65.0) / 64.0
+_NODE_BASIS = np.stack((np.log(_NODES), _NODES, _NODES * _NODES))
+_NODE_BASIS.setflags(write=False)
+
 
 @dataclass(frozen=True, eq=False)
 class WavefunctionSample:
     """Eigenfunction profile sampled on a y-grid.
 
-    ``normalized`` is set only when normalization was requested and the grid
+    ``normalized`` is set only when normalization was requested, the grid
     reaches far enough into the tail (|psi| below DECAY_FRACTION of the peak
-    at the last point) for the quadrature to be trustworthy.
+    at the last point) for the quadrature to be trustworthy, and the level's
+    rounding estimate ``rounding`` (see ``auto_grid``) is below
+    DECAY_FRACTION.
     """
 
     n: int
     grid: np.ndarray
     values: np.ndarray
     normalized: bool
+    rounding: float
 
 
 def _check_n(n: int) -> int:
@@ -133,13 +147,14 @@ def heun_parameters(n: int, params: PhysicalParams) -> heun.HeunParams:
 
 @dataclass(eq=False)
 class _Level:
-    """One level's constants: the reduction at E_n, the degree-n cut, and
-    the last grid ``auto_grid`` returned for it with psi on that grid and
-    the peak of |psi|, held apart from the caller's copy so that editing the
-    returned grid cannot reach them."""
+    """One level's constants: the reduction at E_n, the degree-n cut, its
+    rounding estimate, and the last grid ``auto_grid`` returned for it with
+    psi on that grid and the peak of |psi|, held apart from the caller's
+    copy so that editing the returned grid cannot reach them."""
 
     reduction: _Reduction
     series: heun.SeriesSolution
+    rounding: float
     handoff: tuple[np.ndarray, np.ndarray, float] | None = None
 
 
@@ -149,7 +164,56 @@ def _truncation(n: int, params: PhysicalParams) -> _Level:
     # share the level's constants and the probe's profile, and nothing is
     # kept from one (n, params) to the next.
     r = _reduction(params, energy(n, params))
-    return _Level(r, heun.truncated_polynomial(_heun_params(r), n))
+    series = heun.truncated_polynomial(_heun_params(r), n)
+    return _Level(r, series, _rounding(r, series.coeffs))
+
+
+def _first_end(r: _Reduction) -> float:
+    """End of auto_grid's first probe: past the outer classical turning
+    point of y^2 - A3*y = eps1."""
+    disc = r.A3 * r.A3 + 4.0 * r.eps1
+    y_turn = 0.5 * (r.A3 + math.sqrt(disc)) if disc > 0.0 else 0.0
+    return max(2.0, 1.5 * y_turn + 2.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _node_powers(rows: int) -> np.ndarray:
+    # (j/64)^k for k < rows, one row per k.  Callers ask for a power of two
+    # and at least 256 rows, so every level up to n = 255 shares one table.
+    powers = _NODES ** np.arange(float(rows))[:, None]
+    powers.setflags(write=False)
+    return powers
+
+
+def _rounding(r: _Reduction, coeffs: np.ndarray) -> float:
+    """Rounding estimate of a level's profile relative to its peak.
+
+    rho = 2^-53 * max_j S(y_j) w(y_j) / max_j |u(y_j) w(y_j)| over the nodes
+    y_j = j*end/64, j = 1..64, with end the first probe's end, S(y) =
+    sum |a_k| y^k, u(y) = sum a_k y^k and w(y) = y^p e^{(A3 y - y^2)/2}
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5).  Both
+    sums come from one matrix product of the terms a_k end^k.  The terms and
+    the weights are each formed from their logarithms and scaled by their
+    largest magnitude, a factor that cancels in rho, so neither overflows or
+    underflows as a whole; non-finite coefficients give a NaN.
+    """
+    end = _first_end(r)
+    size = coeffs.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Row 0 is |a_k| end^k and row 1 a_k end^k, over the largest term.
+        pair = np.empty((2, size))
+        log_terms = np.log(np.abs(coeffs, out=pair[0]), out=pair[0])
+        log_terms += np.arange(float(size)) * math.log(end)
+        log_terms -= log_terms.max()
+        np.exp(log_terms, out=pair[0])
+        np.copysign(pair[0], coeffs, out=pair[1])
+        sums = pair @ _node_powers(1 << max(8, size.bit_length()))[:size]
+        # log w(y_j) less the constant p*log(end).
+        log_w = np.array((r.p, 0.5 * r.A3 * end, -0.5 * end * end)) @ _NODE_BASIS
+        log_w -= log_w.max()
+        sums *= np.exp(log_w, out=log_w)
+        big = np.abs(sums, out=sums).max(axis=1)
+        return heun._UNIT_ROUNDOFF * float(big[0] / big[1])
 
 
 def _profile(n: int, level: _Level, grid: np.ndarray) -> np.ndarray:
@@ -187,8 +251,11 @@ def wavefunction(
     ones its last probe already computed there, bit for bit what a fresh
     evaluation gives, and the grid is not checked again: it is valid by
     construction.  That grid's last sample is below the decay threshold, so
-    ``normalize=True`` sets ``normalized``.  Any other grid, an edited copy
-    of that one included, is checked and evaluated anew.
+    ``normalize=True`` sets ``normalized`` unless the level's rounding
+    estimate is at least DECAY_FRACTION.  Any other grid, an edited copy of
+    that one included, is checked and evaluated anew.  The rounding estimate
+    never makes this call raise: a caller's grid may lie where the sum is
+    accurate.
     """
     n = _check_n(n)
     grid = np.asarray(grid, dtype=float)
@@ -220,7 +287,9 @@ def wavefunction(
         values = values / math.sqrt(norm_sq)
     values.setflags(write=False)
     return WavefunctionSample(
-        n=n, grid=grid, values=values, normalized=bool(normalize and decayed)
+        n=n, grid=grid, values=values,
+        normalized=bool(normalize and decayed and level.rounding < DECAY_FRACTION),
+        rounding=level.rounding,
     )
 
 
@@ -250,15 +319,20 @@ def auto_grid(n: int, params: PhysicalParams) -> np.ndarray:
     do not fool the scan because it keys on the *last* above-threshold
     point, not the first dip.  After 12 probes without such a cut the grid
     is ``linspace(0, end, 2001)``.
+
+    Before the first probe, a level whose rounding estimate (``_rounding``)
+    is at least ROUNDING_LIMIT raises DomainError: its double-precision
+    profile would be wrong by far more than DECAY_FRACTION of its peak.  A
+    NaN or infinite estimate refuses nothing.
     """
     n = _check_n(n)
     level = _truncation(n, params)
-
-    # Outer classical turning point of y^2 - A3*y = eps1 as a starting guess.
-    r = level.reduction
-    disc = r.A3 * r.A3 + 4.0 * r.eps1
-    y_turn = 0.5 * (r.A3 + math.sqrt(disc)) if disc > 0.0 else 0.0
-    end = max(2.0, 1.5 * y_turn + 2.0)
+    if ROUNDING_LIMIT <= level.rounding < math.inf:
+        raise DomainError(
+            f"level-{n} profile is lost to rounding in double precision: "
+            f"rounding estimate {level.rounding:.2e} >= {ROUNDING_LIMIT:.0e} of its peak"
+        )
+    end = _first_end(level.reduction)
 
     for _ in range(12):
         probe = _lattice(end)

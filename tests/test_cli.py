@@ -278,6 +278,21 @@ def test_wavefunction_per_n_files(tmp_path, capsys):
         assert y[0] == 0.0 and np.all(np.diff(y) > 0)
 
 
+def test_wavefunction_refuses_a_level_lost_to_rounding(tmp_path, capsys):
+    # n = 150 of the default potential is refused before it is probed; n = 0
+    # is written, and its line reports its rounding estimate, 2^-53.
+    out = tmp_path / "wf.csv"
+    rc = cli.main(["wavefunction", "--n", "0,150", "--out", str(out)])
+    assert rc == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wf_n0.csv"]
+    captured = capsys.readouterr()
+    assert captured.out == (f"wrote {tmp_path / 'wf_n0.csv'} (1944 rows, normalized=True, "
+                            "rounding=1.1e-16)\n")
+    err = captured.err.splitlines()
+    assert err[0].startswith("kgconfine: warning: n=150: level-150 profile is lost to rounding")
+    assert err[1] == "kgconfine: warning: 1 of 2 profiles failed"
+
+
 def test_wavefunction_writes_every_profile_to_a_device(monkeypatch, capsys):
     # A path that exists but is neither a file nor a directory takes every
     # profile as given, with no per-n name beside it.
