@@ -25,7 +25,9 @@ compare over mbar = 1e30..1e160 that fails in both of its q blocks, and the
 q = 0.5 em sweep over mbar = 1e153..1.9e154, where Z nears the float limit,
 and a 5 q x 3,000 mbar compare at the benchmark's sweep_dense scale),
 wavefunctions whose raw squares (``--a3 200``) or samples (``--a3 500``)
-overflow double precision, ``--config`` files, usage errors (among them a
+overflow double precision, one whose degree-10 series coefficients overflow
+(``--mass 1e50 --a2 1e-10``, a typed error with no numpy warning on stderr),
+``--config`` files, usage errors (among them a
 ``--tol 1e-300`` sweep, below the 2**-53 floor of tol), a negative
 flag value in exponent form (``--a1 -1e-3``, whose table must equal that of
 ``--a1=-0.001``) and the ``--help`` text of the program and of every command.
@@ -125,6 +127,9 @@ RUNS += [
     ("io-failure", ["spectrum", "--out", "{tmp}/missing/s.csv"], None),
     ("wavefunction-tol", ["wavefunction", "--n", "2", "--tol", "1e-8", "--mass", "1",
                           "--out", "{tmp}/w.json", "--format", "json"], None),
+    # The level's series coefficients overflow: a warning and exit 1, no table.
+    ("wavefunction-non-finite", ["wavefunction", "--mass", "1e50", "--a2", "1e-10", "--n", "10",
+                                 "--out", "{tmp}/w.csv"], None),
     ("config-all", ["thermo", "--config", "{tmp}/run.cfg"],
      "# every key\na1 = 0.2\na2: 0.3\na3 = 0.0\nmass = 1\nHBAR-C = 1.5\nq = 0.7,1.1\n"
      "n = 0..2\nmbar_min = 0.5\nmbar-max = 5\nsteps = 9\nscale = linear\nmethod = direct\n"

@@ -98,7 +98,7 @@ def parse_q_list(text: str) -> tuple[float, ...]:
         except ValueError:
             raise ConfigError(f"malformed entry {part!r} in q list") from None
         try:
-            thermo._check_q(value)  # the levels' domain rule for q
+            thermo._Ladder(value)  # the levels' domain rule for q
         except DomainError as exc:
             raise ConfigError(f"invalid q {part!r}: {exc}") from None
         values.append(value)

@@ -7,8 +7,8 @@ The model is a one-dimensional Klein-Gordon particle with a scalar potential
 added to the mass term and no vector coupling.  All module math works with
 the inverse length Q = 1/(hbar*c) and the scaled coordinate y = sqrt(Q*a2)*|x|.
 The reduction's formulas live here only: ``spectrum`` takes its wave-equation
-coefficients from ``_reduction`` and ``thermo`` its level constants from
-``sigma_constants``.  Their symbols:
+coefficients from ``_reduction``, and ``thermo`` builds its level ladder on
+``sigma_constants``, called once per q.  Their symbols:
 
     q       = a3/(hbar*c), the single coupling the spectrum depends on
     eps     = sqrt(a2*a3), the natural energy unit

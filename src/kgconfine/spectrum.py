@@ -162,9 +162,13 @@ class _Level:
 def _truncation(n: int, params: PhysicalParams) -> _Level:
     # One entry: auto_grid's probes and the wavefunction call after them
     # share the level's constants and the probe's profile, and nothing is
-    # kept from one (n, params) to the next.
+    # kept from one (n, params) to the next.  Coefficients that overflow
+    # make psi non-finite on every grid, so no Horner pass runs on them.
     r = _reduction(params, energy(n, params))
     series = heun.truncated_polynomial(_heun_params(r), n)
+    if not np.isfinite(series.coeffs).all():
+        raise DomainError(f"level-{n} profile is not finite in double precision: "
+                          f"its degree-{n} series coefficients overflow")
     return _Level(r, series, _rounding(r, series.coeffs))
 
 
@@ -195,7 +199,7 @@ def _rounding(r: _Reduction, coeffs: np.ndarray) -> float:
     sums come from one matrix product of the terms a_k end^k.  The terms and
     the weights are each formed from their logarithms and scaled by their
     largest magnitude, a factor that cancels in rho, so neither overflows or
-    underflows as a whole; non-finite coefficients give a NaN.
+    underflows as a whole.
     """
     end = _first_end(r)
     size = coeffs.size
@@ -243,8 +247,9 @@ def wavefunction(
     The Heun factor is the degree-n truncation of the series (see module
     docstring); normalization uses trapezoid quadrature of psi^2 over the
     doubled symmetric domain (the profile is even in y), i.e. 2 * trapz(psi^2).
-    A sample that overflows double precision, or a profile that underflows to
-    zero on the grid when normalized, raises DomainError.
+    A sample that overflows double precision, a profile that underflows to
+    zero on the grid when normalized, or a level whose series coefficients
+    overflow (before any evaluation) raises DomainError.
 
     On the grid ``auto_grid(n, params)`` just returned (equal by value; no
     other level or potential called in between), psi and its peak are the
@@ -322,8 +327,10 @@ def auto_grid(n: int, params: PhysicalParams) -> np.ndarray:
 
     Before the first probe, a level whose rounding estimate (``_rounding``)
     is at least ROUNDING_LIMIT raises DomainError: its double-precision
-    profile would be wrong by far more than DECAY_FRACTION of its peak.  A
-    NaN or infinite estimate refuses nothing.
+    profile would be wrong by far more than DECAY_FRACTION of its peak.  An
+    infinite estimate refuses nothing.  A level whose series coefficients
+    overflow raises DomainError, here and in ``wavefunction``, before any
+    evaluation.
     """
     n = _check_n(n)
     level = _truncation(n, params)

@@ -2,7 +2,8 @@
 
 Everything here lives in the dimensionless plane (mbar, q): mbar = k_B*T/eps
 is the reduced temperature and the levels are E_n/eps = sqrt(sigma1*n +
-sigma2).  The partition function is referenced to the ground state,
+sigma2), formed for every route by one private ladder per set of q
+(``_Ladder``).  The partition function is referenced to the ground state,
 
     Z(mbar) = sum_n exp(-(E_n - E_0)/(eps*mbar)),
 
@@ -32,8 +33,9 @@ not an inf or NaN.  Inputs rejected with DomainError: mbar that is not
 positive and finite or whose reciprocal overflows (mbar below ~5.6e-309);
 q that is not positive and finite, whose level constants sigma1, sigma2
 are not finite (q above ~6.7e153), or for which sigma1*n + sigma2 overflows
-at a level n <= DIRECT_N_MAX + 1 (q below ~1.1e-301); and tol that is not
-finite or is below 2^-53, a precision that no float64 Z can honour.
+at a level n <= DIRECT_N_MAX + 1 (q below ~1.1e-301), the domain rule that
+building the ladder applies; and tol that is not finite or is below 2^-53,
+a precision that no float64 Z can honour.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .params import sigma_constants
 # Bernoulli numbers B_{2i} entering the correction terms.
 BERNOULLI = {1: 1.0 / 6.0, 2: -1.0 / 30.0, 3: 1.0 / 42.0, 4: -1.0 / 30.0}
 
-# Cap on the levels ``excitation_moments`` adds; ``_check_q`` keeps energies finite up to it.
+# Cap on the levels ``excitation_moments`` adds; ``_Ladder`` keeps energies finite up to it.
 DIRECT_N_MAX = 10_000_000
 # Elements of one exp(-b*v) block of the direct-sum kernel (rows = inverse
 # temperatures, columns = levels); bounds its scratch memory whatever the
@@ -101,29 +103,20 @@ def _check_order(order: int) -> None:
         raise ConfigError(f"order must be 1 or 2, got {order!r}")
 
 
-def _check_point(mbar: float, q: float, tol: float) -> None:
-    if not (mbar > 0.0) or not math.isfinite(mbar):
-        raise DomainError(f"mbar must be positive and finite, got {mbar!r}")
-    if not math.isfinite(1.0 / mbar):  # below mbar ~ 5.6e-309
-        raise DomainError(f"1/mbar overflows at mbar={mbar!r}")
+def _check_point(tol: float, *mbars: float) -> None:
+    # Each mbar in turn, then tol; building a ladder checks q.
+    for mbar in mbars:
+        if not (mbar > 0.0) or not math.isfinite(mbar):
+            raise DomainError(f"mbar must be positive and finite, got {mbar!r}")
+        if not math.isfinite(1.0 / mbar):  # below mbar ~ 5.6e-309
+            raise DomainError(f"1/mbar overflows at mbar={mbar!r}")
     _check_tol(tol)
-    _check_q(q)
 
 
 def _check_tol(tol: float) -> None:
     # Z is one float64, rounded to within 2^-53 of itself: no smaller tol can be met.
     if not 2.0**-53 <= tol < math.inf:
         raise DomainError(f"tol must be finite and at least 2**-53 (~1.1e-16), got {tol!r}")
-
-
-def _check_q(q: float) -> None:
-    # The levels' domain rule for q: finite sigma1 and sigma2, and a finite
-    # sigma1*n + sigma2 up to the last level a sum may reach, so no level
-    # energy that a sum forms is inf.
-    s1, s2 = sigma_constants(q)
-    if not math.isfinite(s1 * (DIRECT_N_MAX + 1) + s2):  # q below ~1.1e-301
-        raise DomainError(f"q={q!r} puts the energy of level {DIRECT_N_MAX + 1} "
-                          "past the float range")
 
 
 def closed_integral(beta1: float, beta2: float, beta3: float) -> float:
@@ -172,10 +165,59 @@ _INV_FACTORIAL = 1.0 / np.array([1.0, 2.0, 6.0])[:, None]
 _BOUND_PREFACTOR = np.where(_K == 0, 1.0, 2.0) / (_K + 1) * abs(BERNOULLI[4]) / 8
 
 
-def _root_series(s1, x: np.ndarray) -> np.ndarray:
-    """Taylor coefficients sqrt(x) C(1/2, j) (s1/x)^j of sqrt(x + s1 e) in e
-    for orders j = 1..7 at every x; shape (7, x.size)."""
-    return np.sqrt(x) * _HALF_BINOMIALS[:, None] * (s1 / x) ** _ORDERS
+class _Ladder:
+    """The closed-form levels E_n/eps = sqrt(s1 n + s2) of each q in ``qs``
+    (entry i of each array belongs to qs[i]), the only place ``thermo``
+    forms them.  Building it applies the module docstring's domain rule for
+    q to each q in turn, so no level energy that a sum forms is inf."""
+
+    def __init__(self, *qs: float):
+        constants = []
+        for q in qs:
+            s1, s2 = sigma_constants(q)
+            if not math.isfinite(s1 * (DIRECT_N_MAX + 1) + s2):  # q below ~1.1e-301
+                raise DomainError(f"q={q!r} puts the energy of level {DIRECT_N_MAX + 1} "
+                                  "past the float range")
+            constants.append((s1, s2))
+        self.qs = qs
+        self.s1, self.s2 = np.array(constants).T
+        self.e0 = np.sqrt(self.s2)  # E_0
+
+    def gaps(self, qs, levels: np.ndarray) -> np.ndarray:
+        # E_n - E_0 as s1 n/(E_n + E_0), without the cancellation, at each of
+        # ``levels``: a row per q index in the array qs, one 1-d row for an int.
+        x = self.s1[qs, None] * levels
+        return x / (np.sqrt(x + self.s2[qs, None]) + self.e0[qs, None])
+
+    def tail(self, n: int, b: np.ndarray, which: np.ndarray, moments: int):
+        """(z, e^{-z}, integrals, dy) at level n for rows of inverse
+        temperature b on the q numbered ``which``: z = b (E_n - E_0),
+        integrals[k] = integral_n^inf g_k dn for k < moments (g_k of
+        ``_em_tails``), and dy[j - 1] = b sqrt(x) C(1/2, j) (s1/x)^j with
+        x = s1 n + s2, the Taylor coefficients of b E(n + e) = b sqrt(x + s1 e)
+        in e for orders j = 1..7, shape (7, rows).
+
+        With the closed form's Jacobian dn = (2E/sigma1) dE, the integral is
+        pref * [Gamma(k+2, z) + b E_0 Gamma(k+1, z)]/(k+1)!, pref =
+        2/(b^2 sigma1), and for integer m Gamma(m+1, z) = m! e^{-z} e_m(z) with
+        e_m(z) = sum_{j<=m} z^j/j!, so it is pref * e^{-z} (e_{k+1} +
+        b E_0 e_k/(k+1)), a sum of positive terms; the k = 0 one is written
+        pref * e^{-z} (1 + b E(n)).
+        """
+        x = self.s1 * n + self.s2
+        root = np.sqrt(x)
+        z = b * (self.s1 * n / (root + self.e0))[which]  # b (E_n - E_0), as in ``gaps``
+        fx = np.exp(-z)
+        pref = (2.0 / self.s1[which]) / b / b
+        be0 = b * self.e0[which]
+        integrals = [pref * fx * (1.0 + b * root[which])]
+        e_prev, e, term = 1.0, 1.0 + z, z
+        for k in range(1, moments):
+            term = term * z / (k + 1)
+            e_prev, e = e, e + term
+            integrals.append(pref * fx * (e + be0 * e_prev / (k + 1)))
+        dy = b * (root * _HALF_BINOMIALS[:, None] * (self.s1 / x) ** _ORDERS).take(which, axis=1)
+        return z, fx, integrals, dy
 
 
 def _exp_series(c: np.ndarray) -> np.ndarray:
@@ -195,21 +237,20 @@ def _exp_series(c: np.ndarray) -> np.ndarray:
     return E
 
 
-def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int):
+def _em_tails(n: int, b: np.ndarray, which: np.ndarray, ladder: _Ladder, moments: int):
     """Euler-MacLaurin value of sum_{n' >= n} g_k(n'), g_k = y^k e^{-y}/(k+1)!,
     y = b v, through the B6 correction, for every row and k < moments, and a
     bound on its remainder: (tails, bounds), each of shape (moments, rows).
 
-    At the level where s1 n + s2 = x, y(n + e) = z + sum_j dy_j e^j with
-    z = b v(n) and dy_j = b ``_root_series``(s1, x)_j, so e^{-y(n+e)} =
-    e^{-z} sum_m E_m e^m, E from ``_exp_series`` at c_j = -dy_j.  The dy_j
-    alternate in sign from dy_1 > 0, so each term of E_m's recurrence has the
-    sign (-1)^m and none cancels.  The series of g_k is e^{-z} (Y^k E)/(k+1)!,
-    Y = z + sum_j dy_j e^j, and g_k^(m)(n) is m! times its coefficient of
-    e^m: the correction B_{2i}/(2i)! g_k^(2i-1)(n) is B_{2i}/(2i) times the
-    coefficient of order 2i - 1.  The remainder after the B6 correction obeys
-    |R| <= 2|B8|/8! integral_n^inf |g_k^(8)| (DLMF 2.10.1, with
-    |B8(x - floor x)| <= |B8|).
+    At level n, y(n + e) = z + sum_j dy_j e^j with z = b v(n) and dy_j from
+    ``ladder.tail``, so e^{-y(n+e)} = e^{-z} sum_m E_m e^m, E from
+    ``_exp_series`` at c_j = -dy_j.  The dy_j alternate in sign from dy_1 > 0,
+    so each term of E_m's recurrence has the sign (-1)^m and none cancels.  The
+    series of g_k is e^{-z} (Y^k E)/(k+1)!, Y = z + sum_j dy_j e^j, and
+    g_k^(m)(n) is m! times its coefficient of e^m: the correction B_{2i}/(2i)!
+    g_k^(2i-1)(n) is B_{2i}/(2i) times the coefficient of order 2i - 1.  The
+    remainder after the B6 correction obeys |R| <= 2|B8|/8! integral_n^inf
+    |g_k^(8)| (DLMF 2.10.1, with |B8(x - floor x)| <= |B8|).
 
     * k = 0: g_0 is completely monotone in n, so R lies between 0 and the
       first omitted term B8/8! g_0^(7)(n) = (B8/8) e^{-z} E_7: its size.
@@ -228,29 +269,11 @@ def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int
       e^{-(1 - theta) z} |E'_7|.  It holds for every theta in (0, 1);
       theta = k/(12 + z) keeps it near its smallest.
 
-    The integral term integral_n^inf g_k dn is, with dn = (2E/sigma1) dE,
-    pref * [Gamma(k+2, z) + b E_0 Gamma(k+1, z)]/(k+1)!, pref =
-    2/(b^2 sigma1), and for integer m Gamma(m+1, z) = m! e^{-z} e_m(z) with
-    e_m(z) = sum_{j<=m} z^j/j!, so it is pref * e^{-z} (e_{k+1} +
-    b E_0 e_k/(k+1)), a sum of positive terms; the k = 0 one is written
-    pref * e^{-z} (1 + b E(n)).
-
+    The integral terms integral_n^inf g_k dn come from ``ladder.tail``.
     Where e^{-z} underflows to 0 the tail and its bound are 0, though z^k,
     e_k(z) and the series may overflow there.
     """
-    x = s1 * n + s2
-    root = np.sqrt(x)
-    z = b * (s1 * n / (root + e0))[which]  # b (E_n - E_0), without the cancellation
-    fx = np.exp(-z)
-    pref = (2.0 / s1[which]) / b / b
-    be0 = b * e0[which]
-    integrals = [pref * fx * (1.0 + b * root[which])]
-    e_prev, e, term = 1.0, 1.0 + z, z
-    for k in range(1, moments):
-        term = term * z / (k + 1)
-        e_prev, e = e, e + term
-        integrals.append(pref * fx * (e + be0 * e_prev / (k + 1)))
-    dy = b * _root_series(s1, x).take(which, axis=1)
+    z, fx, integrals, dy = ladder.tail(n, b, which, moments)
     # theta_0 = 0 gives the tail's own series, theta_k (k >= 1) the series of
     # the k-th bound: one recurrence serves them all.
     k = _K[:moments]
@@ -277,11 +300,11 @@ def _em_tails(n: int, b: np.ndarray, which: np.ndarray, s1, s2, e0, moments: int
 
 
 def _add_levels(sums: np.ndarray, b: np.ndarray, which: np.ndarray, live: np.ndarray,
-                s1, s2, e0, lo: int, hi: int) -> None:
+                ladder: _Ladder, lo: int, hi: int) -> None:
     # Add levels lo..hi-1 to the moment sums of every live row, in blocks of
     # live rows with at most _BLOCK exp(-b*v) elements.  ``which`` is
     # non-decreasing, so a block's rows of one q are consecutive: the block
-    # computes the level ladder of each of its q once, and its row r reads ladder at[r].
+    # takes the gaps of each of its q once, and its row r reads gap row at[r].
     levels = np.arange(lo, hi, dtype=float)
     step = _BLOCK // levels.size
     for i in range(0, live.size, step):
@@ -289,8 +312,7 @@ def _add_levels(sums: np.ndarray, b: np.ndarray, which: np.ndarray, live: np.nda
         wb = which[block]
         new = np.concatenate(([True], wb[1:] != wb[:-1]))  # first row of each q
         qs, at = wb[new], np.cumsum(new) - 1
-        x = s1[qs, None] * levels  # v = E_n - E_0 as x/(E_n + E_0), without the cancellation
-        y = (x / (np.sqrt(x + s2[qs, None]) + e0[qs, None]))[at]
+        y = ladder.gaps(qs, levels)[at]
         y *= b[block, None]
         np.minimum(y, 1e300, out=y)  # e^{-y} is 0 here anyway; w *= y stays 0, not 0*inf
         w = np.negative(y)
@@ -305,13 +327,13 @@ def _add_levels(sums: np.ndarray, b: np.ndarray, which: np.ndarray, live: np.nda
 
 @np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite Z
 def _direct_sums(
-    b: np.ndarray, which: np.ndarray, s1: np.ndarray, s2: np.ndarray, tol: float, moments: int
+    b: np.ndarray, which: np.ndarray, ladder: _Ladder, tol: float, moments: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The direct-sum kernel: M_k = sum_n (b v_n)^k exp(-b v_n) for k < moments
     and every row, with v_n = (E_n - E_0)/eps.
 
     Row i has inverse temperature b[i] and the levels of the q numbered
-    which[i] (constants s1[which[i]], s2[which[i]]); ``which`` is
+    which[i] in ``ladder``, their only source; ``which`` is
     non-decreasing.  M_0 is Z, and M_1/M_0 = <b v>, M_2/M_0 = <(b v)^2> give
     U and C.  The kernel keeps M_k/(k+1)!, which tends to Z from below at
     high temperature, so no moment overflows before Z does.  Every row
@@ -328,7 +350,6 @@ def _direct_sums(
     absolute bound that stopped it, both of shape (moments, rows), and
     terms the levels each row summed exactly.
     """
-    e0 = np.sqrt(s2)
     sums = np.zeros((moments, b.size))
     bounds = np.zeros((moments, b.size))
     terms = np.zeros(b.size, dtype=np.int64)
@@ -336,11 +357,11 @@ def _direct_sums(
     n_done = 0
     chunk = DIRECT_EM_MIN_N  # so every Euler-MacLaurin check has N >= DIRECT_EM_MIN_N
     while live.size:
-        _add_levels(sums, b, which, live, s1, s2, e0, n_done, n_done + chunk)
+        _add_levels(sums, b, which, live, ladder, n_done, n_done + chunk)
         n_done += chunk
         every = live.size == b.size  # then no copies
         bl, ql, partial = (b, which, sums) if every else (b[live], which[live], sums[:, live])
-        tail, bound = _em_tails(n_done, bl, ql, s1, s2, e0, moments)
+        tail, bound = _em_tails(n_done, bl, ql, ladder, moments)
         total = partial + tail
         stop = (bound <= tol * total).all(axis=0)
         done = live[stop]
@@ -353,18 +374,11 @@ def _direct_sums(
 
 
 class _Rows(NamedTuple):
-    """Sweep points in q-major order: point i is (mbar[i], qs[which[i]])."""
+    """Sweep points in q-major order: point i is (mbar[i], ladder.qs[which[i]])."""
 
     mbar: np.ndarray
-    which: np.ndarray  # non-decreasing index into qs
-    qs: tuple[float, ...]
-
-    def q(self, i: int) -> float:
-        return self.qs[self.which[i]]
-
-    def constants(self) -> tuple[np.ndarray, np.ndarray]:
-        # sigma1 and sigma2 of each q, as arrays over qs.
-        return tuple(np.array([sigma_constants(q) for q in self.qs]).T)
+    which: np.ndarray  # non-decreasing index into ladder.qs
+    ladder: _Ladder
 
 
 def _flag_not_finite(failures: dict, rows: _Rows, *columns: np.ndarray) -> None:
@@ -374,7 +388,7 @@ def _flag_not_finite(failures: dict, rows: _Rows, *columns: np.ndarray) -> None:
         if i not in failures:
             failures[i] = DomainError(
                 f"thermal functions are not finite at mbar={float(rows.mbar[i])!r}, "
-                f"q={rows.q(i)!r} (floating-point overflow)"
+                f"q={rows.ladder.qs[rows.which[i]]!r} (floating-point overflow)"
             )
 
 
@@ -410,16 +424,17 @@ def partition_summand(
     the partition function (multiply the result by exp(sqrt(sigma2)/mbar) to
     reference it to the ground state).
     """
-    _check_point(mbar, q, 1.0)
-    s1, s2 = sigma_constants(q)
+    _check_point(1.0, mbar)
+    ladder = _Ladder(q)
+    s1, s2 = float(ladder.s1[0]), float(ladder.s2[0])
     b = 1.0 / mbar
 
     def f(n: float) -> float:
         return math.exp(-b * math.sqrt(s1 * n + s2))
 
     # f^(m)(0) = m! f(0) E_m, E_m the Taylor coefficients of f(e)/f(0) from
-    # the recurrence of the Euler-MacLaurin tails.
-    E = _exp_series(-b * _root_series(s1, np.array([s2])))
+    # the recurrence of the Euler-MacLaurin tails, from level 0 for this row.
+    E = _exp_series(-ladder.tail(0, np.array([b]), np.zeros(1, dtype=np.intp), 1)[3])
     derivs = {m: f(0.0) * math.factorial(m) * float(E[m, 0]) for m in (1, 3)}
     return f, derivs, closed_integral(b, s1, s2)
 
@@ -456,24 +471,6 @@ def euler_maclaurin_sum(
     return total
 
 
-def _em_z_and_derivatives(rows: _Rows, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Closed-form Z(mbar) of the truncation plus its first two mbar
-    # derivatives, used for the analytic thermal functions.  A power of mbar
-    # past the float range becomes inf instead of raising.
-    s1, s2 = (c[rows.which] for c in rows.constants())
-    mbar = rows.mbar
-    root = np.sqrt(s2)
-    z = 0.5 + (2.0 / s1) * mbar * (mbar + root) + (s1 / (24.0 * root)) / mbar
-    zp = (2.0 / s1) * (2.0 * mbar + root) - (s1 / (24.0 * root)) / mbar**2
-    zpp = 4.0 / s1 + (s1 / (12.0 * root)) / mbar**3
-    if order >= 2:
-        k = (s1 / s2) ** 2 * (s1 / root) / 5760.0
-        z -= k * (3.0 / mbar + 3.0 * root / mbar**2 + s2 / mbar**3)
-        zp += k * (3.0 / mbar**2 + 6.0 * root / mbar**3 + 3.0 * s2 / mbar**4)
-        zpp -= k * (6.0 / mbar**3 + 18.0 * root / mbar**4 + 12.0 * s2 / mbar**5)
-    return z, zp, zpp
-
-
 def partition_em(mbar: float, q: float, order: int = 2) -> ThermoPoint:
     """Euler-MacLaurin partition function at ``order`` 1 or 2.
 
@@ -486,14 +483,24 @@ def partition_em(mbar: float, q: float, order: int = 2) -> ThermoPoint:
 
 @np.errstate(all="ignore")  # overflow at huge mbar is caught as a non-finite value
 def _em_columns(rows: _Rows, order: int) -> SweepColumns:
-    # The closed form and its exact derivatives at every point; a point where
-    # the truncation is non-positive has left its validity range.
-    z, zp, zpp = _em_z_and_derivatives(rows, order)
-    mbar = rows.mbar
+    # The closed form Z(mbar) of the truncation and its first two exact mbar
+    # derivatives at every point; a power of mbar past the float range
+    # becomes inf instead of raising.
+    ladder, mbar = rows.ladder, rows.mbar
+    s1, s2, root = (c[rows.which] for c in (ladder.s1, ladder.s2, ladder.e0))
+    z = 0.5 + (2.0 / s1) * mbar * (mbar + root) + (s1 / (24.0 * root)) / mbar
+    zp = (2.0 / s1) * (2.0 * mbar + root) - (s1 / (24.0 * root)) / mbar**2
+    zpp = 4.0 / s1 + (s1 / (12.0 * root)) / mbar**3
+    if order >= 2:
+        k = (s1 / s2) ** 2 * (s1 / root) / 5760.0
+        z -= k * (3.0 / mbar + 3.0 * root / mbar**2 + s2 / mbar**3)
+        zp += k * (3.0 / mbar**2 + 6.0 * root / mbar**3 + 3.0 * s2 / mbar**4)
+        zpp -= k * (6.0 / mbar**3 + 18.0 * root / mbar**4 + 12.0 * s2 / mbar**5)
+    # A point where the truncation is non-positive has left its validity range.
     valid = z > 0.0
     failures = {i: DomainError(
-        f"EM truncation is non-positive at mbar={float(mbar[i])!r}, q={rows.q(i)!r}; "
-        "outside its validity range"
+        f"EM truncation is non-positive at mbar={float(mbar[i])!r}, "
+        f"q={rows.ladder.qs[rows.which[i]]!r}; outside its validity range"
     ) for i in np.flatnonzero(~valid).tolist()}
     z = np.where(valid, z, np.nan)
     # U and C from u1 = mbar*Z'/Z and u2 = mbar^2*Z''/Z, both ~2 at high
@@ -513,7 +520,7 @@ def _direct_columns(rows: _Rows, tol: float, moments: int) -> SweepColumns:
     # Direct-sum Z at every point from one kernel call; with moments = 3 also
     # F, U = mbar*M1/M0 and C = M2/M0 - (M1/M0)^2 from the same sums.
     mbar = rows.mbar
-    sums, terms, bounds = _direct_sums(1.0 / mbar, rows.which, *rows.constants(), tol, moments)
+    sums, terms, bounds = _direct_sums(1.0 / mbar, rows.which, rows.ladder, tol, moments)
     z, failures = sums[0], {}
     if moments == 1:
         _flag_not_finite(failures, rows, z)
@@ -556,8 +563,8 @@ def _one_point(
     # ThermoPoint; a failed point raises its error.  Without ``thermal`` F, U
     # and C stay None and the direct route sums Z alone.
     _check_order(order)
-    _check_point(mbar, q, tol)
-    rows = _Rows(np.array([float(mbar)]), np.zeros(1, dtype=np.intp), (q,))
+    _check_point(tol, mbar)
+    rows = _Rows(np.array([float(mbar)]), np.zeros(1, dtype=np.intp), _Ladder(q))
     if method == "em":
         cols = _em_columns(rows, order)
         z = cols.Z_em
@@ -605,11 +612,9 @@ def sweep(
     if q_grid.ndim > 1 or q_grid.size == 0:
         raise DomainError(f"q must be a number or a non-empty 1-d array, got shape {q_grid.shape}")
     qs = tuple(q_grid.reshape(-1).tolist())
-    _check_point(float(mbar.min()), qs[0], tol)  # the first error is that of checking
-    _check_point(float(mbar.max()), qs[0], tol)  # both extremes and tol at every q
-    for value in qs[1:]:
-        _check_q(value)
-    rows = _Rows(np.tile(mbar, len(qs)), np.repeat(np.arange(len(qs)), mbar.size), qs)
+    # The grid's extremes, tol and then each q in turn: the first error is the sweep's.
+    _check_point(tol, float(mbar.min()), float(mbar.max()))
+    rows = _Rows(np.tile(mbar, len(qs)), np.repeat(np.arange(len(qs)), mbar.size), _Ladder(*qs))
     if method == "direct":
         return _direct_columns(rows, tol, moments=3)
     if method == "em":
@@ -634,11 +639,9 @@ def _exp_moment_tail(scale: float, b: float, z: float, m: int) -> float:
     w = math.exp(-b * z)
     if w == 0.0:
         return 0.0
-    acc = 0.0
-    term = 1.0
-    for j in range(m + 1):
-        if j > 0:
-            term *= b * z / j
+    acc = term = 1.0
+    for j in range(1, m + 1):
+        term *= b * z / j
         acc += term
     pref = scale * math.factorial(m)
     for _ in range(m + 1):
@@ -661,17 +664,16 @@ def excitation_moments(
     ``thermal_functions("direct")`` (acceptance criterion 7).  Its cost
     therefore still grows as q*mbar^2.
     """
-    _check_point(mbar, q, tol)
-    s1, s2 = sigma_constants(q)
+    _check_point(tol, mbar)
+    ladder = _Ladder(q)
+    s1, e0 = float(ladder.s1[0]), float(ladder.e0[0])
     b = 1.0 / mbar
-    e0 = math.sqrt(s2)
     sums = np.zeros(3)
     n_done = 0
     chunk = 4096
     while n_done <= DIRECT_N_MAX:
         hi = min(n_done + chunk, DIRECT_N_MAX + 1)
-        x = s1 * np.arange(n_done, hi, dtype=float)
-        v = x / (np.sqrt(x + s2) + e0)  # E_n - E_0, without the cancellation
+        v = ladder.gaps(0, np.arange(n_done, hi, dtype=float))  # E_n - E_0
         w = np.exp(-b * v)
         sums += (float(np.sum(w)), float(np.sum(v * w)), float(np.sum(v * v * w)))
         n_done = hi
@@ -679,16 +681,14 @@ def excitation_moments(
         # The integrand bounds below require v^k (v+e0) e^{-bv} to be
         # decreasing; keep summing until safely past its mode.
         if b * v0 > 4.0:
-            ok = True
             for k in range(3):
                 # sum_{n>=n_done} v^k w <= (2/s1) * int_{v0}^inf v^k (v+e0) e^{-bv} dv
                 bound = (_exp_moment_tail(2.0 / s1, b, v0, k + 1)
                          + e0 * _exp_moment_tail(2.0 / s1, b, v0, k))
                 ref = sums[k] if sums[k] > 0.0 else 1.0
                 if bound >= tol * ref:
-                    ok = False
                     break
-            if ok:
+            else:  # every moment's bound is below tol
                 return float(sums[0]), float(sums[1] / sums[0]), float(sums[2] / sums[0])
         chunk = min(chunk * 2, 1 << 20)
     raise TruncationFailure(

@@ -1,6 +1,7 @@
 """Spectrum, level densities, and eigenfunction sampling."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -474,13 +475,22 @@ def test_a_borderline_level_is_returned_but_not_normalized(fig1_params):
 
 
 def test_non_finite_rounding_estimate_refuses_nothing(monkeypatch, fig1_params):
-    # Coefficients that overflow give a NaN estimate: the level is probed,
-    # and fails as it did before the estimate existed.
+    # Coefficients that overflow are refused once per level, with a typed
+    # error and no numpy warning, before any Horner pass: by auto_grid and
+    # by wavefunction on a caller's grid alike.
     phys = PhysicalParams(a1=0.0, a2=1e-10, a3=0.1, mass=1e50)
-    assert math.isnan(spectrum._truncation(10, phys).rounding)
-    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="not finite"):
-        spectrum.auto_grid(10, phys)
-    # An infinite one passes too, and only the label changes.
+
+    def no_horner(*args):
+        raise AssertionError("Horner ran on non-finite coefficients")
+
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(heun, "evaluate_series", no_horner)
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            spectrum.auto_grid(10, phys)
+        with pytest.raises(DomainError, match="not finite"):
+            spectrum.wavefunction(10, phys, np.linspace(0.0, 5.0, 101), normalize=True)
+    # An infinite estimate refuses nothing, and only the label changes.
     plain = spectrum.auto_grid(0, fig1_params)
     monkeypatch.setattr(spectrum, "_rounding", lambda r, coeffs: math.inf)
     spectrum._truncation.cache_clear()

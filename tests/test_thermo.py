@@ -329,9 +329,9 @@ def test_one_kernel_call_per_cli_sweep(monkeypatch, tmp_path):
     calls = []
     kernel = thermo._direct_sums
 
-    def counting(b, which, s1, s2, tol, moments):
+    def counting(b, which, ladder, tol, moments):
         calls.append((b.size, moments))
-        return kernel(b, which, s1, s2, tol, moments)
+        return kernel(b, which, ladder, tol, moments)
 
     monkeypatch.setattr(thermo, "_direct_sums", counting)
     for method, moments in (("direct", 3), ("both", 1)):
@@ -418,10 +418,8 @@ def _mp_moments(mbar, q):
 def _kernel(mbar, q, tol):
     # (M_k, bounds on their errors, converged) from one kernel row; the
     # kernel holds M_k/(k+1)!.
-    s1, s2 = thermo.sigma_constants(q)
     sums, terms, bounds = thermo._direct_sums(
-        np.array([1.0 / mbar]), np.zeros(1, dtype=np.intp),
-        np.array([s1]), np.array([s2]), tol, 3)
+        np.array([1.0 / mbar]), np.zeros(1, dtype=np.intp), thermo._Ladder(q), tol, 3)
     scale = np.array([1.0, 2.0, 6.0])
     return sums[:, 0] * scale, bounds[:, 0] * scale, terms[0] > 0
 
@@ -480,11 +478,12 @@ def test_em_tails_match_30_digit_truncation():
     # and 5, and the k = 0 bound that of order 7; mpmath's numerical
     # derivatives of the same summands g_k = y^k exp(-y)/(k+1)! check all four.
     qs = (0.4, 1.0, 1.6)
-    s1, s2 = np.array([thermo.sigma_constants(q) for q in qs]).T
+    ladder = thermo._Ladder(*qs)
+    s1, s2 = ladder.s1, ladder.s2
     which = np.array([qs.index(q) for _, q in EM_TAIL_ROWS])
     b = np.array([1.0 / mbar for mbar, _ in EM_TAIL_ROWS])
     n = EM_TAIL_N
-    tails, bounds = thermo._em_tails(n, b, which, s1, s2, np.sqrt(s2), 3)
+    tails, bounds = thermo._em_tails(n, b, which, ladder, 3)
     with mp.workdps(30):
         for row, i in enumerate(which.tolist()):
             beta, c1, c2 = mp.mpf(b[row]), mp.mpf(s1[i]), mp.mpf(s2[i])
@@ -702,17 +701,63 @@ def test_direct_sums_end_within_224_levels_at_the_tol_floor():
             assert mbar[i % mbar.size] > 1e75
 
 
-@pytest.mark.parametrize("q", [2e-307, 1e-301])
+def _q_entry_points(q, mbar, em_mbar):
+    # Every route that takes q, each at an mbar where it computes: the
+    # closed form at em_mbar, the others at mbar.
+    return {
+        "sweep, q first": lambda: thermo.sweep("direct", [mbar], q),
+        "sweep, q later": lambda: thermo.sweep("direct", [mbar], [1.0, q]),
+        "thermal_functions": lambda: thermo.thermal_functions("direct", mbar, q),
+        "partition_direct": lambda: thermo.partition_direct(mbar, q),
+        "partition_em": lambda: thermo.partition_em(em_mbar, q),
+        "partition_summand": lambda: thermo.partition_summand(mbar, q),
+        "excitation_moments": lambda: thermo.excitation_moments(mbar, q),
+    }
+
+
+@pytest.mark.parametrize("q", [2e-307, 1e-301, 7e153])
 def test_q_whose_level_energies_overflow_is_rejected(q):
-    # sigma1 and sigma2 are finite, but sigma1*n + sigma2 overflows below
-    # the level cap; no route may sum such levels as if their weight were 0.
-    assert all(map(math.isfinite, thermo.sigma_constants(q)))
-    with pytest.raises(DomainError):
-        thermo.thermal_functions("direct", 1e160, q)
-    with pytest.raises(DomainError):
-        thermo.sweep("direct", [1.0, 1e160], q)
-    point = thermo.thermal_functions("direct", 1.0, 1.2e-301)  # just inside
-    assert (point.Z, point.U, point.C) == (1.0, 0.0, 0.0)
+    # Below q ~ 1.1e-301 sigma1 and sigma2 are finite, but sigma1*n + sigma2
+    # overflows below the level cap; past q ~ 6.7e153 sigma2 itself does.  No
+    # route may sum such levels as if their weight were 0: one domain rule
+    # refuses q at every entry point.
+    if q < 1.0:
+        assert all(map(math.isfinite, thermo.sigma_constants(q)))
+    with pytest.raises(ConfigError, match="invalid q"):
+        cli.parse_q_list(repr(q))
+    for name, call in _q_entry_points(q, 1e160, 1e160).items():
+        with pytest.raises(DomainError, match="past the float range"):
+            call()
+            pytest.fail(f"{name} accepted q={q!r}")
+
+
+# q just inside the domain, an mbar far below its first gap E_1 - E_0 (the
+# direct routes see the ground state alone) and one where the closed form holds.
+@pytest.mark.parametrize("q,mbar,em_mbar", [(1.2e-301, 1.0, 1e160), (6e153, 1e-160, 1.0)])
+def test_q_just_inside_the_level_range_is_accepted(q, mbar, em_mbar):
+    assert cli.parse_q_list(repr(q)) == (q,)
+    results = {name: call() for name, call in _q_entry_points(q, mbar, em_mbar).items()}
+    for name in ("sweep, q first", "sweep, q later"):
+        assert not results[name].failures and results[name].Z_direct[-1] == 1.0
+    point = results["thermal_functions"]
+    assert (point.Z, point.U, point.C) == (1.0, 0.0, 0.0) and results["partition_direct"].Z == 1.0
+    assert 0.0 < results["partition_em"].Z < math.inf
+    assert results["excitation_moments"] == (1.0, 0.0, 0.0)
+
+
+def test_sweep_builds_each_q_ladder_once(monkeypatch):
+    # A sweep checks each q and builds its level constants in one pass: the
+    # first q is not built again for the grid check or for each route.
+    calls = []
+    build = thermo.sigma_constants
+
+    def counting(q):
+        calls.append(q)
+        return build(q)
+
+    monkeypatch.setattr(thermo, "sigma_constants", counting)
+    thermo.sweep("both", np.geomspace(0.1, 10.0, 5), [0.5, 1.0])
+    assert calls == [0.5, 1.0]
 
 
 def test_partition_direct_domain():
