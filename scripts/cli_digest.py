@@ -51,7 +51,9 @@ failed point, in row order, of two ``both`` sweeps that mix the direct sum's
 and the closed form's failures.  ``lib-large-q`` shows its stdout too: at
 q = 1e4, 1e8 and 1e30, where E_1 - E_0 is a small fraction of E_0, the max
 exact head and the failure count of a direct sweep over mbar = 1e-40..1e6 at
-two tol.
+two tol.  ``lib-summand`` shows its stdout too: ``thermo.partition_summand``'s
+f(0), odd derivatives and integral, and their order-2 ``euler_maclaurin_sum``,
+at two points where f(0) underflows to 0 and at one ordinary point.
 A last script writes ``cli.write_table`` tables in csv and json from cells
 and row shapes no command emits: bools, numpy scalars, ints past 64 bits,
 edge floats, str keys and blank rows; a table with a ragged row prints its
@@ -322,6 +324,20 @@ for q in (1e4, 1e8, 1e30):
         print(f"q={q:g} tol={tol:.3g}: max head {cols.terms.max()}, "
               f"{len(cols.failures)} of {mbar.size} failed")
 """),
+    # Where f(0) = e^{-E_0/mbar} underflows (q = 1e-280, 1.2e-301) and at
+    # one ordinary point: the generic route's data and its order-2 sum.
+    ("lib-summand", """
+from kgconfine import thermo
+from kgconfine.errors import DomainError
+for mbar, q in ((1.0, 1e-280), (1.0, 1.2e-301), (1.5, 0.8)):
+    f, derivs, integral = thermo.partition_summand(mbar, q)
+    try:
+        total = repr(thermo.euler_maclaurin_sum(f, integral, 2, derivs))
+    except DomainError as exc:
+        total = f"DomainError: {exc}"
+    print(f"mbar={mbar} q={q}: f(0) {f(0.0)!r}, derivs {derivs}, integral {integral!r}, "
+          f"sum {total}")
+"""),
     ("lib-heun", """
 import hashlib, numpy as np
 from kgconfine import heun
@@ -393,7 +409,7 @@ def _sha(data: bytes) -> str:
 
 
 # Runs whose line shows their stdout, one "; "-separated entry per line of it.
-SHOWN = {"lib-heads", "lib-grids", "lib-failures", "lib-large-q"}
+SHOWN = {"lib-heads", "lib-grids", "lib-failures", "lib-large-q", "lib-summand"}
 
 
 def digest(src: Path, name: str, python_args: list[str], config: str | None) -> str:

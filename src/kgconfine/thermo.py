@@ -434,8 +434,11 @@ def partition_summand(
 
     # f^(m)(0) = m! f(0) E_m, E_m the Taylor coefficients of f(e)/f(0) from
     # the recurrence of the Euler-MacLaurin tails, from level 0 for this row.
+    # Where f(0) underflows to 0 the derivatives are 0, as in ``_em_tails``,
+    # though E_m may overflow there.
     E = _exp_series(-ladder.tail(0, np.array([b]), np.zeros(1, dtype=np.intp), 1)[3])
-    derivs = {m: f(0.0) * math.factorial(m) * float(E[m, 0]) for m in (1, 3)}
+    f0 = f(0.0)
+    derivs = {m: f0 * math.factorial(m) * float(E[m, 0]) if f0 else 0.0 for m in (1, 3)}
     return f, derivs, closed_integral(b, s1, s2)
 
 

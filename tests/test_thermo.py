@@ -889,6 +889,15 @@ def test_partition_summand_derivatives_match_finite_differences():
     assert math.isclose(derivs[3], fd3, rel_tol=1e-5)
 
 
+@pytest.mark.parametrize("q", [1e-280, 1.2e-301])
+def test_partition_summand_derivatives_are_0_where_f0_underflows(q):
+    # f(0) = e^{-E_0/mbar} is 0 here while E_3 overflows: 0 * inf would be NaN.
+    f, derivs, integral = thermo.partition_summand(1.0, q)
+    assert f(0.0) == 0.0
+    assert all(math.isfinite(d) for d in derivs.values())
+    assert thermo.euler_maclaurin_sum(f, integral, 2, derivs) == 0.0
+
+
 def test_partition_em_equals_generic_path():
     for mbar, q in ((0.5, 0.5), (1.0, 1.0), (4.0, 1.5), (20.0, 1.0)):
         f, derivs, integral = thermo.partition_summand(mbar, q)
