@@ -27,7 +27,9 @@ and a 5 q x 3,000 mbar compare at the benchmark's sweep_dense scale),
 wavefunctions whose raw squares (``--a3 200``) or samples (``--a3 500``)
 overflow double precision, one whose degree-10 series coefficients overflow
 (``--mass 1e50 --a2 1e-10``, a typed error with no numpy warning on stderr),
-``--config`` files, usage errors (among them a
+potentials whose E_0^2 overflows (``--a2 1e300 --a3 1e10``: ``density``
+in csv and json and ``spectrum``, each a level warning, exit 1 and no
+table), ``--config`` files, usage errors (among them a
 ``--tol 1e-300`` sweep, below the 2**-53 floor of tol), a negative
 flag value in exponent form (``--a1 -1e-3``, whose table must equal that of
 ``--a1=-0.001``) and the ``--help`` text of the program and of every command.
@@ -54,10 +56,11 @@ exact head and the failure count of a direct sweep over mbar = 1e-40..1e6 at
 two tol.  ``lib-summand`` shows its stdout too: ``thermo.partition_summand``'s
 f(0), odd derivatives and integral, and their order-2 ``euler_maclaurin_sum``,
 at two points where f(0) underflows to 0 and at one ordinary point.
-A last script writes ``cli.write_table`` tables in csv and json from cells
-and row shapes no command emits: bools, numpy scalars, ints past 64 bits,
-edge floats, str keys and blank rows; a table with a ragged row prints its
-error instead.
+A last script writes ``cli.write_table`` tables in csv and json from
+column views of the four cell types, with edge values no command emits
+(ints past 64 bits, nan, +-inf, -0.0 and 5e-324 next to str keys and empty
+columns), with and without blank rows; a view with a missing column and
+one with a short column print their errors instead.
 Since every run has a fresh directory, two runs check that an existing table
 is rewritten: ``lib-overwrite`` writes a 40-step ``thermo`` table and then
 a 3-step one to the same ``--out`` and hashes the final file, whose hash must
@@ -102,6 +105,9 @@ for fmt in ("csv", "json"):
         (f"wavefunction-psi-overflow-{fmt}",
          ["wavefunction", "--a3", "500", "--n", "0", *out], None),
         (f"density-{fmt}", ["density", "--n", "0..5", *out], None),
+        # E_0^2 overflows for these valid parameters: a level warning, exit 1, no table.
+        (f"density-energy-overflow-{fmt}",
+         ["density", "--a2", "1e300", "--a3", "1e10", "--n", "0", *out], None),
         (f"thermo-{fmt}", ["thermo", *out], None),
         (f"compare-{fmt}", ["compare", *out], None),
         (f"thermo-direct-{fmt}", ["thermo", "--method", "direct", *SWEEP, *out], None),
@@ -125,6 +131,8 @@ RUNS += [
                     "--out", "{tmp}/t.csv"], None),
     ("em-overflow-window", ["thermo", "--method", "em", *OVERFLOW_WINDOW,
                             "--out", "{tmp}/t.csv"], None),
+    ("spectrum-energy-overflow", ["spectrum", "--a2", "1e300", "--a3", "1e10", "--n", "0",
+                                  "--out", "{tmp}/s.csv"], None),
     ("default-name", ["density", "--n", "0", "--format", "json"], None),
     ("io-failure", ["spectrum", "--out", "{tmp}/missing/s.csv"], None),
     ("wavefunction-tol", ["wavefunction", "--n", "2", "--tol", "1e-8", "--mass", "1",
@@ -379,27 +387,29 @@ for _ in range(400):
         except TruncationFailure as exc:
             print(str(exc), repr(exc.partial_sum), exc.n_terms)
 """),
-    # One table with blank rows (a format per row signature), one whose
-    # every column holds a single type (one format per table), and a ragged
-    # row, which is refused in either format before any file is written.
+    # Column views of the four cell types at their edge values, written
+    # with no blank row (one format per table) and with blank rows (their
+    # own formats), and two views that do not fit the header, which are
+    # refused in either format before any file is written.
     ("lib-cells", """
-import math, numpy as np
+import math
 from kgconfine import cli
-mixed = [("0.5", 1.5, 7, True), ("0.5", None, None, None),
-         ("1e-05", np.float64(0.1), np.int64(2**40), np.True_),
-         ("2", 2**100, -2**63 - 1, False), ("3", -0.0, math.nan, math.inf),
-         ("4", -math.inf, 5e-324, 0.1 + 0.2)]
-uniform = [(str(k), np.float64(k / 3), np.int64(k * 10**15), k % 2 == 0, 2**70 + k, None,
-            np.False_, np.str_(k)) for k in range(5)]
-for name, rows in (("mixed", mixed), ("uniform", uniform)):
-    header = tuple("abcdefgh"[:len(rows[0])])
+keys = [cli._cell(x) for x in (1e-05, 0.5, 2.0, 1e300, 5e-324, math.nan, -0.0, 3.0)]
+floats = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1 + 0.2, 1e300, 1.5]
+ints = [2**100, -2**63 - 1, 2**64 + 1, 7, 0, -1, 2**63, 12]
+columns = [keys, floats, ints, [None] * 8]
+blank = {1: (keys[1], None, None, None), 5: (keys[5], None, None, None),
+         6: ("7", -math.inf, 2**70, None)}
+header = ("k", "f", "i", "n")
+for name, view in (("plain", cli._Columns(columns, {})), ("blank", cli._Columns(columns, blank))):
     for fmt in ("csv", "json"):
-        cli.write_table(f"{name}.{fmt}", header, rows, fmt)
-for fmt in ("csv", "json"):
-    try:
-        cli.write_table(f"ragged.{fmt}", tuple("abcd"), mixed + [("5", 1.0)], fmt)
-    except ValueError as exc:
-        print(exc)
+        cli.write_table(f"{name}.{fmt}", header, view, fmt)
+for name, bad in (("missing", columns[:3]), ("short", [keys, floats[:-1], ints, [None] * 8])):
+    for fmt in ("csv", "json"):
+        try:
+            cli.write_table(f"{name}.{fmt}", header, cli._Columns(bad, {}), fmt)
+        except ValueError as exc:
+            print(exc)
 """),
 ]
 

@@ -19,7 +19,7 @@ import itertools
 import math
 import os
 import sys
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -285,25 +285,15 @@ def resolve_config(parser: argparse.ArgumentParser,
     return cfg
 
 
-_FIELDS: dict[type, str] = {}
-
-
-def _field(kind: type) -> str:
-    # The one cell rule, as the % field of a cell of this type: None is an
-    # empty cell ("%.0s" prints its str cut to no characters), a str is text
-    # this rule has already produced, an int stays exact, and any other value
-    # is rounded to 12 significant digits.  JSON tables reach it through
-    # _cell for every float and str cell, so the memo is a plain dict, which
-    # is faster there than functools.cache.
-    field = _FIELDS.get(kind)
-    if field is None:
-        field = "%.0s" if kind is type(None) else "%s" if issubclass(kind, (str, int)) else "%.12g"
-        _FIELDS[kind] = field
-    return field
+# The one cell rule, as the % field of each type of cell a table holds: a
+# float is rounded to 12 significant digits, an int stays exact, a str is
+# text this rule has already produced (a sweep's key cells), and None is an
+# empty cell ("%.0s" prints its str cut to no characters).
+_FIELDS = {float: "%.12g", int: "%s", str: "%s", type(None): "%.0s"}
 
 
 def _cell(value) -> str:
-    return _field(type(value)) % (value,)
+    return _FIELDS[type(value)] % (value,)
 
 
 def _json_cell(value):
@@ -313,7 +303,7 @@ def _json_cell(value):
 @functools.cache
 def _csv_format(signature: tuple[type, ...]) -> str:
     # The one-% format of a CSV row whose cells have these types.
-    return ",".join(map(_field, signature))
+    return ",".join(_FIELDS[kind] for kind in signature)
 
 
 class _Columns:
@@ -332,36 +322,32 @@ class _Columns:
         return (self.blank.get(i, row) for i, row in enumerate(rows)) if self.blank else rows
 
 
-def write_table(path: str, header: tuple[str, ...], rows: Sequence[tuple] | _Columns,
-                fmt: str) -> None:
-    """Write ``rows`` as CSV or as a JSON list of records.
+def write_table(path: str, header: tuple[str, ...], rows: _Columns, fmt: str) -> None:
+    """Write the ``_Columns`` view ``rows`` as CSV or as a JSON list of records.
 
-    ``rows`` is a sequence of tuples of cell values in ``header`` order, or
-    a ``_Columns`` view over one list per column; either way ``len(rows)``
-    is the number of data rows.  ``_cell`` gives every cell's text (JSON
-    writes a str cell as the number it spells, and keeps its ints and
-    floats as numbers).  CSV rows are written with ``%`` formats built from
-    the same rule: a ``_Columns`` view gets one row format from its column
-    types, and its blank rows their own; a sequence of tuples gets one
-    format per cell-type signature of a row.  A row whose length
-    differs from the header's raises ``ValueError`` before the file is
-    opened, in either format.  An existing file is rewritten in place and
-    cut to the new length, so a write that fails partway leaves a mix of
-    old and new text, not a truncated file.
+    The view holds one list per ``header`` column; ``len(rows)`` is the
+    number of data rows.  ``_cell`` gives every cell's text (JSON writes a
+    str cell as the number it spells, and keeps its ints and floats as
+    numbers).  CSV rows are written with ``%`` formats built from the same
+    rule: one for the table from its column types, and one per blank row
+    from its cells' types.  A view whose column count differs from the
+    header's, or whose columns differ in length, raises ``ValueError``
+    before the file is opened, in either format.  An existing file is
+    rewritten in place and cut to the new length, so a write that fails
+    partway leaves a mix of old and new text, not a truncated file.
     """
-    typed = isinstance(rows, _Columns)
-    if ({len(rows.columns)} if typed else set(map(len, rows))) - {len(header)}:
-        i, row = next((i, row) for i, row in enumerate(rows) if len(row) != len(header))
-        raise ValueError(f"row {i} {row!r} has {len(row)} cells; the header has {len(header)}")
+    if len(rows.columns) != len(header):
+        raise ValueError(f"the view has {len(rows.columns)} columns; "
+                         f"the header has {len(header)}")
+    for j, column in enumerate(rows.columns):
+        if len(column) != len(rows):
+            raise ValueError(f"column {j} has {len(column)} cells; column 0 has {len(rows)}")
     if fmt == "csv":
+        form = _csv_format(tuple(type(column[0]) for column in rows.columns))
         lines = [",".join(header)]
-        if typed:
-            form = _csv_format(tuple(type(column[0]) for column in rows.columns))
-            lines += map(form.__mod__, zip(*rows.columns))
-            for i, row in rows.blank.items():
-                lines[i + 1] = _csv_format(tuple(map(type, row))) % row
-        else:
-            lines += [_csv_format(tuple(map(type, row))) % row for row in rows]
+        lines += map(form.__mod__, zip(*rows.columns))
+        for i, row in rows.blank.items():
+            lines[i + 1] = _csv_format(tuple(map(type, row))) % row
     else:
         import json
 
@@ -388,7 +374,8 @@ def run_levels(cfg: argparse.Namespace) -> int:
                     lambda n, e: (n, e, spec_mod.level_density_consistent(e, p),
                                   spec_mod.level_density_paper(e, p))),
     }[cfg.command]
-    rows = [row(n, spec_mod.energy(n, p)) for n in cfg.n]
+    cells = [row(n, spec_mod.energy(n, p)) for n in cfg.n]
+    rows = _Columns([list(column) for column in zip(*cells)], {})
     write_table(cfg.out, header, rows, cfg.format)
     print(f"wrote {cfg.out} ({len(rows)} rows)")
     return 0
@@ -435,8 +422,8 @@ def _sweep_rows(cfg: argparse.Namespace,
     mbars = cfg.grid.tolist()
     size = len(mbars) * len(cfg.q)
     # The key cells as text: each mbar formatted once per sweep, each q once.
-    mbar_cells = list(map(_field(float).__mod__, mbars))
-    q_cells = map(_field(float).__mod__, cfg.q)
+    mbar_cells = list(map(_FIELDS[float].__mod__, mbars))
+    q_cells = map(_FIELDS[float].__mod__, cfg.q)
     columns = [mbar_cells * len(cfg.q),
                list(itertools.chain.from_iterable([cell] * len(mbars) for cell in q_cells))]
     columns += [[None] * size if a is None else a.tolist() for a in arrays]

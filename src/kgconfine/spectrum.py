@@ -87,11 +87,14 @@ def _check_n(n: int) -> int:
 
 def energy(n: int, params: PhysicalParams) -> float:
     """Closed-form positive-branch eigenvalue of level ``n``; the negative
-    branch is its negation."""
+    branch is its negation.  Raises ``DomainError`` where E_n^2 overflows."""
     n = _check_n(n)
     root = _reduction(params).root
     # a2 > 0, a3 >= 0, Q > 0 and root >= 1 make every term non-negative.
     e_sq = 2.0 * params.a2 * params.a3 + (params.a2 / params.Q) * (2.0 * n + 1.0 + root)
+    if not math.isfinite(e_sq):
+        raise DomainError(f"energy of level {n} is not finite: E^2 = {e_sq!r} "
+                          "(floating-point overflow)")
     return math.sqrt(e_sq)
 
 
@@ -124,8 +127,9 @@ def level_density_paper(energy_value: float, params: PhysicalParams) -> float:
 def level_density_consistent(energy_value: float, params: PhysicalParams) -> float:
     """Level density dn/dE = Q*E/a2 implied by the closed-form spectrum.
 
-    Valid above the band bottom; no domain checks are applied since the
-    expression itself is everywhere finite.
+    Valid above the band bottom.  No domain checks are applied: the product
+    is finite for every energy ``energy`` returns, but overflows to inf for
+    an argument near the float limit.
     """
     return _reduction(params).Q_a2 * energy_value
 

@@ -314,6 +314,27 @@ def test_wavefunction_overflow_fails_loudly(tmp_path, capsys):
     assert err[1] == "kgconfine: warning: 1 of 1 profiles failed"
 
 
+ENERGY_OVERFLOW = "energy of level 0 is not finite: E^2 = inf (floating-point overflow)"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["density", "spectrum", "wavefunction"])
+def test_energy_overflow_fails_loudly(command, fmt, tmp_path, capsys):
+    # E_0^2 overflows for these valid parameters: every level command exits
+    # 1 with one warning naming the level and writes no table.
+    rc = cli.main([command, "--a2", "1e300", "--a3", "1e10", "--n", "0", "--format", fmt,
+                   "--out", str(tmp_path / f"t.{fmt}")])
+    assert rc == 1
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = [f"kgconfine: warning: {ENERGY_OVERFLOW}"]
+    if command == "wavefunction":
+        expected = [f"kgconfine: warning: n=0: {ENERGY_OVERFLOW}",
+                    "kgconfine: warning: 1 of 1 profiles failed"]
+    assert captured.err.splitlines() == expected
+
+
 def test_thermo_em_sweep_columns(tmp_path):
     out = tmp_path / "thermo.csv"
     rc = cli.main([
@@ -410,12 +431,12 @@ def test_csv_cells_use_12_significant_digits(tmp_path):
 
 def test_write_table_cell_rule(tmp_path):
     # None is an empty cell (JSON null), a str is text already formatted
-    # (JSON: the number it spells), an int stays exact, and any other value
-    # is rounded to 12 significant digits.
+    # (JSON: the number it spells), an int stays exact, and a float is
+    # rounded to 12 significant digits.
     header = ("key", "int", "none", "one", "sum", "big")
-    row = ("1e-05", 7, None, 1.0, 0.1 + 0.2, 1e150)
-    cli.write_table(str(tmp_path / "t.csv"), header, [row], "csv")
-    cli.write_table(str(tmp_path / "t.json"), header, [row], "json")
+    view = cli._Columns([["1e-05"], [7], [None], [1.0], [0.1 + 0.2], [1e150]], {})
+    cli.write_table(str(tmp_path / "t.csv"), header, view, "csv")
+    cli.write_table(str(tmp_path / "t.json"), header, view, "json")
     assert (tmp_path / "t.csv").read_bytes() == (
         b"key,int,none,one,sum,big\n1e-05,7,,1,0.3,1e+150\n")
     assert (tmp_path / "t.json").read_bytes() == (
@@ -425,71 +446,95 @@ def test_write_table_cell_rule(tmp_path):
 
 
 def test_cell_text_literals():
-    # The rule's text for each kind of cell, spelled out: an int is exact
-    # and a bool its name, a numpy scalar (np.int64, np.bool_ too) is
-    # rounded like a float, a str is kept, and None is empty.
+    # The rule's text for each of the four types of cell, spelled out: an
+    # int is exact, a float is rounded to 12 digits, a str is kept, and
+    # None is empty.  No other type has a rule.
     cases = [
-        (True, "True"), (np.True_, "1"),
-        (np.int64(2**40), "1.09951162778e+12"), (np.float64(0.1), "0.1"),
-        (2**100, "1267650600228229401496703205376"), (-2**63 - 1, "-9223372036854775809"),
-        (-0.0, "-0"), (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
-        (5e-324, "4.94065645841e-324"), (None, ""), (np.str_("x"), "x"), (0.1 + 0.2, "0.3"),
+        (7, "7"), (2**100, "1267650600228229401496703205376"),
+        (-2**63 - 1, "-9223372036854775809"), (-0.0, "-0"), (math.nan, "nan"),
+        (math.inf, "inf"), (-math.inf, "-inf"), (5e-324, "4.94065645841e-324"),
+        (0.1 + 0.2, "0.3"), (1e150, "1e+150"), (None, ""), ("1e-05", "1e-05"),
     ]
     assert [cli._cell(value) for value, _ in cases] == [text for _, text in cases]
+    assert set(cli._FIELDS) == {float, int, str, type(None)}
 
 
 def test_text_cells_are_verbatim_on_every_csv_path(tmp_path):
-    # The per-signature row formats write a str cell as it is, whether every
-    # column holds one type or a row has a blank cell or a bool.
+    # The table's format and a blank row's own format both write a str cell
+    # as it is.
     out = tmp_path / "t.csv"
-    cli.write_table(str(out), ("k", "v"), [("0.5", 1.5), ("2", 2.0)], "csv")
+    cli.write_table(str(out), ("k", "v"), cli._Columns([["0.5", "2"], [1.5, 2.0]], {}), "csv")
     assert out.read_bytes() == b"k,v\n0.5,1.5\n2,2\n"
-    cli.write_table(str(out), ("k", "v"), [("0.5", 1.5), ("0.5", None), ("2", True)], "csv")
-    assert out.read_bytes() == b"k,v\n0.5,1.5\n0.5,\n2,True\n"
+    view = cli._Columns([["0.5", "0.5", "2"], [1.5, 0.0, 2.0]], {1: ("0.5", None), 2: ("2", "x")})
+    cli.write_table(str(out), ("k", "v"), view, "csv")
+    assert out.read_bytes() == b"k,v\n0.5,1.5\n0.5,\n2,x\n"
 
 
-# Cell values of every type a table may hold: the float edge cases, ints
-# past 64 bits, and the types (bool, numpy scalars) that no command emits.
+def _rule_text(header, rows, fmt):
+    # A table's text from the cell rule alone: CSV lines are the _cell texts
+    # of each row joined by commas, and JSON is the list of _json_cell
+    # records.
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(map(cli._cell, row)) for row in rows]
+    else:
+        lines = [json.dumps([dict(zip(header, map(cli._json_cell, row))) for row in rows],
+                            indent=2)]
+    return "\n".join(lines) + "\n"
+
+
+# Cells of each of the four types a table holds: the float edge cases, ints
+# past 64 bits, None, and text as the key cells carry it (a float's _cell).
 _CELL_KINDS = (
     st.floats(allow_subnormal=True)
     | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, -1e-300]),
     st.integers(-2**100, 2**100) | st.sampled_from([2**63, -2**63 - 1, 2**64 + 1]),
     st.none(),
-    st.booleans(),
-    st.floats().map(np.float64),
-    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats().map(cli._cell),
 )
 
 
 @st.composite
 def _tables(draw):
-    # A header and rows drawn from a few cell-type signatures of its
-    # length, mixed in one table.
-    width = draw(st.integers(0, 9))
-    signature = st.lists(st.sampled_from(_CELL_KINDS), min_size=width, max_size=width)
-    signatures = draw(st.lists(signature, min_size=1, max_size=3))
-    row = st.one_of([st.tuples(*kinds) for kinds in signatures])
-    return tuple(f"h{i}" for i in range(width)), draw(st.lists(row, max_size=20))
+    # A header and a view over one column per header entry, each column of
+    # one cell type, with some rows blank in full, each blank row's cells of
+    # any of the four types.
+    width, size = draw(st.integers(1, 9)), draw(st.integers(1, 20))
+    kinds = draw(st.lists(st.sampled_from(_CELL_KINDS), min_size=width, max_size=width))
+    columns = [draw(st.lists(kind, min_size=size, max_size=size)) for kind in kinds]
+    blank_row = st.tuples(*[st.one_of(_CELL_KINDS)] * width)
+    blank = draw(st.dictionaries(st.integers(0, size - 1), blank_row, max_size=size))
+    return tuple(f"h{i}" for i in range(width)), cli._Columns(columns, blank)
 
 
 @given(table=_tables())
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_csv_rows_agree_with_cell_rule(tmp_path, table):
     header, rows = table
-    out = tmp_path / "t.csv"
-    cli.write_table(str(out), header, rows, "csv")
-    expected = [",".join(header)] + [",".join(map(cli._cell, row)) for row in rows]
-    assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"t.{fmt}"
+        cli.write_table(str(out), header, rows, fmt)
+        assert out.read_text(encoding="utf-8") == _rule_text(header, rows, fmt)
+
+
+# Views that do not fit the header ("k", "v"): a column short or long of
+# the other, a column missing, one too many.
+_MALFORMED = {
+    "short": ([["1", "2", "3"], [1.0, 2.0]], r"^column 1 has 2 cells; column 0 has 3$"),
+    "long": ([["1", "2", "3"], [1.0, 2.0, 3.0, 4.0]], r"^column 1 has 4 cells; column 0 has 3$"),
+    "missing": ([["1", "2", "3"]], r"^the view has 1 columns; the header has 2$"),
+    "extra": ([["1"], [1.0], [2.0]], r"^the view has 3 columns; the header has 2$"),
+}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("ragged", [("2",), ("2", 2.0, 3.0)], ids=["short", "long"])
+@pytest.mark.parametrize("ragged", list(_MALFORMED))
 def test_write_table_rejects_ragged_rows(tmp_path, fmt, ragged):
-    # The error names the first row whose length is not the header's, and
-    # no file is written in either format.
+    # A view that does not fit its header is refused, and no file is
+    # written in either format.
+    columns, message = _MALFORMED[ragged]
     out = tmp_path / f"t.{fmt}"
-    with pytest.raises(ValueError, match=r"^row 1 "):
-        cli.write_table(str(out), ("k", "v"), [("1", 1.0), ragged, ("3",)], fmt)
+    with pytest.raises(ValueError, match=message):
+        cli.write_table(str(out), ("k", "v"), cli._Columns(columns, {}), fmt)
     assert not out.exists()
 
 
@@ -662,15 +707,19 @@ def test_write_failure_names_the_output_path(capsys):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_shorter_table_replaces_a_longer_file(tmp_path, fmt):
     # The table is rewritten in place: what is left past its end is cut.
-    header, row = ("k", "v"), ("0.5", 1.5)
+    header = ("k", "v")
     out, fresh = tmp_path / f"t.{fmt}", tmp_path / f"fresh.{fmt}"
+
+    def rows(size):
+        return cli._Columns([["0.5"] * size, [1.5] * size], {})
+
     out.write_bytes(b"x" * 10_000)
-    cli.write_table(str(out), header, [row] * 50, fmt)
-    cli.write_table(str(out), header, [row] * 2, fmt)
-    cli.write_table(str(fresh), header, [row] * 2, fmt)
+    cli.write_table(str(out), header, rows(50), fmt)
+    cli.write_table(str(out), header, rows(2), fmt)
+    cli.write_table(str(fresh), header, rows(2), fmt)
     assert out.read_bytes() == fresh.read_bytes()
-    cli.write_table(str(out), header, [row] * 3, fmt)  # and a longer one over a shorter
-    cli.write_table(str(fresh), header, [row] * 3, fmt)
+    cli.write_table(str(out), header, rows(3), fmt)  # and a longer one over a shorter
+    cli.write_table(str(fresh), header, rows(3), fmt)
     assert out.read_bytes() == fresh.read_bytes()
 
 
@@ -777,7 +826,7 @@ def test_non_finite_sweep_points_fail(tmp_path, capsys):
 # (argv, exit status): sweeps of every method with no failed point and
 # with failed points (the closed form fails at 4 of the 5 mbar of each q
 # block of the low grid; the direct sum at 1 of 3 points of FAILING_SWEEP),
-# and one profile table.
+# one profile table and both level tables.
 LOW_GRID = ["--q", "0.5,1", "--mbar-min", "1e-3", "--mbar-max", "0.1", "--steps", "5"]
 OK_GRID = ["--q", "0.5,1.5", "--mbar-min", "0.1", "--mbar-max", "10", "--steps", "7"]
 _VIEW_RUNS = [
@@ -790,6 +839,8 @@ _VIEW_RUNS = [
     pytest.param(["thermo", "--method", "both"] + LOW_GRID, 1, id="both-failing"),
     pytest.param(["compare"] + LOW_GRID, 1, id="compare-failing"),
     pytest.param(["wavefunction", "--n", "0,3"], 0, id="wavefunction"),
+    pytest.param(["spectrum", "--n", "0..5,9"], 0, id="spectrum"),
+    pytest.param(["density", "--n", "0..5,9"], 0, id="density"),
 ]
 
 
@@ -797,9 +848,8 @@ _VIEW_RUNS = [
 @pytest.mark.parametrize("argv, status", _VIEW_RUNS)
 def test_column_view_writes_the_bytes_of_its_row_tuples(argv, status, fmt, tmp_path,
                                                          monkeypatch, capsys):
-    # A command's table, written from its column view, equals the table
-    # that write_table's generic path (per-signature formats over row
-    # tuples) writes from the same rows, byte for byte.
+    # A command's table, written from its column view, equals the text the
+    # cell rule gives its row tuples, byte for byte.
     calls = []
     write_table = cli.write_table
 
@@ -812,11 +862,10 @@ def test_column_view_writes_the_bytes_of_its_row_tuples(argv, status, fmt, tmp_p
     assert calls
     for path, header, rows in calls:
         assert isinstance(rows, cli._Columns)
-        plain = tmp_path / f"plain.{fmt}"
-        tuples = [tuple(row) for row in rows]
-        write_table(str(plain), header, tuples, fmt)
+        tuples = list(rows)
         assert len(tuples) == len(rows)
-        assert plain.read_bytes() == open(path, "rb").read()
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            assert fh.read() == _rule_text(header, tuples, fmt)
     assert status == 0 or any(rows.blank for _, _, rows in calls)
 
 

@@ -93,6 +93,21 @@ def test_energy_independent_of_a1(params, n, delta):
     assert spectrum.energy(n, params) == spectrum.energy(n, shifted)
 
 
+def test_energy_refuses_an_overflowing_level():
+    # Valid parameters whose E_n^2 overflows: a DomainError naming the level,
+    # never inf, from energy and from each route that starts from it.
+    p = PhysicalParams(a1=0.1, a2=1e300, a3=1e10, mass=0.5)
+    for call in (lambda: spectrum.energy(0, p), lambda: spectrum.heun_parameters(0, p),
+                 lambda: spectrum.auto_grid(0, p)):
+        with pytest.raises(DomainError, match=r"^energy of level 0 is not finite: E\^2 = inf "):
+            call()
+    # Here only the 2n + 1 term overflows, so low levels stay finite.
+    linear = PhysicalParams(a1=0.0, a2=1e300, a3=0.0, mass=0.0)
+    assert math.isclose(spectrum.energy(0, linear), math.sqrt(2e300), rel_tol=1e-15)
+    with pytest.raises(DomainError, match=r"^energy of level 1000000000 is not finite"):
+        spectrum.energy(10**9, linear)
+
+
 def test_invalid_quantum_numbers():
     p = PhysicalParams(a1=0.0, a2=1.0, a3=1.0, mass=1.0)
     for bad in (-1, 1.5, True, "2"):
